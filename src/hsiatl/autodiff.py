@@ -10,9 +10,11 @@ and bitwise deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import threading
-from typing import Callable, Sequence
+import weakref
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,6 +45,17 @@ def _current_tape() -> "Tape | None":
     return stack[-1] if stack else None
 
 
+@contextlib.contextmanager
+def no_tape() -> Iterator[None]:
+    """Compute values only, even inside an active tape (this thread only)."""
+    stack = _tape_stack()
+    _active.stack = []
+    try:
+        yield
+    finally:
+        _active.stack = stack
+
+
 class Tensor:
     """A dense float64 array plus an optional same-shape gradient buffer.
 
@@ -60,7 +73,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._backward: Callable[[np.ndarray], None] | None = None
-        self._tape: "Tape | None" = None
+        self._tape: "weakref.ref[Tape] | None" = None
 
     @classmethod
     def _result(cls, data: np.ndarray) -> "Tensor":
@@ -144,12 +157,17 @@ def _as_tensor(x) -> Tensor:
 
 
 def _record(out: Tensor, parents: Sequence[Tensor], backward_fn: Callable) -> Tensor:
-    """Attach a backward closure if a tape is active and any parent needs it."""
+    """Attach a backward closure if a tape is active and any parent needs it.
+
+    The output refers back to its tape weakly: a strong reference would make
+    a cycle (tape -> records -> out -> tape) that keeps every recorded
+    activation alive until a full garbage collection.
+    """
     tape = _current_tape()
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._backward = backward_fn
-        out._tape = tape
+        out._tape = weakref.ref(tape)
         tape.records.append(out)
     return out
 
@@ -161,7 +179,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
     tensor that participated, parameters included; reset ``grad`` to ``None``
     between steps.
     """
-    if loss._tape is not tape:
+    if loss._tape is None or loss._tape() is not tape:
         raise GraphError("loss tensor was not recorded on this tape")
     if loss.size != 1:
         raise GraphError(f"loss must be scalar, got shape {loss.shape}")

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -386,14 +388,57 @@ def forward(
     return ad.reshape(probs, (cfg.n_classes,))
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def map_batches(fn, features: np.ndarray, batch_size: int = 64) -> list:
+    """``fn`` applied to consecutive ``batch_size`` slices of ``features``.
+
+    Batches run on a thread pool with one thread per available CPU (never
+    more threads than batches; a single batch runs inline). numpy and BLAS
+    release the GIL, and nothing is recorded on any tape, so each batch's
+    result is independent of the thread count. Results come back in batch
+    order; the first failing batch's exception is re-raised.
+    """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    batches = [
+        features[start : start + batch_size]
+        for start in range(0, features.shape[0], batch_size)
+    ]
+    workers = min(_cpu_count(), len(batches))
+    if workers <= 1:
+        with ad.no_tape():
+            return [fn(batch) for batch in batches]
+    # Tapes are per thread, so the workers start with none active.
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, batches))
+
+
 def predict_probs(
-    model: SstModel, features: np.ndarray, batch_size: int = 512
+    model: SstModel, features: np.ndarray, batch_size: int = 64
 ) -> np.ndarray:
-    """Evaluation-mode probabilities for pre-unfolded windows, batched."""
-    chunks = []
-    for start in range(0, features.shape[0], batch_size):
-        probs = forward_batch(model, features[start : start + batch_size])
-        chunks.append(probs.data)
+    """Evaluation-mode probabilities [n, C] for pre-unfolded windows.
+
+    Batches of ``batch_size`` windows run on one thread per available CPU
+    (see ``map_batches``); there is no setting for the thread count, and the
+    result is bitwise identical for any CPU count.
+    """
+
+    def probs(batch: np.ndarray) -> np.ndarray:
+        # A one-row matrix product takes a different BLAS kernel, whose last
+        # bits differ from the multi-row one; score a lone row as a pair so
+        # no row's result depends on how the input was batched.
+        if batch.shape[0] == 1:
+            return forward_batch(model, np.repeat(batch, 2, axis=0)).data[:1]
+        return forward_batch(model, batch).data
+
+    chunks = map_batches(probs, features, batch_size)
     if not chunks:
         return np.zeros((0, model.config.n_classes))
     return np.concatenate(chunks, axis=0)

@@ -21,7 +21,7 @@ from hsiatl.data import (
     extract_windows_batch,
     make_split,
 )
-from hsiatl.model import SstModel, encode, reset_head, unfold
+from hsiatl.model import SstModel, encode, map_batches, reset_head, unfold
 from hsiatl.training import TrainConfig, WindowBank, evaluate, train_model
 
 logger = logging.getLogger(__name__)
@@ -114,6 +114,23 @@ def mmd(x: np.ndarray, y: np.ndarray, cfg: MmdConfig | None = None) -> float:
     return max(value, 0.0)
 
 
+def _token_means(model: SstModel, features: np.ndarray) -> list[np.ndarray]:
+    """Mean-over-tokens output of every encoder block, one [n, d] per block.
+
+    Windows are encoded in parallel batches (see ``map_batches``); a row's
+    features do not depend on the batch it ran in.
+    """
+
+    def capture(batch: np.ndarray) -> list[np.ndarray]:
+        _, captured = encode(model, batch, capture=True)
+        return [z.mean(axis=1) for z in captured]
+
+    chunks = map_batches(capture, features)
+    if not chunks:
+        return [np.zeros((0, model.config.d_model))] * len(model.layers)
+    return [np.concatenate(per_block) for per_block in zip(*chunks)]
+
+
 def layer_features(
     model: SstModel, features: np.ndarray, layer_index: int
 ) -> np.ndarray:
@@ -121,8 +138,7 @@ def layer_features(
     n_layers = len(model.layers)
     if not 0 <= layer_index < n_layers:
         raise ValueError(f"layer_index must be in [0, {n_layers}), got {layer_index}")
-    _, captured = encode(model, features, capture=True)
-    return captured[layer_index].mean(axis=1)
+    return _token_means(model, features)[layer_index]
 
 
 def freeze_plan(
@@ -141,12 +157,10 @@ def freeze_plan(
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
     cfg = cfg or MmdConfig()
-    _, source_caps = encode(model, source_features, capture=True)
-    _, target_caps = encode(model, target_features, capture=True)
+    source_means = _token_means(model, source_features)
+    target_means = _token_means(model, target_features)
     scores, var_s, var_t = [], [], []
-    for i in range(len(model.layers)):
-        s = source_caps[i].mean(axis=1)
-        t = target_caps[i].mean(axis=1)
+    for i, (s, t) in enumerate(zip(source_means, target_means)):
         scores.append(mmd(s, t, cfg))
         var_s.append(float(s.var(axis=0).mean()))
         var_t.append(float(t.var(axis=0).mean()))

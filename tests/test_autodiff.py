@@ -379,6 +379,15 @@ class TestTapeMechanics:
         out = ad.mul(x, x)
         assert out._backward is None and not out.requires_grad
 
+    def test_no_tape_pauses_recording(self):
+        x = Tensor([1.0], requires_grad=True)
+        with Tape() as tape:
+            with ad.no_tape():
+                paused = ad.mul(x, x)
+            resumed = ad.mul(x, x)
+        assert paused._backward is None and not paused.requires_grad
+        assert resumed.requires_grad and len(tape) == 1
+
     def test_reuse_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
         _, (gx,) = scalar_loss(lambda x: ad.reduce_sum(ad.add(ad.mul(x, x), x)), x)

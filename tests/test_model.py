@@ -2,11 +2,15 @@
 embedding oracle, raw-numpy attention, entropy formulas, and finite
 differences through whole encoder blocks and the full classifier."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 from conftest import max_relative_error, numeric_gradient
 
 from hsiatl import autodiff as ad
+from hsiatl import model as model_module
 from hsiatl.autodiff import Tape, Tensor
 from hsiatl.model import (
     SstConfig,
@@ -16,6 +20,7 @@ from hsiatl.model import (
     classify,
     cross_attention_pool,
     embed_patches,
+    encode,
     encoder_block,
     forward,
     forward_batch,
@@ -26,6 +31,7 @@ from hsiatl.model import (
     token_uncertainty,
     unfold,
 )
+from hsiatl.transfer import freeze_plan, mmd
 
 
 def tiny_config(**overrides) -> SstConfig:
@@ -475,3 +481,95 @@ class TestHeadReset:
         np.testing.assert_array_equal(model.head_w1.data, w1_before)
         probs = forward(model, np.zeros((4, 4, 3))).data
         assert probs.shape == (5,)
+
+
+class TestParallelEvaluation:
+    """Threaded batched evaluation against the serial, unbatched result."""
+
+    @staticmethod
+    def problem(n=130, seed=4):
+        # full-width layers: single-row products take a different BLAS
+        # kernel at this size, which tiny models never reach
+        cfg = SstConfig(bands=16, n_classes=4, n_layers=2)
+        model = init_model(cfg, seed=seed)
+        windows = np.random.default_rng(seed).normal(size=(n, 8, 8, 16))
+        return model, unfold(windows, cfg.subpatch)
+
+    @staticmethod
+    def force_cpus(monkeypatch, n):
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: n)
+
+    def test_bitwise_equal_across_batch_sizes_and_pool_widths(self, monkeypatch):
+        model, feats = self.problem()
+        self.force_cpus(monkeypatch, 1)
+        reference = predict_probs(model, feats, batch_size=len(feats))
+        assert reference.shape == (len(feats), 4)
+        # frequent thread switches, and more threads than cores, give any
+        # state shared between workers the chance to show up in the output
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for width in (1, 2, 4):
+                self.force_cpus(monkeypatch, width)
+                for batch_size in (1, 3, 64, 512):
+                    probs = predict_probs(model, feats, batch_size=batch_size)
+                    assert probs.tobytes() == reference.tobytes(), (width, batch_size)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_cpu_count_falls_back_without_affinity(self, monkeypatch):
+        assert model_module._cpu_count() >= 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert model_module._cpu_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert model_module._cpu_count() == 1
+
+    def test_empty_input_gives_empty_rows(self, monkeypatch):
+        model, feats = self.problem(n=2)
+        for width in (1, 2):
+            self.force_cpus(monkeypatch, width)
+            assert predict_probs(model, feats[:0]).shape == (0, 4)
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        model, feats = self.problem(n=2)
+        with pytest.raises(ValueError, match=f"got {batch_size}"):
+            predict_probs(model, feats, batch_size=batch_size)
+
+    def test_nonfinite_later_batch_raises_from_worker(self, monkeypatch):
+        model, feats = self.problem()
+        feats = feats.copy()
+        feats[100, 0, 0] = np.nan
+        messages = []
+        for width in (1, 2):
+            self.force_cpus(monkeypatch, width)
+            with pytest.raises(ValueError) as err:
+                predict_probs(model, feats, batch_size=16)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == "tensor values must be finite"
+
+    @pytest.mark.parametrize("width,n", [(1, 130), (2, 130), (2, 10)])
+    def test_nothing_recorded_on_an_active_tape(self, monkeypatch, width, n):
+        model, feats = self.problem(n=n)
+        self.force_cpus(monkeypatch, width)
+        with Tape() as tape:
+            probs = predict_probs(model, feats)
+        assert len(tape) == 0
+        assert probs.shape == (n, 4)
+
+    def test_freeze_plan_on_chunked_capture_matches_whole(self, monkeypatch):
+        model, feats = self.problem(n=150)
+        # 129 rows leave a one-row last batch
+        source, target = feats[:129], feats[20:] * 1.5
+        _, source_caps = encode(model, source, capture=True)
+        _, target_caps = encode(model, target, capture=True)
+        whole = [
+            mmd(s.mean(axis=1), t.mean(axis=1))
+            for s, t in zip(source_caps, target_caps)
+        ]
+        for width in (1, 2):
+            self.force_cpus(monkeypatch, width)
+            plan = freeze_plan(model, source, target, 0.5)
+            assert plan.layer_mmd == whole
+            assert plan.frozen == [int(np.argmin(whole))]

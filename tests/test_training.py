@@ -1,6 +1,8 @@
 """Training-loop determinism, freeze behavior, failure modes, and the
 active-learning driver's bookkeeping."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,19 @@ class TestTrainModel:
                 assert p.data.tobytes() == before[name], name
             else:
                 pass
+
+    def test_epoch_leaves_no_cyclic_garbage(self):
+        # recorded tensors must not keep their tape alive through a cycle, or
+        # every step's activations wait for a full collection to be freed
+        _, _, _, model, bank = small_problem()
+        feats, targets = bank.take(bank.pixels[:40])
+        gc.collect()
+        gc.disable()
+        try:
+            train_model(model, feats, targets, TrainConfig(epochs=1, batch_size=8))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_nonfinite_loss_raises_numerical_error(self):
         # overflow the embedding products so LayerNorm sees inf - inf
