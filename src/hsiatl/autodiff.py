@@ -281,8 +281,13 @@ def matmul(a, b) -> Tensor:
             ga = g @ np.swapaxes(b.data, -1, -2)
             a.accumulate(_unbroadcast(ga, a.data.shape))
         if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            b.accumulate(_unbroadcast(gb, b.data.shape))
+            if b.ndim == 2 and a.ndim > 2:
+                # one GEMM over every stacked row, not one per matrix plus a sum
+                k, n = b.data.shape
+                b.accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, n))
+            else:
+                gb = np.swapaxes(a.data, -1, -2) @ g
+                b.accumulate(_unbroadcast(gb, b.data.shape))
 
     return _record(out, (a, b), bwd)
 
@@ -360,12 +365,10 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     def bwd(g):
         if not a.requires_grad:
             return
-        if axis is None:
-            a.accumulate(np.broadcast_to(g, a.data.shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a.accumulate(np.broadcast_to(g, a.data.shape).copy())
+        # a read-only view; accumulate copies it when it starts the buffer
+        a.accumulate(np.broadcast_to(g, a.data.shape))
 
     return _record(out, (a,), bwd)
 

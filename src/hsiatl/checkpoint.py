@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -66,18 +67,31 @@ def load_model(path: str | Path) -> SstModel:
         header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header must be a JSON object, got {type(header).__name__}")
     if header.get("version") != VERSION or header.get("dtype") != "<f8":
         raise FormatError(f"{path}: unsupported checkpoint version/dtype")
-    config = SstConfig(**header["config"])
+    config = _config(path, header.get("config"))
+    freeze = header.get("freeze")
+    if not isinstance(freeze, dict) or not all(isinstance(v, bool) for v in freeze.values()):
+        raise FormatError(
+            f"{path}: header field 'freeze' must map group names to true or false, "
+            f"got {freeze!r}"
+        )
+    entries = header.get("params")
+    if not isinstance(entries, list):
+        raise FormatError(f"{path}: header field 'params' must be a list, got {entries!r}")
     offset = 8 + header_len
     values: dict[str, np.ndarray] = {}
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
+    for entry in entries:
+        name, shape = _param_entry(path, entry)
         nbytes = int(np.prod(shape)) * 8 if shape else 8
         if offset + nbytes > len(raw):
-            raise TruncatedPayloadError(f"{path}: payload ends inside {entry['name']}")
+            raise TruncatedPayloadError(f"{path}: payload ends inside {name}")
         arr = np.frombuffer(raw[offset : offset + nbytes], dtype="<f8").reshape(shape)
-        values[entry["name"]] = arr.astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: parameter {name} has non-finite values")
+        values[name] = arr.astype(np.float64)
         offset += nbytes
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
@@ -107,7 +121,51 @@ def load_model(path: str | Path) -> SstModel:
         head_b1=take("head.b1"),
         head_w2=take("head.w2"),
         head_b2=take("head.b2"),
-        freeze={k: bool(v) for k, v in header["freeze"].items()},
+        freeze=dict(freeze),
     )
+    groups = {model.group_of(name) for name in model.parameters()}
+    if set(freeze) != groups:
+        raise FormatError(
+            f"{path}: header field 'freeze' must name the groups {sorted(groups)}, "
+            f"got {sorted(freeze)}"
+        )
     model.apply_freeze()
     return model
+
+
+def _config(path, raw) -> SstConfig:
+    """The model config from a header, checked field by field."""
+    if not isinstance(raw, dict):
+        raise FormatError(f"{path}: header field 'config' must be an object, got {raw!r}")
+    hints = typing.get_type_hints(SstConfig)
+    for key, value in raw.items():
+        if key not in hints:
+            raise FormatError(f"{path}: unknown config field {key!r}")
+        kinds = typing.get_args(hints[key]) or (hints[key],)
+        expected = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+        if float in kinds:
+            kinds += (int,)
+        if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
+            raise FormatError(
+                f"{path}: config field {key!r} must be {expected}, got {value!r}"
+            )
+    try:
+        return SstConfig(**raw)
+    except (TypeError, ValueError) as exc:  # a missing field, or a bad value
+        raise FormatError(f"{path}: invalid config: {exc}") from exc
+
+
+def _param_entry(path, entry) -> tuple[str, tuple[int, ...]]:
+    """(name, shape) of one header ``params`` entry."""
+    shape = entry.get("shape") if isinstance(entry, dict) else None
+    if (
+        not isinstance(entry, dict)
+        or not isinstance(entry.get("name"), str)
+        or not isinstance(shape, list)
+        or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape)
+    ):
+        raise FormatError(
+            f"{path}: params entries must be {{\"name\": str, \"shape\": [int, ...]}}, "
+            f"got {entry!r}"
+        )
+    return entry["name"], tuple(shape)

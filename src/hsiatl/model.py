@@ -15,6 +15,7 @@ plain scaled dot-product attention bitwise.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import math
 import os
@@ -152,6 +153,29 @@ class SstModel:
         out["head.w2"] = self.head_w2
         out["head.b2"] = self.head_b2
         return out
+
+    def replica(self) -> "SstModel":
+        """The same model over new parameter tensors with their own ``grad``.
+
+        Each replica tensor shares its ``data`` array with the original and
+        keeps its ``requires_grad`` flag, so in-place updates to the original
+        show through while gradients accumulate apart.
+        """
+
+        def twin(t: Tensor) -> Tensor:
+            out = Tensor._result(t.data)
+            out.requires_grad = t.requires_grad
+            return out
+
+        def twins(obj) -> dict[str, Tensor]:
+            return {
+                fld.name: twin(getattr(obj, fld.name))
+                for fld in dataclasses.fields(obj)
+                if isinstance(getattr(obj, fld.name), Tensor)
+            }
+
+        layers = [dataclasses.replace(layer, **twins(layer)) for layer in self.layers]
+        return dataclasses.replace(self, layers=layers, **twins(self))
 
     def group_of(self, param_name: str) -> str:
         prefix = param_name.split(".", 1)[0]
@@ -307,6 +331,38 @@ def encoder_block(
     return ad.layer_norm(ad.add(z, ff), layer.ln2_gain, layer.ln2_bias, cfg.ln_eps)
 
 
+def dropout_draws(cfg: SstConfig, batch: int, rng) -> list[np.ndarray]:
+    """The uniforms a training ``forward_batch`` over ``batch`` windows draws.
+
+    They come from ``rng`` in the order ``encoder_block`` draws them (per
+    block: attention, then feed-forward); there are none when dropout is 0.
+    """
+    if cfg.dropout == 0:
+        return []
+    shape = (batch, cfg.n_tokens, cfg.d_model)
+    return [rng.random(shape) for _ in range(2 * cfg.n_layers)]
+
+
+class RowDraws:
+    """Generator stand-in that replays whole-batch dropout draws for some rows.
+
+    Passed as ``rng`` to a training ``forward_batch`` over rows ``rows`` of a
+    batch, its k-th ``random`` call returns those rows of the k-th draw of
+    ``dropout_draws``, so each row gets the mask the whole-batch pass gives it.
+    """
+
+    def __init__(self, draws: list[np.ndarray], rows: np.ndarray):
+        self._draws = iter(draws)
+        self._rows = rows
+
+    def random(self, shape: tuple[int, ...]) -> np.ndarray:
+        draw = next(self._draws, None)
+        part = None if draw is None else draw[self._rows]
+        if part is None or part.shape != tuple(shape):
+            raise RuntimeError(f"no pre-drawn dropout uniforms of shape {shape}")
+        return part
+
+
 def cross_attention_pool(z: Tensor, model: SstModel) -> Tensor:
     """Collapse tokens to one vector by attending a learned class query."""
     keys = ad.matmul(z, model.pool_k)
@@ -400,10 +456,12 @@ def map_batches(fn, features: np.ndarray, batch_size: int = 64) -> list:
     """``fn`` applied to consecutive ``batch_size`` slices of ``features``.
 
     Batches run on a thread pool with one thread per available CPU (never
-    more threads than batches; a single batch runs inline). numpy and BLAS
-    release the GIL, and nothing is recorded on any tape, so each batch's
-    result is independent of the thread count. Results come back in batch
-    order; the first failing batch's exception is re-raised.
+    more threads than batches; a single batch or CPU runs inline). numpy and
+    BLAS release the GIL. Batches see the caller's ``np.errstate``. Tapes
+    are per thread and every batch starts with none active, so nothing lands
+    on the caller's tape and each batch's result is independent of the
+    thread count. Results come back in batch order; the first failing
+    batch's exception is re-raised.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -415,9 +473,11 @@ def map_batches(fn, features: np.ndarray, batch_size: int = 64) -> list:
     if workers <= 1:
         with ad.no_tape():
             return [fn(batch) for batch in batches]
-    # Tapes are per thread, so the workers start with none active.
+    # each batch runs in a copy of the caller's context, which carries numpy's
+    # floating-point error state (np.errstate) as the inline path does
+    contexts = [contextvars.copy_context() for _ in batches]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, batches))
+        return list(pool.map(lambda ctx, batch: ctx.run(fn, batch), contexts, batches))
 
 
 def predict_probs(

@@ -12,7 +12,15 @@ from hsiatl import autodiff as ad
 from hsiatl.autodiff import Tape
 from hsiatl.data import HsiCube, LabelMap, SplitManifest, extract_windows_batch
 from hsiatl.metrics import MetricsReport, confusion, report
-from hsiatl.model import SstModel, forward_batch, predict_probs, unfold
+from hsiatl.model import (
+    RowDraws,
+    SstModel,
+    dropout_draws,
+    forward_batch,
+    map_batches,
+    predict_probs,
+    unfold,
+)
 from hsiatl.optim import Adam
 from hsiatl.queries import QueryConfig, al_round, query_pool
 
@@ -71,7 +79,12 @@ def train_model(
     """Train in place; returns the mean loss per epoch.
 
     Shuffling and dropout draw from one generator seeded by cfg.seed, so the
-    run is fully deterministic. Raises NumericalError on a non-finite loss.
+    run is fully deterministic. Each minibatch runs as two fixed halves, rows
+    [0, ceil(b/2)) and the rest, on the CPU pool of ``map_batches``: each
+    half does forward and backward on its own parameter replica and tape,
+    and the two gradients are added in half order before one optimizer step.
+    The split never depends on the CPU count, so neither does the result.
+    Raises NumericalError on a non-finite loss.
     """
     rng = np.random.default_rng(cfg.seed)
     params = model.parameters()
@@ -86,16 +99,36 @@ def train_model(
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
+            # drawn for the whole batch, in serial order, before either half runs
+            draws = dropout_draws(model.config, batch.size, rng)
+
+            def half_step(rows: np.ndarray) -> tuple[float, dict[str, ad.Tensor]]:
+                replica = model.replica()
+                picked = batch[rows]
+                with Tape() as tape:
+                    probs = forward_batch(
+                        replica, features[picked], training=True,
+                        rng=RowDraws(draws, rows),
+                    )
+                    # weighted by row share: the halves sum to the batch mean
+                    loss = ad.scale(
+                        ad.cross_entropy(probs, targets[picked]), rows.size / batch.size
+                    )
+                value = float(loss.data)
+                if not np.isfinite(value):
+                    raise NumericalError(f"loss became {value} at epoch {epoch}")
+                ad.backward(tape, loss)
+                return value, replica.parameters()
+
             optimizer.zero_grad()
-            with Tape() as tape:
-                probs = forward_batch(model, features[batch], training=True, rng=rng)
-                loss = ad.cross_entropy(probs, targets[batch])
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise NumericalError(f"loss became {value} at epoch {epoch}")
-            ad.backward(tape, loss)
+            rows = np.arange(batch.size)
+            halves = map_batches(half_step, rows, (batch.size + 1) // 2)
+            for name, p in params.items():
+                for _, grads in halves:
+                    if grads[name].grad is not None:
+                        p.accumulate(grads[name].grad)
             optimizer.step()
-            total += value * batch.size
+            total += sum(value for value, _ in halves) * batch.size
         history.append(total / n)
         if log is not None:
             log(epoch, history[-1])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 
@@ -38,3 +40,17 @@ def max_relative_error(analytic, numeric, floor: float = 1e-3) -> float:
     n = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
     return float((np.abs(a - n) / denom).max())
+
+
+def rewrite_checkpoint(src, dst, edit_header=None, nan_at=None):
+    """Copy an SSTC file with its JSON header edited, or one payload value NaN."""
+    raw = src.read_bytes()
+    length = int.from_bytes(raw[4:8], "little")
+    header = json.loads(raw[8 : 8 + length])
+    payload = bytearray(raw[8 + length :])
+    if edit_header is not None:
+        header = edit_header(header)
+    if nan_at is not None:
+        payload[8 * nan_at : 8 * nan_at + 8] = np.array(np.nan, dtype="<f8").tobytes()
+    blob = json.dumps(header).encode("utf-8")
+    dst.write_bytes(raw[:4] + len(blob).to_bytes(4, "little") + blob + bytes(payload))

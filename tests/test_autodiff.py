@@ -71,6 +71,20 @@ class TestMatmul:
         assert max_relative_error(ga, num[0]) < 1e-6
         assert max_relative_error(gb, num[1]) < 1e-6
 
+    @pytest.mark.parametrize("a_shape", [(5, 16, 7), (2, 3, 6, 7)])
+    def test_stacked_weight_gradient_matches_per_matrix_sum(self, a_shape):
+        # [..., m, k] @ [k, n]: the weight gradient is one 2-D product over all
+        # stacked rows; the reference is one product per matrix, then summed
+        rng = np.random.default_rng(11)
+        a = Tensor(rng.normal(size=a_shape), requires_grad=True)
+        b = Tensor(rng.normal(size=(7, 9)), requires_grad=True)
+        w = rng.normal(size=a_shape[:-1] + (9,))
+        _, (_, gb) = scalar_loss(
+            lambda a, b: ad.reduce_sum(ad.mul(ad.matmul(a, b), Tensor(w))), a, b
+        )
+        reference = (np.swapaxes(a.data, -1, -2) @ w).reshape(-1, 7, 9).sum(axis=0)
+        np.testing.assert_allclose(gb, reference, rtol=1e-12, atol=1e-12)
+
 
 class TestSoftmax:
     def test_equal_logits_give_uniform(self):
@@ -244,6 +258,16 @@ class TestElementwiseOps:
             lambda x: ad.reduce_sum(ad.mul(ad.reshape(x, (3, 2)), Tensor(w))), x
         )
         np.testing.assert_array_equal(gx, w.reshape(2, 3))
+
+    def test_reduce_sum_gradient_is_an_owned_buffer(self):
+        # the broadcast view backward passes on is read-only; the gradient
+        # buffer must be a copy that later contributions can add into
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        _, (gx,) = scalar_loss(
+            lambda x: ad.add(ad.reduce_sum(x), ad.reduce_sum(ad.reduce_sum(x, axis=1))), x
+        )
+        np.testing.assert_array_equal(gx, np.full((2, 3), 2.0))
+        assert gx.flags.owndata and gx.flags.writeable
 
     def test_reduce_mean_gradient(self):
         x = Tensor(np.arange(8.0).reshape(2, 4), requires_grad=True)

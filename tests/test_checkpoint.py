@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import rewrite_checkpoint
 
 from hsiatl.checkpoint import load_model, save_model
 from hsiatl.data import BadMagicError, FormatError, TruncatedPayloadError
@@ -90,3 +91,14 @@ class TestErrorPaths:
         path.write_bytes(b"SSTC" + np.uint32(4).tobytes() + b"!!!!" )
         with pytest.raises(FormatError):
             load_model(path)
+
+    def test_freeze_must_name_every_group(self, tmp_path):
+        save_model(sample_model(), tmp_path / "model.sstc")
+
+        def drop_enc1(header):
+            del header["freeze"]["enc1"]
+            return header
+
+        rewrite_checkpoint(tmp_path / "model.sstc", tmp_path / "bad.sstc", drop_enc1)
+        with pytest.raises(FormatError, match="'freeze' must name the groups"):
+            load_model(tmp_path / "bad.sstc")

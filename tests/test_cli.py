@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import rewrite_checkpoint
 
 from hsiatl import cli
 from hsiatl.data import load_labels, synth_cube
@@ -241,3 +242,46 @@ class TestTransfer:
         assert run(["transfer", "--cube", workdir / "a.hsic",
                     "--labels", workdir / "a.hsil",
                     "--source-ckpt", workdir / "a.sstc"]) == 1
+
+
+def with_config(**fields):
+    return lambda header: {**header, "config": {**header["config"], **fields}}
+
+
+class TestMalformedCheckpoint:
+    """Every malformed SSTC header ends in exit 2, naming what is wrong."""
+
+    def eval_bad(self, workdir, tmp_path, capsys, **rewrite):
+        bad = tmp_path / "bad.sstc"
+        rewrite_checkpoint(workdir / "a.sstc", bad, **rewrite)
+        code = run(["eval", "--cube", workdir / "a.hsic",
+                    "--labels", workdir / "a.hsil",
+                    "--manifest", workdir / "a.split.json",
+                    "--checkpoint", bad])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("data error:"), err
+        return err
+
+    def test_header_that_is_a_list(self, workdir, tmp_path, capsys):
+        err = self.eval_bad(workdir, tmp_path, capsys, edit_header=lambda h: [h])
+        assert "header must be a JSON object" in err
+
+    def test_unknown_config_key(self, workdir, tmp_path, capsys):
+        err = self.eval_bad(workdir, tmp_path, capsys, edit_header=with_config(depth=3))
+        assert "unknown config field 'depth'" in err
+
+    def test_missing_params(self, workdir, tmp_path, capsys):
+        def drop_params(header):
+            return {k: v for k, v in header.items() if k != "params"}
+
+        err = self.eval_bad(workdir, tmp_path, capsys, edit_header=drop_params)
+        assert "'params'" in err
+
+    def test_config_field_of_wrong_type(self, workdir, tmp_path, capsys):
+        err = self.eval_bad(workdir, tmp_path, capsys, edit_header=with_config(n_layers="x"))
+        assert "config field 'n_layers' must be int, got 'x'" in err
+
+    def test_nonfinite_payload(self, workdir, tmp_path, capsys):
+        err = self.eval_bad(workdir, tmp_path, capsys, nan_at=3)
+        assert "parameter embed.weight has non-finite values" in err

@@ -25,6 +25,7 @@ from hsiatl.model import (
     forward,
     forward_batch,
     init_model,
+    map_batches,
     positional_encoding,
     predict_probs,
     reset_head,
@@ -516,6 +517,13 @@ class TestParallelEvaluation:
                     assert probs.tobytes() == reference.tobytes(), (width, batch_size)
         finally:
             sys.setswitchinterval(interval)
+
+    def test_workers_keep_callers_errstate(self, monkeypatch):
+        feats = np.full((4, 1), 1e300)
+        for width in (1, 2):
+            self.force_cpus(monkeypatch, width)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                map_batches(lambda batch: batch * batch, feats, batch_size=2)
 
     def test_cpu_count_falls_back_without_affinity(self, monkeypatch):
         assert model_module._cpu_count() >= 1

@@ -1,13 +1,20 @@
 """Training-loop determinism, freeze behavior, failure modes, and the
 active-learning driver's bookkeeping."""
 
+import dataclasses
 import gc
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from hsiatl import autodiff as ad
+from hsiatl import model as model_module
+from hsiatl import training as training_module
+from hsiatl.autodiff import Tape
 from hsiatl.data import extract_windows_batch, make_split, synth_cube
-from hsiatl.model import SstConfig, init_model, unfold
+from hsiatl.model import SstConfig, forward_batch, init_model, unfold
 from hsiatl.queries import QueryConfig
 from hsiatl.training import (
     NumericalError,
@@ -115,6 +122,97 @@ class TestTrainModel:
             train_model(
                 model, feats, targets, TrainConfig(epochs=1, batch_size=8, seed=0)
             )
+
+
+class TestTwoHalfStep:
+    """Each minibatch runs as two fixed halves on the CPU pool."""
+
+    @staticmethod
+    def force_cpus(monkeypatch, n):
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: n)
+
+    def test_bitwise_identical_across_cpu_counts(self, monkeypatch):
+        # 43 rows in batches of 7: halves of 4 and 3 rows, then a lone row
+        def run(cpus):
+            self.force_cpus(monkeypatch, cpus)
+            _, _, _, model, bank = small_problem()
+            feats, targets = bank.take(bank.pixels[:43])
+            history = train_model(
+                model, feats, targets, TrainConfig(epochs=2, batch_size=7, seed=3)
+            )
+            return history, b"".join(p.data.tobytes() for p in model.parameters().values())
+
+        # frequent thread switches give any state the halves share the
+        # chance to show up in the result
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reference = run(1)
+            for cpus in (2, 4):
+                assert run(cpus) == reference, cpus
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("dropout", [0.1, 0.0])
+    def test_first_step_matches_one_whole_batch_pass(self, dropout):
+        _, _, cfg, _, bank = small_problem()
+        cfg = dataclasses.replace(cfg, dropout=dropout)
+        feats, targets = bank.take(bank.pixels[:24])
+        serial = init_model(cfg, seed=5)
+        rng = np.random.default_rng(9)
+        batch = rng.permutation(24)
+        with Tape() as tape:
+            probs = forward_batch(serial, feats[batch], training=True, rng=rng)
+            loss = ad.cross_entropy(probs, targets[batch])
+        ad.backward(tape, loss)
+
+        halved = init_model(cfg, seed=5)
+        history = train_model(
+            halved, feats, targets, TrainConfig(epochs=1, batch_size=24, seed=9)
+        )
+        assert history[0] == pytest.approx(float(loss.data), rel=1e-15, abs=0.0)
+        # after its one step, grad holds the summed gradient of the two halves
+        for name, p in halved.parameters().items():
+            reference = serial.parameters()[name].grad
+            assert np.abs(p.grad - reference).max() <= 1e-12 * np.abs(reference).max(), name
+
+    def test_final_batch_of_one_row(self):
+        _, _, _, model, bank = small_problem()
+        feats, targets = bank.take(bank.pixels[:57])  # default batches of 56, then 1
+        before = model.head_b2.data.copy()
+        history = train_model(model, feats, targets, TrainConfig(epochs=1, seed=2))
+        assert np.isfinite(history[0])
+        assert not np.array_equal(model.head_b2.data, before)
+
+    def test_nonfinite_loss_in_worker_raises_numerical_error(self, monkeypatch):
+        self.force_cpus(monkeypatch, 2)
+        threads = set()
+
+        def spy(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return forward_batch(*args, **kwargs)
+
+        monkeypatch.setattr(training_module, "forward_batch", spy)
+        _, _, _, model, bank = small_problem()
+        model.embed_weight.data[...] = 1e308
+        feats, targets = bank.take(bank.pixels[:30])
+        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+            train_model(
+                model, feats, targets, TrainConfig(epochs=1, batch_size=8, seed=0)
+            )
+        assert threads and threading.main_thread() not in threads
+        assert ad._current_tape() is None
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_caller_tape_untouched(self, monkeypatch, cpus):
+        self.force_cpus(monkeypatch, cpus)
+        _, _, _, model, bank = small_problem()
+        feats, targets = bank.take(bank.pixels[:20])
+        with Tape() as outer:
+            train_model(model, feats, targets, TrainConfig(epochs=1, batch_size=8))
+            assert ad._current_tape() is outer
+        assert len(outer) == 0
+        assert ad._current_tape() is None
 
 
 class TestEvaluate:
