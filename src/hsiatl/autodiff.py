@@ -11,7 +11,6 @@ and bitwise deterministic.
 from __future__ import annotations
 
 import contextlib
-import math
 import threading
 import weakref
 from typing import Callable, Iterator, Sequence
@@ -108,22 +107,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
-    # Light operator sugar; the op functions below are the real surface.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 class Tape:
     """Records op outputs in execution order for one reverse sweep.
@@ -131,7 +114,7 @@ class Tape:
     Use as a context manager::
 
         with Tape() as tape:
-            loss = cross_entropy(forward(...), targets)
+            loss = cross_entropy(forward_batch(...), targets)
         backward(tape, loss)
     """
 

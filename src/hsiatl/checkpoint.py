@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import re
 import struct
 import typing
 from pathlib import Path
@@ -85,7 +87,14 @@ def load_model(path: str | Path) -> SstModel:
     values: dict[str, np.ndarray] = {}
     for entry in entries:
         name, shape = _param_entry(path, entry)
-        nbytes = int(np.prod(shape)) * 8 if shape else 8
+        expected = _param_shape(config, name)
+        if expected is None:
+            raise FormatError(f"{path}: unknown parameter {name!r}")
+        if shape != expected:
+            raise FormatError(
+                f"{path}: parameter {name} has shape {list(shape)}, expected {list(expected)}"
+            )
+        nbytes = 8 * math.prod(shape)
         if offset + nbytes > len(raw):
             raise TruncatedPayloadError(f"{path}: payload ends inside {name}")
         arr = np.frombuffer(raw[offset : offset + nbytes], dtype="<f8").reshape(shape)
@@ -153,6 +162,21 @@ def _config(path, raw) -> SstConfig:
         return SstConfig(**raw)
     except (TypeError, ValueError) as exc:  # a missing field, or a bad value
         raise FormatError(f"{path}: invalid config: {exc}") from exc
+
+
+def _param_shape(config: SstConfig, name: str) -> tuple[int, ...] | None:
+    """The shape the config implies for a parameter, None for a name it has
+    no parameter of; from the config fields alone, so nothing is allocated."""
+    d, f, c = config.d_model, config.d_ff, config.n_classes
+    prefix, _, field = name.partition(".")
+    layer = re.fullmatch(r"enc(0|[1-9][0-9]*)", prefix)
+    if layer and int(layer[1]) < config.n_layers:
+        return {"attn_q": (d, d), "attn_k": (d, d), "attn_v": (d, d), "attn_out": (d, d),
+                "ff_w1": (d, f), "ff_b1": (f,), "ff_w2": (f, d), "ff_b2": (d,),
+                "ln1_gain": (d,), "ln1_bias": (d,), "ln2_gain": (d,), "ln2_bias": (d,)}.get(field)
+    return {"embed.weight": (config.token_dim, d), "pool.class_query": (1, d),
+            "pool.k": (d, d), "pool.v": (d, d), "head.w1": (d, d), "head.b1": (d,),
+            "head.w2": (d, c), "head.b2": (c,)}.get(name)
 
 
 def _param_entry(path, entry) -> tuple[str, tuple[int, ...]]:

@@ -27,6 +27,7 @@ import numpy as np
 
 from hsiatl.checkpoint import load_model, save_model
 from hsiatl.data import (
+    DimensionError,
     FormatError,
     HsiCube,
     LabelMap,
@@ -291,6 +292,20 @@ def _resolve_manifest(
     return manifest
 
 
+def _check_compatible(model: SstModel, cube: HsiCube, labels: LabelMap | None = None) -> None:
+    """Reject a cube, or class ids, that the checkpoint cannot score."""
+    cfg = model.config
+    if cube.bands != cfg.bands:
+        raise DimensionError(f"cube has {cube.bands} bands, the checkpoint expects {cfg.bands}")
+    if cfg.window > min(cube.rows, cube.cols):
+        raise DimensionError(
+            f"checkpoint window {cfg.window} exceeds cube extent {(cube.rows, cube.cols)}")
+    if labels is not None and labels.n_classes > cfg.n_classes:
+        raise DimensionError(
+            f"labels have class ids up to {labels.n_classes}, "
+            f"the checkpoint has {cfg.n_classes} classes")
+
+
 def _format_metrics(tag: str, report: MetricsReport) -> str:
     return (f"{tag} oa {report.oa * 100:.2f} aa {report.aa * 100:.2f} "
             f"kappa {report.kappa * 100:.2f} n {report.n_samples}")
@@ -366,6 +381,9 @@ def cmd_transfer(args: argparse.Namespace, run: RunConfig) -> int:
     model = load_model(args.source_ckpt)
     target_cube = load_cube(args.target_cube)
     target_labels = load_labels(args.target_labels)
+    # the target's class count may differ: fine-tuning resets the head then
+    _check_compatible(model, cube)
+    _check_compatible(model, target_cube)
     model, report = run_transfer(
         model, cube, labels, target_cube, target_labels,
         rho=run.rho,
@@ -390,6 +408,7 @@ def cmd_eval(args: argparse.Namespace, run: RunConfig) -> int:
     _require(args, "checkpoint")
     cube, labels = _load_dataset(args)
     model = load_model(args.checkpoint)
+    _check_compatible(model, cube, labels)
     bank = WindowBank(cube, labels, model.config.window, model.config.subpatch)
     if args.manifest:
         manifest = load_manifest(args.manifest)

@@ -98,15 +98,6 @@ class LabelMap:
 
 
 @dataclass
-class PatchWindow:
-    """One model input: a W x W x bands window centered on a labeled pixel."""
-
-    center: tuple[int, int]
-    window: np.ndarray
-    label: int
-
-
-@dataclass
 class SplitManifest:
     """Disjoint train/pool/test pixel index sets plus their provenance."""
 
@@ -152,7 +143,10 @@ def load_cube(path: str | Path) -> HsiCube:
     if len(raw) > expected:
         raise FormatError(f"{path}: {len(raw) - expected} trailing bytes")
     values = np.frombuffer(raw[16:], dtype="<f4").reshape(rows, cols, bands)
-    return HsiCube(values.astype(np.float64))
+    try:
+        return HsiCube(values.astype(np.float64))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def save_labels(label_map: LabelMap, path: str | Path) -> None:
@@ -183,56 +177,16 @@ def load_labels(path: str | Path) -> LabelMap:
     if len(raw) > expected:
         raise FormatError(f"{path}: {len(raw) - expected} trailing bytes")
     values = np.frombuffer(raw[12:], dtype="<u2").reshape(rows, cols)
-    return LabelMap(values.astype(np.int64))
+    try:
+        return LabelMap(values.astype(np.int64))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
-def mirror_index(i: int, n: int) -> int:
-    """Reflect an out-of-range index back into [0, n) without repeating the
-    edge sample, e.g. for n=4: ..., 2, 1, [0, 1, 2, 3], 2, 1, ...
-    """
-    if n == 1:
-        return 0
-    period = 2 * (n - 1)
-    i = abs(i) % period
-    return i if i < n else period - i
-
-
-def extract_window(
-    cube: HsiCube, labels: LabelMap, center: tuple[int, int], window: int
-) -> PatchWindow:
-    """Cut the window x window x bands block centered on a labeled pixel.
-
-    The center pixel lands at position (window/2, window/2); rows span the
-    half-open range [r - window/2, r + window/2) and likewise for columns.
-    Out-of-bounds samples are mirror-reflected.
-
-    Args:
-        cube: source cube.
-        labels: label map aligned with the cube.
-        center: (row, col) of a labeled pixel.
-        window: even window size, at most min(rows, cols).
-
-    Returns:
-        A PatchWindow carrying the block and the center's class id.
-    """
-    r, c = center
-    rows, cols, _ = cube.data.shape
-    if labels.labels.shape != (rows, cols):
-        raise ValueError("label map does not match cube extent")
-    if window % 2 != 0 or window < 2:
-        raise ValueError(f"window size must be even and >= 2, got {window}")
-    if window > min(rows, cols):
-        raise ValueError(f"window {window} exceeds cube extent {(rows, cols)}")
-    if not (0 <= r < rows and 0 <= c < cols):
-        raise ValueError(f"center {center} outside cube")
-    label = int(labels.labels[r, c])
-    if label == 0:
-        raise ValueError(f"center {center} is unlabeled")
-    half = window // 2
-    row_idx = np.array([mirror_index(i, rows) for i in range(r - half, r + half)])
-    col_idx = np.array([mirror_index(j, cols) for j in range(c - half, c + half)])
-    block = cube.data[np.ix_(row_idx, col_idx)]
-    return PatchWindow(center=(r, c), window=block, label=label)
+def mirror_pad(data: np.ndarray, half: int) -> np.ndarray:
+    """Pad rows and columns of a (rows, cols, bands) array by ``half`` per side,
+    reflected without repeating the edge: ..., 2, 1, [0, 1, 2, 3], 2, 1, ..."""
+    return np.pad(data, ((half, half), (half, half), (0, 0)), mode="reflect")
 
 
 def extract_windows_batch(
@@ -240,16 +194,16 @@ def extract_windows_batch(
 ) -> np.ndarray:
     """Windows for many flattened pixel indices at once: [n, W, W, bands].
 
-    Uses one mirror-padded copy of the cube. Matches extract_window exactly;
-    centers do not need to be labeled here (label checks are the caller's).
+    The center pixel lands at position (W/2, W/2); rows span the half-open
+    range [r - W/2, r + W/2) and likewise for columns. Out-of-bounds samples
+    come from one mirror-padded copy of the cube (``mirror_pad``).
     """
     rows, cols, bands = cube.data.shape
     if window % 2 != 0 or window < 2:
         raise ValueError(f"window size must be even and >= 2, got {window}")
     if window > min(rows, cols):
         raise ValueError(f"window {window} exceeds cube extent {(rows, cols)}")
-    half = window // 2
-    padded = np.pad(cube.data, ((half, half), (half, half), (0, 0)), mode="reflect")
+    padded = mirror_pad(cube.data, window // 2)
     pixel_indices = np.asarray(pixel_indices)
     out = np.empty((pixel_indices.size, window, window, bands))
     for i, flat in enumerate(pixel_indices):
@@ -337,7 +291,7 @@ def load_manifest(path: str | Path) -> SplitManifest:
             pool=np.asarray(doc["pool"], dtype=np.int64),
             test=np.asarray(doc["test"], dtype=np.int64),
         )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # includes JSONDecodeError
         raise FormatError(f"{path}: not a valid split manifest: {exc}") from exc
 
 

@@ -217,17 +217,6 @@ def unfold(windows: np.ndarray, subpatch: int) -> np.ndarray:
     return x.reshape(*lead, g * g, subpatch * subpatch * k)
 
 
-def embed_patches(window: np.ndarray, weight: Tensor, subpatch: int) -> Tensor:
-    """Linear embedding of a window's sub-patch tokens: [..., N_p, d_model]."""
-    features = unfold(window, subpatch)
-    if features.shape[-1] != weight.shape[0]:
-        raise ValueError(
-            f"token dim {features.shape[-1]} does not match embedding "
-            f"fan-in {weight.shape[0]}"
-        )
-    return ad.matmul(Tensor(features), weight)
-
-
 def _swap_last(t: Tensor) -> Tensor:
     axes = tuple(range(t.ndim - 2)) + (t.ndim - 1, t.ndim - 2)
     return ad.transpose(t, axes)
@@ -250,24 +239,6 @@ def _row_entropy(attn: Tensor) -> Tensor:
     denominator = math.log(n) if n > 1 else 1.0
     plogp = ad.reduce_sum(ad.mul(attn, ad.log(attn)), axis=-1, keepdims=True)
     return ad.scale(plogp, -1.0 / denominator)
-
-
-def token_uncertainty(attn) -> Tensor:
-    """Per-token ambiguity from attention weights: [h, N, N] -> [N].
-
-    Mean over heads of the normalized row entropy. Rows must sum to 1
-    within 1e-6.
-    """
-    attn = attn if isinstance(attn, Tensor) else Tensor(attn)
-    if attn.ndim == 2:
-        attn = ad.reshape(attn, (1,) + attn.shape)
-    if attn.ndim != 3:
-        raise ad.ShapeError(f"attention stack must be [h, N, N], got {attn.shape}")
-    sums = attn.data.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > 1e-6):
-        raise ValueError("attention rows must sum to 1 within 1e-6")
-    per_head = _row_entropy(attn)
-    return ad.reshape(ad.reduce_mean(per_head, axis=0), (attn.shape[-2],))
 
 
 def calibrated_attention(
@@ -364,7 +335,8 @@ class RowDraws:
 
 
 def cross_attention_pool(z: Tensor, model: SstModel) -> Tensor:
-    """Collapse tokens to one vector by attending a learned class query."""
+    """Collapse [B, N_p, d_model] tokens to [B, d_model] by attending a
+    learned class query."""
     keys = ad.matmul(z, model.pool_k)
     values = ad.matmul(z, model.pool_v)
     scores = ad.scale(
@@ -372,22 +344,14 @@ def cross_attention_pool(z: Tensor, model: SstModel) -> Tensor:
         1.0 / math.sqrt(model.config.d_model),
     )
     pooled = ad.matmul(ad.softmax(scores, axis=-1), values)
-    if pooled.ndim == 3:
-        return ad.reshape(pooled, (pooled.shape[0], pooled.shape[-1]))
-    return ad.reshape(pooled, (pooled.shape[-1],))
+    return ad.reshape(pooled, (pooled.shape[0], pooled.shape[-1]))
 
 
 def classify(pooled: Tensor, model: SstModel) -> Tensor:
-    """Two-layer softmax head: probabilities over the class ids."""
-    single = pooled.ndim == 1
-    if single:
-        pooled = ad.reshape(pooled, (1, pooled.shape[0]))
+    """Two-layer softmax head: [B, d_model] -> probabilities [B, C]."""
     hidden = ad.relu(ad.add(ad.matmul(pooled, model.head_w1), model.head_b1))
     logits = ad.add(ad.matmul(hidden, model.head_w2), model.head_b2)
-    probs = ad.softmax(logits, axis=-1)
-    if single:
-        return ad.reshape(probs, (probs.shape[-1],))
-    return probs
+    return ad.softmax(logits, axis=-1)
 
 
 def encode(
@@ -424,24 +388,6 @@ def forward_batch(
     """Unfolded windows [B, N_p, p*p*bands] -> class probabilities [B, C]."""
     z = encode(model, features, training, rng)
     return classify(cross_attention_pool(z, model), model)
-
-
-def forward(
-    model: SstModel, window: np.ndarray, training: bool = False, rng=None
-) -> Tensor:
-    """One W x W x bands window -> class probability vector [C].
-
-    Evaluation mode (training=False) is deterministic: identical windows give
-    bitwise identical probabilities.
-    """
-    cfg = model.config
-    if window.shape != (cfg.window, cfg.window, cfg.bands):
-        raise ValueError(
-            f"window shape {window.shape} does not match config "
-            f"{(cfg.window, cfg.window, cfg.bands)}"
-        )
-    probs = forward_batch(model, unfold(window, cfg.subpatch)[None], training, rng)
-    return ad.reshape(probs, (cfg.n_classes,))
 
 
 def _cpu_count() -> int:

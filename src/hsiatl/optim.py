@@ -1,5 +1,4 @@
-"""Adam with bias correction, inverse-time learning-rate decay, and an
-optional additive weight-decay mode.
+"""Adam with bias correction and inverse-time learning-rate decay.
 
 Frozen parameters (``requires_grad`` False) and parameters that received no
 gradient are skipped entirely: their values and moment buffers stay bitwise
@@ -31,9 +30,8 @@ class Adam:
         params: name -> Tensor mapping; iteration order is the update order.
         lr: base learning rate.
         beta1, beta2, eps: standard Adam constants.
-        decay: decay strength. With ``decay_mode="lr"`` the effective rate at
-            step t is lr / (1 + decay * t); with ``decay_mode="weight"`` the
-            rate stays fixed and ``decay * value`` is added to each gradient.
+        decay: decay strength; the effective rate at step t is
+            lr / (1 + decay * t).
     """
 
     def __init__(
@@ -44,10 +42,7 @@ class Adam:
         beta2: float = 0.999,
         eps: float = 1e-8,
         decay: float = 0.0,
-        decay_mode: str = "lr",
     ):
-        if decay_mode not in ("lr", "weight"):
-            raise ValueError(f"unknown decay_mode {decay_mode!r}")
         if lr <= 0:
             raise ValueError("lr must be positive")
         self.params = params
@@ -56,13 +51,10 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.decay = decay
-        self.decay_mode = decay_mode
         self.state = AdamState()
 
     def effective_lr(self, t: int) -> float:
-        if self.decay_mode == "lr":
-            return self.lr / (1.0 + self.decay * t)
-        return self.lr
+        return self.lr / (1.0 + self.decay * t)
 
     def step(self) -> None:
         """Apply one update to every trainable parameter with a gradient."""
@@ -75,8 +67,6 @@ class Adam:
             if not p.requires_grad or p.grad is None:
                 continue
             g = p.grad
-            if self.decay_mode == "weight" and self.decay:
-                g = g + self.decay * p.data
             m = self.state.m.get(name)
             v = self.state.v.get(name)
             if m is None:

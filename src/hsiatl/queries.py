@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hsiatl.data import HsiCube, LabelMap, extract_windows_batch, mirror_index
+from hsiatl.data import HsiCube, LabelMap, extract_windows_batch, mirror_pad
 from hsiatl.model import SstModel, predict_probs, unfold
 
 STRATEGIES = ("hybrid", "random", "uncertainty", "entropy", "margin", "diversity_only")
@@ -87,23 +87,9 @@ def margin_scores(probs: np.ndarray) -> np.ndarray:
     return -(part[:, -1] - part[:, -2])
 
 
-def neighborhood_spectra(cube: HsiCube, pixel, n: int) -> np.ndarray:
-    """The n*n spectra around a pixel, mirror-padded at the borders: [n*n, bands]."""
-    rows, cols, bands = cube.data.shape
-    if isinstance(pixel, (tuple, list)):
-        r, c = int(pixel[0]), int(pixel[1])
-    else:
-        r, c = divmod(int(pixel), cols)
-    if not (0 <= r < rows and 0 <= c < cols):
-        raise ValueError(f"pixel {(r, c)} outside cube")
-    half = n // 2
-    row_idx = [mirror_index(i, rows) for i in range(r - half, r + half + 1)]
-    col_idx = [mirror_index(j, cols) for j in range(c - half, c + half + 1)]
-    return cube.data[np.ix_(row_idx, col_idx)].reshape(n * n, bands)
-
-
-def neighborhood_diversity(cube: HsiCube, pixel, n: int = 3) -> float:
-    """Mean pairwise Euclidean distance among the n*n window spectra.
+def neighborhood_diversity_batch(cube: HsiCube, pixels: np.ndarray, n: int) -> np.ndarray:
+    """Mean pairwise Euclidean distance among the n*n spectra around each
+    flattened pixel index, mirror-padded at the borders (see ``mirror_pad``).
 
     Averages over all ordered pairs j != k, so a window of m = n*n spectra
     divides by m * (m - 1). n = 1 gives 0 by definition; so does any window
@@ -111,17 +97,29 @@ def neighborhood_diversity(cube: HsiCube, pixel, n: int = 3) -> float:
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 1, got {n}")
+    rows, cols, bands = cube.data.shape
+    pixels = np.asarray(pixels, dtype=np.int64)
+    if pixels.size and not 0 <= pixels.min() <= pixels.max() < rows * cols:
+        raise ValueError(f"pixel indices must lie in [0, {rows * cols})")
+    out = np.zeros(pixels.size)
     if n == 1:
-        return 0.0
-    spectra = neighborhood_spectra(cube, pixel, n)
-    m = spectra.shape[0]
-    diff = spectra[:, None, :] - spectra[None, :, :]
-    distances = np.sqrt((diff * diff).sum(axis=-1))
-    return float(distances.sum() / (m * (m - 1)))
+        return out
+    padded = mirror_pad(cube.data, n // 2)
+    m = n * n
+    for i, flat in enumerate(pixels):
+        r, c = divmod(int(flat), cols)
+        spectra = padded[r : r + n, c : c + n].reshape(m, bands)
+        diff = spectra[:, None, :] - spectra[None, :, :]
+        out[i] = np.sqrt((diff * diff).sum(axis=-1)).sum() / (m * (m - 1))
+    return out
 
 
-def neighborhood_diversity_batch(cube: HsiCube, pixels: np.ndarray, n: int) -> np.ndarray:
-    return np.array([neighborhood_diversity(cube, int(p), n) for p in np.asarray(pixels)])
+def neighborhood_diversity(cube: HsiCube, pixel, n: int = 3) -> float:
+    """Diversity of one pixel, given as (row, col) or as a flattened index."""
+    r, c = pixel if isinstance(pixel, (tuple, list)) else divmod(int(pixel), cube.cols)
+    if not (0 <= r < cube.rows and 0 <= c < cube.cols):
+        raise ValueError(f"pixel {(r, c)} outside cube")
+    return float(neighborhood_diversity_batch(cube, [r * cube.cols + c], n)[0])
 
 
 def select_top(scores: np.ndarray, k: int) -> np.ndarray:
@@ -139,7 +137,6 @@ def select_top(scores: np.ndarray, k: int) -> np.ndarray:
 def hybrid_query(
     model: SstModel,
     cube: HsiCube,
-    labels: LabelMap,
     pool: np.ndarray,
     cfg: QueryConfig,
     features: np.ndarray | None = None,
@@ -190,7 +187,7 @@ def query_pool(
         raise ValueError("pool is empty")
     take = min(cfg.query_size, pool.size)
     if cfg.strategy == "hybrid":
-        return hybrid_query(model, cube, labels, pool, cfg, features)
+        return hybrid_query(model, cube, pool, cfg, features)
     if cfg.strategy == "random":
         if rng is None:
             raise ValueError("random strategy needs an rng")

@@ -35,7 +35,6 @@ class TrainConfig:
     batch_size: int = 56
     lr: float = 0.001
     decay: float = 1e-6
-    decay_mode: str = "lr"
     seed: int = 0
 
     def __post_init__(self):
@@ -89,9 +88,7 @@ def train_model(
     rng = np.random.default_rng(cfg.seed)
     params = model.parameters()
     model.apply_freeze()
-    optimizer = Adam(
-        params, lr=cfg.lr, decay=cfg.decay, decay_mode=cfg.decay_mode
-    )
+    optimizer = Adam(params, lr=cfg.lr, decay=cfg.decay)
     n = features.shape[0]
     history = []
     for epoch in range(cfg.epochs):

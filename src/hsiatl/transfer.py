@@ -33,14 +33,11 @@ class MmdConfig:
 
     bandwidth None means the median heuristic: sigma is the median pairwise
     Euclidean distance over the pooled sample (1.0 when that median is 0).
-    The unbiased flag selects the U-statistic estimator; the biased variant
-    with a linear kernel reduces to the squared mean-embedding distance.
     """
 
     kernel: str = "rbf"
     bandwidth: float | None = None
     sample_count: int = 256
-    unbiased: bool = True
 
     def __post_init__(self):
         if self.kernel not in ("rbf", "linear"):
@@ -80,11 +77,13 @@ def median_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
 def mmd(x: np.ndarray, y: np.ndarray, cfg: MmdConfig | None = None) -> float:
     """Squared maximum mean discrepancy between two samples, clamped at 0.
 
+    The unbiased U-statistic estimator: within-sample kernel means leave out
+    the diagonal.
+
     Args:
-        x, y: [n, d] and [m, d] feature rows; both need >= 2 rows for the
-            unbiased estimator.
-        cfg: kernel settings; defaults to unbiased RBF with the median
-            heuristic bandwidth.
+        x, y: [n, d] and [m, d] feature rows; both need >= 2 rows.
+        cfg: kernel settings; defaults to RBF with the median heuristic
+            bandwidth.
     """
     cfg = cfg or MmdConfig()
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -92,7 +91,7 @@ def mmd(x: np.ndarray, y: np.ndarray, cfg: MmdConfig | None = None) -> float:
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"feature widths differ: {x.shape} vs {y.shape}")
     n, m = x.shape[0], y.shape[0]
-    if cfg.unbiased and (n < 2 or m < 2):
+    if n < 2 or m < 2:
         raise ValueError("unbiased estimator needs at least 2 rows per sample")
     if cfg.kernel == "rbf":
         sigma = cfg.bandwidth if cfg.bandwidth is not None else median_bandwidth(x, y)
@@ -104,12 +103,8 @@ def mmd(x: np.ndarray, y: np.ndarray, cfg: MmdConfig | None = None) -> float:
         k_xx = x @ x.T
         k_yy = y @ y.T
         k_xy = x @ y.T
-    if cfg.unbiased:
-        xx = (k_xx.sum() - np.trace(k_xx)) / (n * (n - 1))
-        yy = (k_yy.sum() - np.trace(k_yy)) / (m * (m - 1))
-    else:
-        xx = k_xx.mean()
-        yy = k_yy.mean()
+    xx = (k_xx.sum() - np.trace(k_xx)) / (n * (n - 1))
+    yy = (k_yy.sum() - np.trace(k_yy)) / (m * (m - 1))
     value = float(xx + yy - 2.0 * k_xy.mean())
     return max(value, 0.0)
 
@@ -129,16 +124,6 @@ def _token_means(model: SstModel, features: np.ndarray) -> list[np.ndarray]:
     if not chunks:
         return [np.zeros((0, model.config.d_model))] * len(model.layers)
     return [np.concatenate(per_block) for per_block in zip(*chunks)]
-
-
-def layer_features(
-    model: SstModel, features: np.ndarray, layer_index: int
-) -> np.ndarray:
-    """Mean-over-tokens encoder output after block ``layer_index``: [n, d]."""
-    n_layers = len(model.layers)
-    if not 0 <= layer_index < n_layers:
-        raise ValueError(f"layer_index must be in [0, {n_layers}), got {layer_index}")
-    return _token_means(model, features)[layer_index]
 
 
 def freeze_plan(

@@ -1,10 +1,20 @@
-"""Shared oracle helpers for the test suite."""
+"""Shared oracle helpers for the test suite.
+
+Besides the gradient and checkpoint helpers, this holds the per-window and
+per-pixel reference versions of library code that works on batches: mirror
+indexing, window extraction, neighborhood diversity, single-window forward,
+patch embedding, token uncertainty and per-layer features.
+"""
 
 from __future__ import annotations
 
 import json
 
 import numpy as np
+
+from hsiatl import autodiff as ad
+from hsiatl.autodiff import Tensor
+from hsiatl.model import _row_entropy, encode, forward_batch, unfold
 
 
 def numeric_gradient(fn, arrays: list[np.ndarray], step: float = 1e-5):
@@ -54,3 +64,90 @@ def rewrite_checkpoint(src, dst, edit_header=None, nan_at=None):
         payload[8 * nan_at : 8 * nan_at + 8] = np.array(np.nan, dtype="<f8").tobytes()
     blob = json.dumps(header).encode("utf-8")
     dst.write_bytes(raw[:4] + len(blob).to_bytes(4, "little") + blob + bytes(payload))
+
+
+def mirror_index(i: int, n: int) -> int:
+    """Reflect an out-of-range index back into [0, n) without repeating the
+    edge sample, e.g. for n=4: ..., 2, 1, [0, 1, 2, 3], 2, 1, ...
+    """
+    if n == 1:
+        return 0
+    period = 2 * (n - 1)
+    i = abs(i) % period
+    return i if i < n else period - i
+
+
+def extract_window(cube, center: tuple[int, int], window: int) -> np.ndarray:
+    """The window x window x bands block centered on (row, col), sample by
+    sample: rows [r - window/2, r + window/2), likewise columns, mirrored."""
+    r, c = center
+    rows, cols, _ = cube.data.shape
+    half = window // 2
+    row_idx = [mirror_index(i, rows) for i in range(r - half, r + half)]
+    col_idx = [mirror_index(j, cols) for j in range(c - half, c + half)]
+    return cube.data[np.ix_(row_idx, col_idx)]
+
+
+def neighborhood_spectra(cube, pixel: tuple[int, int], n: int) -> np.ndarray:
+    """The n*n spectra around (row, col), mirrored at the borders: [n*n, bands]."""
+    r, c = pixel
+    rows, cols, bands = cube.data.shape
+    half = n // 2
+    row_idx = [mirror_index(i, rows) for i in range(r - half, r + half + 1)]
+    col_idx = [mirror_index(j, cols) for j in range(c - half, c + half + 1)]
+    return cube.data[np.ix_(row_idx, col_idx)].reshape(n * n, bands)
+
+
+def diversity_oracle(cube, pixel: tuple[int, int], n: int) -> float:
+    """Mean pairwise spectral distance over one mirrored neighborhood."""
+    if n == 1:
+        return 0.0
+    spectra = neighborhood_spectra(cube, pixel, n)
+    m = spectra.shape[0]
+    diff = spectra[:, None, :] - spectra[None, :, :]
+    distances = np.sqrt((diff * diff).sum(axis=-1))
+    return float(distances.sum() / (m * (m - 1)))
+
+
+def forward(model, window: np.ndarray) -> np.ndarray:
+    """One W x W x bands window -> evaluation-mode class probabilities [C]."""
+    cfg = model.config
+    if window.shape != (cfg.window, cfg.window, cfg.bands):
+        raise ValueError(
+            f"window shape {window.shape} does not match config "
+            f"{(cfg.window, cfg.window, cfg.bands)}"
+        )
+    return forward_batch(model, unfold(window, cfg.subpatch)[None]).data[0]
+
+
+def embed_patches(window: np.ndarray, weight: Tensor, subpatch: int) -> Tensor:
+    """Linear embedding of a window's sub-patch tokens: [..., N_p, d_model]."""
+    features = unfold(window, subpatch)
+    if features.shape[-1] != weight.shape[0]:
+        raise ValueError(
+            f"token dim {features.shape[-1]} does not match embedding "
+            f"fan-in {weight.shape[0]}"
+        )
+    return ad.matmul(Tensor(features), weight)
+
+
+def token_uncertainty(attn) -> Tensor:
+    """Per-token ambiguity from attention weights: [h, N, N] -> [N], the mean
+    over heads of the normalized row entropy. Rows must sum to 1 within 1e-6.
+    """
+    attn = attn if isinstance(attn, Tensor) else Tensor(attn)
+    if attn.ndim == 2:
+        attn = ad.reshape(attn, (1,) + attn.shape)
+    if attn.ndim != 3:
+        raise ad.ShapeError(f"attention stack must be [h, N, N], got {attn.shape}")
+    if np.any(np.abs(attn.data.sum(axis=-1) - 1.0) > 1e-6):
+        raise ValueError("attention rows must sum to 1 within 1e-6")
+    per_head = _row_entropy(attn)
+    return ad.reshape(ad.reduce_mean(per_head, axis=0), (attn.shape[-2],))
+
+
+def layer_features(model, features: np.ndarray, layer_index: int) -> np.ndarray:
+    """Mean-over-tokens output of encoder block ``layer_index``, captured from
+    one whole-batch pass: [n, d_model]."""
+    _, captured = encode(model, features, capture=True)
+    return captured[layer_index].mean(axis=1)

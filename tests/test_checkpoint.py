@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from conftest import rewrite_checkpoint
+from conftest import forward, rewrite_checkpoint
 
-from hsiatl.checkpoint import load_model, save_model
+from hsiatl.checkpoint import _param_shape, load_model, save_model
 from hsiatl.data import BadMagicError, FormatError, TruncatedPayloadError
-from hsiatl.model import SstConfig, forward, init_model
+from hsiatl.model import SstConfig, init_model
 
 
 def sample_model(seed=42, **overrides):
@@ -56,8 +56,8 @@ class TestRoundTrip:
         loaded = load_model(path)
         window = np.random.default_rng(0).normal(size=(4, 4, 5))
         assert (
-            forward(model, window).data.tobytes()
-            == forward(loaded, window).data.tobytes()
+            forward(model, window).tobytes()
+            == forward(loaded, window).tobytes()
         )
 
 
@@ -101,4 +101,27 @@ class TestErrorPaths:
 
         rewrite_checkpoint(tmp_path / "model.sstc", tmp_path / "bad.sstc", drop_enc1)
         with pytest.raises(FormatError, match="'freeze' must name the groups"):
+            load_model(tmp_path / "bad.sstc")
+
+    def test_config_implied_shapes_match_a_built_model(self):
+        for overrides in ({}, {"d_ff": 12, "n_layers": 3, "n_classes": 7},
+                          {"window": 6, "subpatch": 3, "bands": 2}):
+            model = sample_model(**overrides)
+            for name, tensor in model.parameters().items():
+                assert _param_shape(model.config, name) == tensor.shape, name
+            n_layers = model.config.n_layers
+            for name in (f"enc{n_layers}.attn_q", "enc00.attn_q", "enc0.attn", "head.w3"):
+                assert _param_shape(model.config, name) is None, name
+
+    def test_shape_checked_before_the_model_is_built(self, tmp_path):
+        # a header that claims a huge model must fail on its first parameter
+        save_model(sample_model(), tmp_path / "model.sstc")
+
+        def huge(header):
+            header["config"]["d_model"] = 2**40
+            header["config"]["n_heads"] = 1
+            return header
+
+        rewrite_checkpoint(tmp_path / "model.sstc", tmp_path / "bad.sstc", huge)
+        with pytest.raises(FormatError, match=r"parameter embed.weight has shape \[20, 8\]"):
             load_model(tmp_path / "bad.sstc")

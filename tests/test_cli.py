@@ -285,3 +285,109 @@ class TestMalformedCheckpoint:
     def test_nonfinite_payload(self, workdir, tmp_path, capsys):
         err = self.eval_bad(workdir, tmp_path, capsys, nan_at=3)
         assert "parameter embed.weight has non-finite values" in err
+
+    @pytest.mark.parametrize("name, expected", [
+        ("embed.weight", [32, 8]),
+        ("enc0.ln1_gain", [8]),
+        ("pool.class_query", [1, 8]),
+        ("head.b1", [8]),
+    ])
+    def test_parameter_shape_against_config(self, workdir, tmp_path, capsys, name, expected):
+        def reshape(header):
+            for entry in header["params"]:
+                if entry["name"] == name:
+                    entry["shape"] = [2, 4]
+            return header
+
+        err = self.eval_bad(workdir, tmp_path, capsys, edit_header=reshape)
+        assert f"parameter {name} has shape [2, 4], expected {expected}" in err
+
+    def test_unknown_parameter(self, workdir, tmp_path, capsys):
+        def rename(header):
+            header["params"][-1]["name"] = "head.b3"
+            return header
+
+        err = self.eval_bad(workdir, tmp_path, capsys, edit_header=rename)
+        assert "unknown parameter 'head.b3'" in err
+
+
+def write_cube(path, rows, cols, bands, nan_at=None):
+    values = np.random.default_rng(0).normal(size=rows * cols * bands).astype("<f4")
+    if nan_at is not None:
+        values[nan_at] = np.nan
+    header = np.array([rows, cols, bands], dtype="<u4").tobytes()
+    path.write_bytes(b"HSIC" + header + values.tobytes())
+
+
+def write_labels(path, labels):
+    rows, cols = labels.shape
+    header = np.array([rows, cols], dtype="<u4").tobytes()
+    path.write_bytes(b"HSIL" + header + labels.astype("<u2").tobytes())
+
+
+class TestIncompatibleData:
+    """Data the checkpoint cannot score, or that breaks a format's value
+    rules, ends in exit 2 naming both values, with no traceback."""
+
+    def eval_data(self, workdir, capsys, cube=None, labels=None, manifest=None):
+        argv = ["eval", "--checkpoint", workdir / "a.sstc",
+                "--cube", cube or workdir / "a.hsic",
+                "--labels", labels or workdir / "a.hsil"]
+        if manifest is not None:
+            argv += ["--manifest", manifest]
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("data error:") and "Traceback" not in err, err
+        return err
+
+    def synth(self, tmp_path, stem, classes, size):
+        cube, labels = tmp_path / f"{stem}.hsic", tmp_path / f"{stem}.hsil"
+        assert run(["synth", "--classes", classes, "--size", size, "--seed", 1,
+                    "--cube", cube, "--labels", labels]) == 0
+        return cube, labels
+
+    def test_band_count(self, workdir, tmp_path, capsys):
+        cube, labels = self.synth(tmp_path, "six", 3, "20x20x6")
+        err = self.eval_data(workdir, capsys, cube, labels)
+        assert "cube has 6 bands, the checkpoint expects 8" in err
+
+    def test_class_ids_beyond_the_head(self, workdir, tmp_path, capsys):
+        cube, labels = self.synth(tmp_path, "four", 4, "20x20x8")
+        err = self.eval_data(workdir, capsys, cube, labels)
+        assert "labels have class ids up to 4, the checkpoint has 3 classes" in err
+
+    def test_window_beyond_cube_extent_in_eval(self, workdir, tmp_path, capsys):
+        cube, labels = self.synth(tmp_path, "tiny", 3, "3x3x8")
+        err = self.eval_data(workdir, capsys, cube, labels)
+        assert "checkpoint window 4 exceeds cube extent (3, 3)" in err
+
+    def test_window_beyond_cube_extent_in_transfer(self, workdir, tmp_path, capsys):
+        cube, labels = self.synth(tmp_path, "tiny", 3, "3x3x8")
+        code = run(["transfer", "--config", workdir / "cfg.json",
+                    "--cube", workdir / "a.hsic", "--labels", workdir / "a.hsil",
+                    "--source-ckpt", workdir / "a.sstc",
+                    "--target-cube", cube, "--target-labels", labels])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "checkpoint window 4 exceeds cube extent (3, 3)" in err
+
+    def test_nonfinite_cube_value(self, workdir, tmp_path, capsys):
+        write_cube(tmp_path / "nan.hsic", 20, 20, 8, nan_at=17)
+        err = self.eval_data(workdir, capsys, cube=tmp_path / "nan.hsic")
+        assert "nan.hsic: cube values must be finite" in err
+
+    def test_noncontiguous_class_ids(self, workdir, tmp_path, capsys):
+        labels = np.ones((20, 20), dtype=np.int64)
+        labels[:5] = 3
+        write_labels(tmp_path / "gap.hsil", labels)
+        err = self.eval_data(workdir, capsys, labels=tmp_path / "gap.hsil")
+        assert "gap.hsil: class ids must be contiguous from 1" in err
+
+    def test_overlapping_manifest_sets(self, workdir, tmp_path, capsys):
+        doc = json.loads((workdir / "a.split.json").read_text())
+        doc["pool"].append(doc["train"][0])
+        (tmp_path / "overlap.json").write_text(json.dumps(doc))
+        err = self.eval_data(workdir, capsys, manifest=tmp_path / "overlap.json")
+        assert "overlap.json: not a valid split manifest" in err
+        assert "must be disjoint" in err

@@ -6,6 +6,7 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import extract_window, mirror_index
 
 from hsiatl.data import (
     BadMagicError,
@@ -16,13 +17,12 @@ from hsiatl.data import (
     SplitManifest,
     TruncatedPayloadError,
     class_prototypes,
-    extract_window,
     extract_windows_batch,
     load_cube,
     load_labels,
     load_manifest,
     make_split,
-    mirror_index,
+    mirror_pad,
     save_cube,
     save_labels,
     save_manifest,
@@ -175,62 +175,68 @@ class TestMirrorIndex:
         assert mirror_index(3, 1) == 0
 
 
+class TestMirrorPad:
+    def test_matches_mirror_oracle(self):
+        # every axis length 1-7 against every half-width 0-19, including
+        # widths that reflect more than once across a short axis
+        for rows in range(1, 8):
+            for cols in range(1, 8):
+                data = np.arange(rows * cols * 2, dtype=np.float64).reshape(rows, cols, 2)
+                for half in range(20):
+                    padded = mirror_pad(data, half)
+                    r_idx = [mirror_index(i - half, rows) for i in range(rows + 2 * half)]
+                    c_idx = [mirror_index(j - half, cols) for j in range(cols + 2 * half)]
+                    expected = data[np.ix_(r_idx, c_idx)]
+                    assert padded.tobytes() == expected.tobytes(), (rows, cols, half)
+
+    def test_bands_are_not_padded(self):
+        assert mirror_pad(np.zeros((3, 4, 5)), 2).shape == (7, 8, 5)
+
+
 class TestExtractWindow:
     def make_fixture(self):
         rng = np.random.default_rng(42)
-        cube = HsiCube(rng.normal(size=(6, 7, 3)))
-        labels = LabelMap(np.ones((6, 7), dtype=np.int64))
-        return cube, labels
+        return HsiCube(rng.normal(size=(6, 7, 3)))
 
     def test_center_lands_at_half_window(self):
-        cube, labels = self.make_fixture()
-        patch = extract_window(cube, labels, (3, 4), 4)
-        np.testing.assert_array_equal(patch.window[2, 2], cube.data[3, 4])
-        assert patch.label == 1
-        assert patch.window.shape == (4, 4, 3)
+        cube = self.make_fixture()
+        window = extract_windows_batch(cube, np.array([3 * 7 + 4]), 4)[0]
+        np.testing.assert_array_equal(window[2, 2], cube.data[3, 4])
+        assert window.shape == (4, 4, 3)
 
     def test_interior_window_is_direct_slice(self):
-        cube, labels = self.make_fixture()
-        patch = extract_window(cube, labels, (3, 3), 4)
-        np.testing.assert_array_equal(patch.window, cube.data[1:5, 1:5])
+        cube = self.make_fixture()
+        window = extract_windows_batch(cube, np.array([3 * 7 + 3]), 4)[0]
+        np.testing.assert_array_equal(window, cube.data[1:5, 1:5])
 
     def test_corner_window_matches_mirror_oracle(self):
-        cube, labels = self.make_fixture()
+        cube = self.make_fixture()
         for center in [(0, 0), (0, 6), (5, 0), (5, 6), (1, 1)]:
-            patch = extract_window(cube, labels, center, 6)
             r, c = center
+            window = extract_windows_batch(cube, np.array([r * 7 + c]), 6)[0]
             for i in range(6):
                 for j in range(6):
                     src_r = mirror_index(r - 3 + i, 6)
                     src_c = mirror_index(c - 3 + j, 7)
-                    np.testing.assert_array_equal(
-                        patch.window[i, j], cube.data[src_r, src_c]
-                    )
-
-    def test_unlabeled_center_rejected(self):
-        cube, _ = self.make_fixture()
-        labels = LabelMap(np.zeros((6, 7), dtype=np.int64))
-        with pytest.raises(ValueError):
-            extract_window(cube, labels, (2, 2), 4)
+                    np.testing.assert_array_equal(window[i, j], cube.data[src_r, src_c])
 
     def test_oversized_window_rejected(self):
-        cube, labels = self.make_fixture()
+        cube = self.make_fixture()
         with pytest.raises(ValueError):
-            extract_window(cube, labels, (2, 2), 8)
+            extract_windows_batch(cube, np.array([16]), 8)
 
     def test_odd_window_rejected(self):
-        cube, labels = self.make_fixture()
+        cube = self.make_fixture()
         with pytest.raises(ValueError):
-            extract_window(cube, labels, (2, 2), 3)
+            extract_windows_batch(cube, np.array([16]), 3)
 
     def test_batch_agrees_with_single(self):
-        cube, labels = self.make_fixture()
+        cube = self.make_fixture()
         indices = np.array([0, 6, 20, 41, 13])
         batch = extract_windows_batch(cube, indices, 4)
         for row, flat in enumerate(indices):
-            center = divmod(int(flat), 7)
-            single = extract_window(cube, labels, center, 4)
-            np.testing.assert_array_equal(batch[row], single.window)
+            single = extract_window(cube, divmod(int(flat), 7), 4)
+            assert batch[row].tobytes() == single.tobytes()
 
 
 class TestMakeSplit:

@@ -7,7 +7,13 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import max_relative_error, numeric_gradient
+from conftest import (
+    embed_patches,
+    forward,
+    max_relative_error,
+    numeric_gradient,
+    token_uncertainty,
+)
 
 from hsiatl import autodiff as ad
 from hsiatl import model as model_module
@@ -19,17 +25,14 @@ from hsiatl.model import (
     calibrated_attention,
     classify,
     cross_attention_pool,
-    embed_patches,
     encode,
     encoder_block,
-    forward,
     forward_batch,
     init_model,
     map_batches,
     positional_encoding,
     predict_probs,
     reset_head,
-    token_uncertainty,
     unfold,
 )
 from hsiatl.transfer import freeze_plan, mmd
@@ -360,7 +363,7 @@ class TestForward:
         cfg = tiny_config()
         model = init_model(cfg, seed=42)
         window = np.random.default_rng(0).normal(size=(4, 4, 3))
-        probs = forward(model, window).data
+        probs = forward(model, window)
         assert probs.shape == (3,)
         assert (probs >= 0).all()
         np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-9)
@@ -374,8 +377,8 @@ class TestForward:
         cfg = tiny_config()
         model = init_model(cfg, seed=42)
         window = np.random.default_rng(1).normal(size=(4, 4, 3))
-        a = forward(model, window).data.tobytes()
-        b = forward(model, window).data.tobytes()
+        a = forward(model, window).tobytes()
+        b = forward(model, window).tobytes()
         assert a == b
 
     def test_batch_agrees_with_single(self):
@@ -385,7 +388,7 @@ class TestForward:
         windows = rng.normal(size=(5, 4, 4, 3))
         batch = forward_batch(model, unfold(windows, cfg.subpatch)).data
         for i in range(5):
-            single = forward(model, windows[i]).data
+            single = forward(model, windows[i])
             np.testing.assert_allclose(batch[i], single, atol=1e-12)
 
     def test_predict_probs_chunks_consistently(self):
@@ -413,8 +416,8 @@ class TestForward:
             t.data[...] = t.data[:, cols]
         layer.attn_out.data[...] = layer.attn_out.data[cols, :]
         np.testing.assert_allclose(
-            forward(permuted, window).data,
-            forward(base, window).data,
+            forward(permuted, window),
+            forward(base, window),
             atol=1e-10,
         )
 
@@ -480,7 +483,7 @@ class TestHeadReset:
         assert model.config.n_classes == 5
         assert model.head_w2.shape == (cfg.d_model, 5)
         np.testing.assert_array_equal(model.head_w1.data, w1_before)
-        probs = forward(model, np.zeros((4, 4, 3))).data
+        probs = forward(model, np.zeros((4, 4, 3)))
         assert probs.shape == (5,)
 
 

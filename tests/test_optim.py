@@ -93,22 +93,6 @@ class TestDecaySchedules:
         np.testing.assert_allclose(opt.effective_lr(1), 0.001 / (1 + 1e-6))
         np.testing.assert_allclose(opt.effective_lr(1000), 0.001 / (1 + 1e-3))
 
-    def test_weight_decay_mode_pulls_toward_zero(self):
-        p = Tensor(np.array([10.0]), requires_grad=True)
-        opt = Adam({"p": p}, lr=0.1, decay=0.5, decay_mode="weight")
-        for _ in range(200):
-            p.grad = np.zeros(1)
-            opt.step()
-        assert abs(float(p.data[0])) < 1.0
-
-    def test_weight_decay_keeps_lr_fixed(self):
-        opt = Adam({}, lr=0.01, decay=0.5, decay_mode="weight")
-        assert opt.effective_lr(1000) == 0.01
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Adam({}, lr=0.01, decay_mode="cosine")
-
     def test_nonpositive_lr_rejected(self):
         with pytest.raises(ValueError):
             Adam({}, lr=0.0)

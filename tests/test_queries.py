@@ -3,8 +3,9 @@ tie-breaks, hybrid degeneracies, and pool bookkeeping."""
 
 import numpy as np
 import pytest
+from conftest import diversity_oracle, neighborhood_spectra
 
-from hsiatl.data import HsiCube, LabelMap, synth_cube
+from hsiatl.data import HsiCube, synth_cube
 from hsiatl.model import SstConfig, init_model
 from hsiatl.queries import (
     QueryConfig,
@@ -13,7 +14,7 @@ from hsiatl.queries import (
     hybrid_query,
     margin_scores,
     neighborhood_diversity,
-    neighborhood_spectra,
+    neighborhood_diversity_batch,
     query_pool,
     select_top,
     uncertainty_scores,
@@ -134,6 +135,32 @@ class TestNeighborhoodDiversity:
         with pytest.raises(ValueError):
             neighborhood_diversity(cube, (1, 1), 2)
 
+    def test_pixel_outside_cube_rejected(self):
+        cube = HsiCube(np.ones((4, 5, 2)))
+        for pixel in [(4, 0), (0, 5), (-1, 2), (2, -1), 20, -1]:
+            with pytest.raises(ValueError):
+                neighborhood_diversity(cube, pixel, 3)
+        with pytest.raises(ValueError):
+            neighborhood_diversity_batch(cube, np.array([3, 20]), 3)
+
+    def test_batch_byte_equal_to_per_pixel_oracle(self):
+        # every pixel of cubes down to 1x1, neighborhoods wider than the cube
+        rng = np.random.default_rng(12)
+        for rows in range(1, 8):
+            for cols in range(1, 8):
+                cube = HsiCube(rng.normal(size=(rows, cols, 3)))
+                pixels = np.arange(rows * cols)
+                for n in (1, 3, 5, 7):
+                    got = neighborhood_diversity_batch(cube, pixels, n)
+                    expected = np.array(
+                        [diversity_oracle(cube, divmod(int(p), cols), n) for p in pixels]
+                    )
+                    assert got.tobytes() == expected.tobytes(), (rows, cols, n)
+
+    def test_batch_of_no_pixels(self):
+        cube = HsiCube(np.ones((4, 4, 2)))
+        assert neighborhood_diversity_batch(cube, np.zeros(0, dtype=np.int64), 3).shape == (0,)
+
 
 class TestSelectTop:
     def test_basic_ranking(self):
@@ -182,7 +209,7 @@ class TestQueryStrategies:
 
     def test_hybrid_result_contract(self):
         cfg = QueryConfig(query_size=5, beta=3)
-        res = hybrid_query(self.model, self.cube, self.labels, self.pool, cfg)
+        res = hybrid_query(self.model, self.cube, self.pool, cfg)
         assert res.selected.size == 5
         assert np.unique(res.selected).size == 5
         assert np.isin(res.selected, self.pool).all()
@@ -190,19 +217,19 @@ class TestQueryStrategies:
 
     def test_hybrid_query_size_capped_by_pool(self):
         cfg = QueryConfig(query_size=500)
-        res = hybrid_query(self.model, self.cube, self.labels, self.pool, cfg)
+        res = hybrid_query(self.model, self.cube, self.pool, cfg)
         np.testing.assert_array_equal(np.sort(res.selected), np.sort(self.pool))
 
     def test_hybrid_with_huge_beta_equals_diversity_only(self):
         cfg = QueryConfig(query_size=6, beta=1000)
-        hybrid = hybrid_query(self.model, self.cube, self.labels, self.pool, cfg)
+        hybrid = hybrid_query(self.model, self.cube, self.pool, cfg)
         div_cfg = QueryConfig(query_size=6, strategy="diversity_only")
         alone = query_pool(self.model, self.cube, self.labels, self.pool, div_cfg)
         np.testing.assert_array_equal(hybrid.selected, alone.selected)
 
     def test_hybrid_with_unit_neighborhood_is_pure_uncertainty(self):
         cfg = QueryConfig(query_size=6, n_neighborhood=1, beta=5)
-        hybrid = hybrid_query(self.model, self.cube, self.labels, self.pool, cfg)
+        hybrid = hybrid_query(self.model, self.cube, self.pool, cfg)
         unc_cfg = QueryConfig(query_size=6, strategy="uncertainty")
         alone = query_pool(self.model, self.cube, self.labels, self.pool, unc_cfg)
         np.testing.assert_array_equal(hybrid.selected, alone.selected)
@@ -213,11 +240,10 @@ class TestQueryStrategies:
         data = np.ones((8, 8, 4))
         data[3, 3] = 50.0
         cube = HsiCube(data)
-        labels = LabelMap(np.ones((8, 8), dtype=np.int64))
         model = trained_free_model(cube, 3)
         pool = np.arange(64)
         cfg = QueryConfig(query_size=1, beta=64)
-        res = hybrid_query(model, cube, labels, pool, cfg)
+        res = hybrid_query(model, cube, pool, cfg)
         neighbors = {(3 + dr) * 8 + (3 + dc)
                      for dr in (-1, 0, 1) for dc in (-1, 0, 1)}
         assert res.selected[0] in neighbors
