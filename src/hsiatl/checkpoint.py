@@ -26,7 +26,7 @@ import numpy as np
 
 from hsiatl.autodiff import Tensor
 from hsiatl.data import BadMagicError, FormatError, TruncatedPayloadError
-from hsiatl.model import EncoderLayerParams, SstConfig, SstModel, positional_encoding
+from hsiatl.model import EncoderLayerParams, SstConfig, SstModel
 
 CHECKPOINT_MAGIC = b"SSTC"
 VERSION = 1
@@ -121,7 +121,6 @@ def load_model(path: str | Path) -> SstModel:
     model = SstModel(
         config=config,
         embed_weight=take("embed.weight"),
-        positional=positional_encoding(config.n_tokens, config.d_model),
         layers=layers,
         class_query=take("pool.class_query"),
         pool_k=take("pool.k"),

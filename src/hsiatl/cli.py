@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -32,6 +34,7 @@ from hsiatl.data import (
     HsiCube,
     LabelMap,
     SplitManifest,
+    check_extent,
     load_cube,
     load_labels,
     load_manifest,
@@ -271,9 +274,16 @@ def _require(args: argparse.Namespace, *names: str) -> None:
         raise UsageError(f"{args.command} requires {flags}")
 
 
+def _load_pair(cube_path: str, labels_path: str) -> tuple[HsiCube, LabelMap]:
+    """A cube and its label map, which must have the same extent."""
+    cube, labels = load_cube(cube_path), load_labels(labels_path)
+    check_extent(cube, labels)
+    return cube, labels
+
+
 def _load_dataset(args: argparse.Namespace) -> tuple[HsiCube, LabelMap]:
     _require(args, "cube", "labels")
-    return load_cube(args.cube), load_labels(args.labels)
+    return _load_pair(args.cube, args.labels)
 
 
 def _resolve_manifest(
@@ -379,8 +389,7 @@ def cmd_transfer(args: argparse.Namespace, run: RunConfig) -> int:
     _require(args, "source_ckpt", "target_cube", "target_labels")
     cube, labels = _load_dataset(args)
     model = load_model(args.source_ckpt)
-    target_cube = load_cube(args.target_cube)
-    target_labels = load_labels(args.target_labels)
+    target_cube, target_labels = _load_pair(args.target_cube, args.target_labels)
     # the target's class count may differ: fine-tuning resets the head then
     _check_compatible(model, cube)
     _check_compatible(model, target_cube)
@@ -453,8 +462,7 @@ def cmd_ablate(args: argparse.Namespace, run: RunConfig) -> int:
     want_transfer = bool(args.target_cube or args.target_labels)
     if want_transfer:
         _require(args, "target_cube", "target_labels")
-        target_cube = load_cube(args.target_cube)
-        target_labels = load_labels(args.target_labels)
+        target_cube, target_labels = _load_pair(args.target_cube, args.target_labels)
     rows_out: list[dict] = []
     budget = run.rounds * run.query_size
     for seed in args.seeds:
@@ -516,7 +524,33 @@ def cmd_ablate(args: argparse.Namespace, run: RunConfig) -> int:
     return 0
 
 
+def _libc():
+    """The C library's handle, or None where ctypes cannot open it."""
+    try:
+        return ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None
+
+
+@functools.cache
+def _keep_freed_pages() -> None:
+    """Have glibc's malloc keep freed blocks up to 32 MiB on its heaps, and
+    their pages up to 64 MiB, instead of giving them back to the kernel.
+
+    Every evaluation batch frees and reallocates the same 0.5-2 MB
+    temporaries; with glibc's defaults they go back to the kernel when freed
+    and the next batch faults their pages in again. Runs once per process; a
+    C library without ``mallopt`` is left as it is.
+    """
+    mallopt = getattr(_libc(), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD in glibc's malloc.h
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_pages()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

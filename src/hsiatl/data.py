@@ -189,27 +189,55 @@ def mirror_pad(data: np.ndarray, half: int) -> np.ndarray:
     return np.pad(data, ((half, half), (half, half), (0, 0)), mode="reflect")
 
 
+def window_pad(cube: HsiCube, window: int) -> np.ndarray:
+    """The mirror-padded copy of the cube that ``window``-wide windows are cut
+    from (``mirror_pad`` by W/2); rejects an odd window or one wider than the
+    cube."""
+    rows, cols, _ = cube.data.shape
+    if window % 2 != 0 or window < 2:
+        raise ValueError(f"window size must be even and >= 2, got {window}")
+    if window > min(rows, cols):
+        raise ValueError(f"window {window} exceeds cube extent {(rows, cols)}")
+    return mirror_pad(cube.data, window // 2)
+
+
 def extract_windows_batch(
-    cube: HsiCube, pixel_indices: np.ndarray, window: int
+    cube: HsiCube,
+    pixel_indices: np.ndarray,
+    window: int,
+    padded: np.ndarray | None = None,
 ) -> np.ndarray:
     """Windows for many flattened pixel indices at once: [n, W, W, bands].
 
     The center pixel lands at position (W/2, W/2); rows span the half-open
     range [r - W/2, r + W/2) and likewise for columns. Out-of-bounds samples
-    come from one mirror-padded copy of the cube (``mirror_pad``).
+    come from one mirror-padded copy of the cube: ``padded``, the
+    ``window_pad(cube, window)`` a caller keeps to cut many batches from, or
+    else one made here. All windows come from one fancy index over a window
+    view of that copy.
     """
-    rows, cols, bands = cube.data.shape
-    if window % 2 != 0 or window < 2:
-        raise ValueError(f"window size must be even and >= 2, got {window}")
-    if window > min(rows, cols):
-        raise ValueError(f"window {window} exceeds cube extent {(rows, cols)}")
-    padded = mirror_pad(cube.data, window // 2)
-    pixel_indices = np.asarray(pixel_indices)
-    out = np.empty((pixel_indices.size, window, window, bands))
-    for i, flat in enumerate(pixel_indices):
-        r, c = divmod(int(flat), cols)
-        out[i] = padded[r : r + window, c : c + window]
-    return out
+    rows, cols, _ = cube.data.shape
+    if padded is None:
+        padded = window_pad(cube, window)
+    pixel_indices = np.asarray(pixel_indices, dtype=np.int64).ravel()
+    if pixel_indices.size and not 0 <= pixel_indices.min() <= pixel_indices.max() < rows * cols:
+        raise ValueError(f"pixel indices must lie in [0, {rows * cols})")
+    # views[r, c] is padded[r : r + W, c : c + W], the window centered on (r, c)
+    views = np.moveaxis(
+        np.lib.stride_tricks.sliding_window_view(padded, (window, window), axis=(0, 1)),
+        2, -1,
+    )
+    r, c = np.divmod(pixel_indices, cols)
+    return views[r, c]
+
+
+def check_extent(cube: HsiCube, labels: LabelMap) -> None:
+    """Raise DimensionError unless the label map has the cube's rows and cols."""
+    if labels.labels.shape != cube.data.shape[:2]:
+        raise DimensionError(
+            f"label map is {labels.labels.shape[0]}x{labels.labels.shape[1]} but "
+            f"the cube is {cube.rows}x{cube.cols}"
+        )
 
 
 def make_split(

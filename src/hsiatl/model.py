@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextvars
 import dataclasses
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -26,6 +27,7 @@ import numpy as np
 
 from hsiatl import autodiff as ad
 from hsiatl.autodiff import Tensor
+from hsiatl.data import HsiCube, extract_windows_batch, window_pad
 
 
 @dataclass
@@ -123,7 +125,6 @@ class SstModel:
 
     config: SstConfig
     embed_weight: Tensor
-    positional: np.ndarray
     layers: list[EncoderLayerParams]
     class_query: Tensor
     pool_k: Tensor
@@ -201,6 +202,15 @@ def positional_encoding(n_positions: int, d_model: int) -> np.ndarray:
     return enc
 
 
+@functools.lru_cache(maxsize=8)
+def _positional_table(n_tokens: int, d_model: int) -> np.ndarray:
+    """``positional_encoding`` for one token count, built on first use and
+    shared read-only by every later call."""
+    table = positional_encoding(n_tokens, d_model)
+    table.flags.writeable = False
+    return table
+
+
 def unfold(windows: np.ndarray, subpatch: int) -> np.ndarray:
     """[..., W, W, k] -> [..., (W/p)^2, p*p*k] sub-patch tokens.
 
@@ -215,6 +225,29 @@ def unfold(windows: np.ndarray, subpatch: int) -> np.ndarray:
     x = windows.reshape(*lead, g, subpatch, g, subpatch, k)
     x = np.moveaxis(x, -4, -3)
     return x.reshape(*lead, g * g, subpatch * subpatch * k)
+
+
+class PixelWindows:
+    """Unfolded windows of some pixels, gathered only when sliced.
+
+    ``len()`` is the pixel count; ``windows[a:b]`` (or an index array) is
+    ``unfold(extract_windows_batch(cube, pixels[a:b], window), subpatch)``,
+    cut from one ``window_pad`` copy of the cube made once (or ``padded``).
+    ``predict_probs`` takes it in place of an array, so only the batches
+    being scored are ever unfolded.
+    """
+
+    def __init__(self, cube: HsiCube, pixels, window: int, subpatch: int, padded=None):
+        self.cube, self.pixels = cube, np.asarray(pixels)
+        self.window, self.subpatch = window, subpatch
+        self.padded = window_pad(cube, window) if padded is None else padded
+
+    def __len__(self) -> int:
+        return self.pixels.size
+
+    def __getitem__(self, rows) -> np.ndarray:
+        windows = extract_windows_batch(self.cube, self.pixels[rows], self.window, self.padded)
+        return unfold(windows, self.subpatch)
 
 
 def _swap_last(t: Tensor) -> Tensor:
@@ -371,7 +404,8 @@ def encode(
         Final [B, N_p, d_model] tensor, or (tensor, list of block outputs).
     """
     x = features if isinstance(features, Tensor) else Tensor(features)
-    z = ad.add(ad.matmul(x, model.embed_weight), Tensor(model.positional))
+    positional = _positional_table(x.shape[-2], model.config.d_model)
+    z = ad.add(ad.matmul(x, model.embed_weight), Tensor(positional))
     captured = []
     for layer in model.layers:
         z = encoder_block(z, layer, model.config, training, rng)
@@ -398,42 +432,55 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def map_batches(fn, features: np.ndarray, batch_size: int = 64) -> list:
-    """``fn`` applied to consecutive ``batch_size`` slices of ``features``.
+def map_batches(fn, items: np.ndarray | PixelWindows, batch_size: int = 64) -> list:
+    """``fn`` applied to consecutive ``batch_size`` slices of ``items``.
 
     Batches run on a thread pool with one thread per available CPU (never
-    more threads than batches; a single batch or CPU runs inline). numpy and
-    BLAS release the GIL. Batches see the caller's ``np.errstate``. Tapes
-    are per thread and every batch starts with none active, so nothing lands
-    on the caller's tape and each batch's result is independent of the
-    thread count. Results come back in batch order; the first failing
-    batch's exception is re-raised.
+    more threads than batches; a single batch or CPU runs inline), in rounds
+    of one batch per thread: the calling thread slices a round's batches and
+    the pool runs ``fn`` on them, so no more slices (for a ``PixelWindows``,
+    gathered windows) exist at once than there are threads. numpy and BLAS
+    release the GIL. Batches see the caller's ``np.errstate``. Tapes are per
+    thread and every batch starts with none active, so nothing lands on the
+    caller's tape and each batch's result is independent of the thread
+    count. Results come back in batch order; the first failing batch's
+    exception is re-raised.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    batches = [
-        features[start : start + batch_size]
-        for start in range(0, features.shape[0], batch_size)
-    ]
-    workers = min(_cpu_count(), len(batches))
+    starts = range(0, len(items), batch_size)
+    workers = min(_cpu_count(), len(starts))
     if workers <= 1:
         with ad.no_tape():
-            return [fn(batch) for batch in batches]
-    # each batch runs in a copy of the caller's context, which carries numpy's
-    # floating-point error state (np.errstate) as the inline path does
-    contexts = [contextvars.copy_context() for _ in batches]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+            return [fn(items[start : start + batch_size]) for start in starts]
+
+    def run_round(pool: ThreadPoolExecutor, round_starts: range) -> list:
+        # Slicing here, while no worker runs, keeps each gather apart from
+        # other threads' work; perfbench's tracer keeps one span stack per
+        # process and misattributes spans that overlap across threads.
+        batches = [items[start : start + batch_size] for start in round_starts]
+        # each batch runs in a copy of the caller's context, which carries
+        # numpy's floating-point error state (np.errstate) as inline runs do
+        contexts = [contextvars.copy_context() for _ in batches]
         return list(pool.map(lambda ctx, batch: ctx.run(fn, batch), contexts, batches))
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return [
+            result
+            for first in range(0, len(starts), workers)
+            for result in run_round(pool, starts[first : first + workers])
+        ]
 
 
 def predict_probs(
-    model: SstModel, features: np.ndarray, batch_size: int = 64
+    model: SstModel, features: np.ndarray | PixelWindows, batch_size: int = 64
 ) -> np.ndarray:
-    """Evaluation-mode probabilities [n, C] for pre-unfolded windows.
+    """Evaluation-mode probabilities [n, C] for unfolded windows.
 
-    Batches of ``batch_size`` windows run on one thread per available CPU
-    (see ``map_batches``); there is no setting for the thread count, and the
-    result is bitwise identical for any CPU count.
+    Batches of ``batch_size`` windows (gathered per batch from a
+    ``PixelWindows``) run on one thread per available CPU (see
+    ``map_batches``); there is no setting for the thread count, and the
+    result is bitwise identical for any CPU count, array or lazy source.
     """
 
     def probs(batch: np.ndarray) -> np.ndarray:
@@ -482,7 +529,6 @@ def init_model(config: SstConfig, seed: int = 0) -> SstModel:
     model = SstModel(
         config=config,
         embed_weight=_uniform_weight(rng, config.token_dim, (config.token_dim, d)),
-        positional=positional_encoding(config.n_tokens, d),
         layers=layers,
         class_query=Tensor(np.zeros((1, d)), requires_grad=True),
         pool_k=_uniform_weight(rng, d, (d, d)),

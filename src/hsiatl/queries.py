@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hsiatl.data import HsiCube, LabelMap, extract_windows_batch, mirror_pad
-from hsiatl.model import SstModel, predict_probs, unfold
+from hsiatl.data import HsiCube, LabelMap, mirror_pad
+from hsiatl.model import PixelWindows, SstModel, predict_probs
 
 STRATEGIES = ("hybrid", "random", "uncertainty", "entropy", "margin", "diversity_only")
 
@@ -134,19 +134,29 @@ def select_top(scores: np.ndarray, k: int) -> np.ndarray:
     return order[: min(k, scores.size)]
 
 
+def _pool_probs(
+    model: SstModel, cube: HsiCube, pool: np.ndarray, features: np.ndarray | PixelWindows | None
+) -> np.ndarray:
+    """Probabilities for the pool; its windows are gathered per batch unless given."""
+    if features is None:
+        features = PixelWindows(cube, pool, model.config.window, model.config.subpatch)
+    return predict_probs(model, features)
+
+
 def hybrid_query(
     model: SstModel,
     cube: HsiCube,
     pool: np.ndarray,
     cfg: QueryConfig,
-    features: np.ndarray | None = None,
+    features: np.ndarray | PixelWindows | None = None,
 ) -> QueryResult:
     """Uncertainty shortlist, then diversity ranking.
 
     Args:
         pool: flattened candidate pixel indices, non-empty.
-        features: optional pre-unfolded windows aligned with ``pool`` rows
-            (skips re-extraction when the caller already has them).
+        features: optional unfolded windows aligned with ``pool`` rows, such
+            as ``WindowBank.windows`` gives; by default they are gathered
+            from ``cube`` batch by batch.
 
     Returns:
         QueryResult with min(query_size, len(pool)) distinct pool pixels,
@@ -155,10 +165,7 @@ def hybrid_query(
     pool = np.asarray(pool)
     if pool.size == 0:
         raise ValueError("pool is empty")
-    if features is None:
-        windows = extract_windows_batch(cube, pool, model.config.window)
-        features = unfold(windows, model.config.subpatch)
-    probs = predict_probs(model, features)
+    probs = _pool_probs(model, cube, pool, features)
     informativeness = uncertainty_scores(probs)
     n_shortlist = min(cfg.beta * cfg.query_size, pool.size)
     shortlist = select_top(informativeness, n_shortlist)
@@ -179,7 +186,7 @@ def query_pool(
     pool: np.ndarray,
     cfg: QueryConfig,
     rng: np.random.Generator | None = None,
-    features: np.ndarray | None = None,
+    features: np.ndarray | PixelWindows | None = None,
 ) -> QueryResult:
     """Dispatch one acquisition round for any configured strategy."""
     pool = np.asarray(pool)
@@ -199,10 +206,7 @@ def query_pool(
         picked = select_top(diversity, take)
         return QueryResult(selected=pool[picked], informativeness=np.zeros(take),
                            diversity=diversity[picked])
-    if features is None:
-        windows = extract_windows_batch(cube, pool, model.config.window)
-        features = unfold(windows, model.config.subpatch)
-    probs = predict_probs(model, features)
+    probs = _pool_probs(model, cube, pool, features)
     scorer = {
         "uncertainty": uncertainty_scores,
         "entropy": entropy_scores,

@@ -10,16 +10,16 @@ import numpy as np
 
 from hsiatl import autodiff as ad
 from hsiatl.autodiff import Tape
-from hsiatl.data import HsiCube, LabelMap, SplitManifest, extract_windows_batch
+from hsiatl.data import HsiCube, LabelMap, SplitManifest, check_extent, window_pad
 from hsiatl.metrics import MetricsReport, confusion, report
 from hsiatl.model import (
+    PixelWindows,
     RowDraws,
     SstModel,
     dropout_draws,
     forward_batch,
     map_batches,
     predict_probs,
-    unfold,
 )
 from hsiatl.optim import Adam
 from hsiatl.queries import QueryConfig, al_round, query_pool
@@ -45,27 +45,40 @@ class TrainConfig:
 
 
 class WindowBank:
-    """Unfolded windows and 0-based targets for every labeled pixel.
+    """Windows and 0-based targets of every labeled pixel, gathered on demand.
 
-    Extraction and unfolding happen once; training rounds and pool scoring
-    then gather rows by flattened pixel index.
+    The bank keeps one mirror-padded copy of the cube (``window_pad``) and
+    the targets; no window exists until asked for. ``windows`` gives a lazy
+    ``PixelWindows`` over some labeled pixels, which evaluation and pool
+    scoring unfold batch by batch, and ``take`` gathers them all at once for
+    training. Raises DimensionError when the label map and the cube differ
+    in extent.
     """
 
     def __init__(self, cube: HsiCube, labels: LabelMap, window: int, subpatch: int):
+        check_extent(cube, labels)
         self.pixels = labels.labeled_indices()
         if self.pixels.size == 0:
             raise ValueError("label map has no labeled pixels")
-        windows = extract_windows_batch(cube, self.pixels, window)
-        self.features = unfold(windows, subpatch)
+        self.cube, self.window, self.subpatch = cube, window, subpatch
+        self.padded = window_pad(cube, window)
         self.targets = labels.labels.ravel()[self.pixels].astype(np.int64) - 1
         self._row = np.full(labels.labels.size, -1, dtype=np.int64)
         self._row[self.pixels] = np.arange(self.pixels.size)
 
-    def take(self, pixel_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rows = self._row[np.asarray(pixel_indices)]
+    def windows(self, pixel_indices: np.ndarray) -> tuple[PixelWindows, np.ndarray]:
+        """Lazy unfolded windows and targets of labeled pixels, in their order."""
+        pixel_indices = np.asarray(pixel_indices)
+        rows = self._row[pixel_indices]
         if (rows < 0).any():
             raise ValueError("requested pixels that are not labeled")
-        return self.features[rows], self.targets[rows]
+        windows = PixelWindows(self.cube, pixel_indices, self.window, self.subpatch, self.padded)
+        return windows, self.targets[rows]
+
+    def take(self, pixel_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unfolded windows [n, N_p, p*p*bands] and targets, gathered now."""
+        windows, targets = self.windows(pixel_indices)
+        return windows[:], targets
 
 
 def train_model(
@@ -133,7 +146,7 @@ def train_model(
 
 
 def evaluate(
-    model: SstModel, features: np.ndarray, target_classes: np.ndarray
+    model: SstModel, features: np.ndarray | PixelWindows, target_classes: np.ndarray
 ) -> MetricsReport:
     """Score evaluation-mode predictions; target classes are 1-based."""
     probs = predict_probs(model, features)
@@ -143,8 +156,8 @@ def evaluate(
 
 
 def evaluate_pixels(model: SstModel, bank: WindowBank, pixels: np.ndarray) -> MetricsReport:
-    features, targets = bank.take(pixels)
-    return evaluate(model, features, targets + 1)
+    windows, targets = bank.windows(pixels)
+    return evaluate(model, windows, targets + 1)
 
 
 def run_active_learning(
@@ -212,7 +225,7 @@ def run_active_learning(
             cfg = dataclasses.replace(query_cfg, query_size=size)
         result = query_pool(
             model, cube, labels, pool, cfg,
-            rng=rng, features=bank.take(pool)[0],
+            rng=rng, features=bank.windows(pool)[0],
         )
         train, pool = al_round(train, pool, result.selected)
         fit_and_score(round_idx, result.selected)

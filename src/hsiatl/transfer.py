@@ -14,14 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hsiatl.data import (
-    DimensionError,
-    HsiCube,
-    LabelMap,
-    extract_windows_batch,
-    make_split,
-)
-from hsiatl.model import SstModel, encode, map_batches, reset_head, unfold
+from hsiatl.data import DimensionError, HsiCube, LabelMap, check_extent, make_split
+from hsiatl.model import PixelWindows, SstModel, encode, map_batches, reset_head
 from hsiatl.training import TrainConfig, WindowBank, evaluate, train_model
 
 logger = logging.getLogger(__name__)
@@ -109,7 +103,7 @@ def mmd(x: np.ndarray, y: np.ndarray, cfg: MmdConfig | None = None) -> float:
     return max(value, 0.0)
 
 
-def _token_means(model: SstModel, features: np.ndarray) -> list[np.ndarray]:
+def _token_means(model: SstModel, features: np.ndarray | PixelWindows) -> list[np.ndarray]:
     """Mean-over-tokens output of every encoder block, one [n, d] per block.
 
     Windows are encoded in parallel batches (see ``map_batches``); a row's
@@ -128,8 +122,8 @@ def _token_means(model: SstModel, features: np.ndarray) -> list[np.ndarray]:
 
 def freeze_plan(
     model: SstModel,
-    source_features: np.ndarray,
-    target_features: np.ndarray,
+    source_features: np.ndarray | PixelWindows,
+    target_features: np.ndarray | PixelWindows,
     rho: float,
     cfg: MmdConfig | None = None,
 ) -> FreezePlan:
@@ -228,6 +222,8 @@ def run_transfer(
     """
     if not 0.0 < target_fraction < 1.0:
         raise ValueError("target_fraction must be in (0, 1)")
+    check_extent(source_cube, source_labels)
+    check_extent(target_cube, target_labels)
     if source_cube.bands != target_cube.bands:
         raise DimensionError(
             f"band counts differ: source has {source_cube.bands}, "
@@ -236,11 +232,11 @@ def run_transfer(
     window, subpatch = model.config.window, model.config.subpatch
     rng = np.random.default_rng(seed)
 
-    def sample_features(cube: HsiCube, labels: LabelMap) -> np.ndarray:
+    def sample_features(cube: HsiCube, labels: LabelMap) -> PixelWindows:
         pixels = labels.labeled_indices()
         take = min(mmd_cfg.sample_count, pixels.size)
         picked = rng.choice(pixels, size=take, replace=False)
-        return unfold(extract_windows_batch(cube, picked, window), subpatch)
+        return PixelWindows(cube, picked, window, subpatch)
 
     plan = freeze_plan(
         model,
@@ -253,16 +249,16 @@ def run_transfer(
         target_labels, (target_fraction, 0.0, 1.0 - target_fraction), seed=seed
     )
     bank = WindowBank(target_cube, target_labels, window, subpatch)
-    test_features, test_targets = bank.take(split.test)
+    test_windows, test_targets = bank.windows(split.test)
     zero_shot = None
     if target_labels.n_classes == model.config.n_classes:
-        zero_shot = evaluate(model, test_features, test_targets + 1).as_dict()
+        zero_shot = evaluate(model, test_windows, test_targets + 1).as_dict()
     tune_features, tune_targets = bank.take(split.train)
     fine_tune(
         model, tune_features, tune_targets + 1, plan, train_cfg,
         n_classes=target_labels.n_classes, head_seed=seed,
     )
-    tuned = evaluate(model, test_features, test_targets + 1).as_dict()
+    tuned = evaluate(model, test_windows, test_targets + 1).as_dict()
     report = {
         "per_layer_mmd": plan.layer_mmd,
         "per_layer_variance": {

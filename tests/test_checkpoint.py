@@ -1,5 +1,7 @@
 """Checkpoint byte-exactness and error paths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import forward, rewrite_checkpoint
@@ -125,3 +127,22 @@ class TestErrorPaths:
         rewrite_checkpoint(tmp_path / "model.sstc", tmp_path / "bad.sstc", huge)
         with pytest.raises(FormatError, match=r"parameter embed.weight has shape \[20, 8\]"):
             load_model(tmp_path / "bad.sstc")
+
+    def test_huge_window_loads_without_a_positional_table(self, tmp_path):
+        # the window is bounded by the cube only when the model meets data;
+        # loading alone must not size anything by it
+        save_model(sample_model(), tmp_path / "model.sstc")
+
+        def wide(header):
+            header["config"]["window"] = 65536
+            return header
+
+        rewrite_checkpoint(tmp_path / "model.sstc", tmp_path / "wide.sstc", wide)
+        tracemalloc.start()
+        try:
+            model = load_model(tmp_path / "wide.sstc")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.config.n_tokens == 2**30
+        assert peak < 4 << 20

@@ -1,7 +1,11 @@
 """End-to-end command-line runs, in process via cli.main(argv)."""
 
 import csv
+import ctypes
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -391,3 +395,77 @@ class TestIncompatibleData:
         err = self.eval_data(workdir, capsys, manifest=tmp_path / "overlap.json")
         assert "overlap.json: not a valid split manifest" in err
         assert "must be disjoint" in err
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    @pytest.mark.parametrize("size", [16, 24])
+    def test_label_map_of_another_extent(self, workdir, tmp_path, capsys, command, size):
+        labels = np.arange(size * size).reshape(size, size) % 3 + 1
+        write_labels(tmp_path / "other.hsil", labels)
+        argv = [command, "--config", workdir / "cfg.json", "--cube", workdir / "a.hsic",
+                "--labels", tmp_path / "other.hsil"]
+        if command == "eval":
+            argv += ["--checkpoint", workdir / "a.sstc"]
+        else:
+            argv += ["--manifest", tmp_path / "split.json"]
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("data error:") and "Traceback" not in err, err
+        assert f"label map is {size}x{size} but the cube is 20x20" in err
+
+    def test_checkpoint_window_beyond_a_larger_cube(self, workdir, tmp_path, capsys):
+        cube, labels = self.synth(tmp_path, "wide", 3, "48x48x8")
+        rewrite_checkpoint(workdir / "a.sstc", tmp_path / "wide.sstc",
+                           edit_header=with_config(window=65536))
+        code = run(["eval", "--checkpoint", tmp_path / "wide.sstc",
+                    "--cube", cube, "--labels", labels])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "checkpoint window 65536 exceeds cube extent (48, 48)" in err
+
+
+class TestAllocatorThresholds:
+    """``main`` asks glibc once per process to keep freed memory."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_process(self):
+        cli._keep_freed_pages.cache_clear()
+        yield
+        cli._keep_freed_pages.cache_clear()
+
+    def test_main_sets_both_thresholds_once(self, monkeypatch):
+        calls = []
+
+        class Mallopt:
+            def __call__(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        class Libc:
+            mallopt = Mallopt()
+
+        monkeypatch.setattr(cli, "_libc", Libc)
+        assert cli.main([]) == 1
+        assert cli.main([]) == 1
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+        assert Libc.mallopt.argtypes == [ctypes.c_int, ctypes.c_int]
+
+    @pytest.mark.parametrize("libc", [object(), None])
+    def test_no_mallopt_is_skipped(self, monkeypatch, libc):
+        monkeypatch.setattr(cli, "_libc", lambda: libc)
+        assert cli.main([]) == 1
+
+    def test_importing_the_package_calls_nothing(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        script = (
+            "import ctypes, numpy\n"
+            "opened = []\n"
+            "real = ctypes.CDLL\n"
+            "ctypes.CDLL = lambda *a, **k: opened.append(a) or real(*a, **k)\n"
+            "import hsiatl, hsiatl.cli\n"
+            "print(len(opened), hsiatl.cli._keep_freed_pages.cache_info().currsize)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], cwd=src,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "0"]

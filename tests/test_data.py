@@ -28,6 +28,7 @@ from hsiatl.data import (
     save_manifest,
     synth_cube,
     validate_split,
+    window_pad,
 )
 
 
@@ -237,6 +238,33 @@ class TestExtractWindow:
         for row, flat in enumerate(indices):
             single = extract_window(cube, divmod(int(flat), 7), 4)
             assert batch[row].tobytes() == single.tobytes()
+
+    def test_every_pixel_byte_equal_to_oracle(self):
+        rng = np.random.default_rng(5)
+        for rows in range(1, 8):
+            for cols in range(1, 8):
+                cube = HsiCube(rng.normal(size=(rows, cols, 2)))
+                pixels = np.arange(rows * cols)
+                # every even window up to the extent, the extent included
+                for window in range(2, min(rows, cols) + 1, 2):
+                    batch = extract_windows_batch(cube, pixels, window)
+                    assert batch.flags.c_contiguous
+                    for flat in pixels:
+                        single = extract_window(cube, divmod(int(flat), cols), window)
+                        assert batch[flat].tobytes() == single.tobytes(), (
+                            rows, cols, window, flat)
+
+    def test_kept_padded_copy_gives_the_same_windows(self):
+        cube = self.make_fixture()
+        indices = np.array([0, 6, 20, 41, 13])
+        padded = window_pad(cube, 4)
+        kept = extract_windows_batch(cube, indices, 4, padded)
+        assert kept.tobytes() == extract_windows_batch(cube, indices, 4).tobytes()
+
+    @pytest.mark.parametrize("flat", [-1, 42])
+    def test_pixel_outside_cube_rejected(self, flat):
+        with pytest.raises(ValueError, match=r"pixel indices must lie in \[0, 42\)"):
+            extract_windows_batch(self.make_fixture(), np.array([0, flat]), 4)
 
 
 class TestMakeSplit:

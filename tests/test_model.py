@@ -4,6 +4,9 @@ differences through whole encoder blocks and the full classifier."""
 
 import os
 import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +21,9 @@ from conftest import (
 from hsiatl import autodiff as ad
 from hsiatl import model as model_module
 from hsiatl.autodiff import Tape, Tensor
+from hsiatl.data import HsiCube, extract_windows_batch
 from hsiatl.model import (
+    PixelWindows,
     SstConfig,
     SstModel,
     attention,
@@ -154,6 +159,16 @@ class TestPositionalEncoding:
     def test_values_bounded(self):
         enc = positional_encoding(100, 16)
         assert np.abs(enc).max() <= 1.0
+
+    def test_encode_shares_one_read_only_table_per_token_count(self):
+        cfg = tiny_config()
+        model = init_model(cfg, seed=1)
+        assert not hasattr(model, "positional")
+        forward_batch(model, unfold(np.zeros((2, 4, 4, 3)), cfg.subpatch))
+        table = model_module._positional_table(cfg.n_tokens, cfg.d_model)
+        assert not table.flags.writeable
+        assert table.tobytes() == positional_encoding(cfg.n_tokens, cfg.d_model).tobytes()
+        assert model_module._positional_table(cfg.n_tokens, cfg.d_model) is table
 
 
 class TestAttention:
@@ -584,3 +599,60 @@ class TestParallelEvaluation:
             plan = freeze_plan(model, source, target, 0.5)
             assert plan.layer_mmd == whole
             assert plan.frozen == [int(np.argmin(whole))]
+
+    def test_lazy_source_bitwise_equal_to_array(self, monkeypatch):
+        cfg = SstConfig(bands=16, n_classes=4, n_layers=2)
+        model = init_model(cfg, seed=6)
+        rng = np.random.default_rng(6)
+        cube = HsiCube(rng.normal(size=(12, 15, 16)))
+        pixels = rng.permutation(12 * 15)[:130]
+        feats = unfold(extract_windows_batch(cube, pixels, cfg.window), cfg.subpatch)
+        windows = PixelWindows(cube, pixels, cfg.window, cfg.subpatch)
+        assert len(windows) == 130
+        self.force_cpus(monkeypatch, 1)
+        reference = predict_probs(model, feats, batch_size=len(feats))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for width in (1, 2, 4):
+                self.force_cpus(monkeypatch, width)
+                for batch_size in (1, 3, 64):
+                    probs = predict_probs(model, windows, batch_size=batch_size)
+                    assert probs.tobytes() == reference.tobytes(), (width, batch_size)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_no_more_gathered_batches_than_workers(self, monkeypatch):
+        class CountingSource:
+            """Rows 0..n-1; counts the slices alive at any one time."""
+
+            def __init__(self, n):
+                self.n, self.live, self.most = n, 0, 0
+                self.lock = threading.Lock()
+
+            def __len__(self):
+                return self.n
+
+            def __getitem__(self, rows):
+                batch = np.arange(self.n, dtype=np.float64)[rows]
+                with self.lock:
+                    self.live += 1
+                    self.most = max(self.most, self.live)
+                weakref.finalize(batch, self.release)
+                return batch
+
+            def release(self):
+                with self.lock:
+                    self.live -= 1
+
+        def slow_sum(batch):
+            time.sleep(0.002)
+            return batch.sum()
+
+        for width in (1, 2, 4):
+            self.force_cpus(monkeypatch, width)
+            source = CountingSource(200)
+            sums = map_batches(slow_sum, source, batch_size=8)
+            assert sum(sums) == sum(range(200))
+            assert source.live == 0
+            assert 1 <= source.most <= width, (width, source.most)

@@ -13,7 +13,7 @@ from hsiatl import autodiff as ad
 from hsiatl import model as model_module
 from hsiatl import training as training_module
 from hsiatl.autodiff import Tape
-from hsiatl.data import extract_windows_batch, make_split, synth_cube
+from hsiatl.data import DimensionError, LabelMap, extract_windows_batch, make_split, synth_cube
 from hsiatl.model import SstConfig, forward_batch, init_model, unfold
 from hsiatl.queries import QueryConfig
 from hsiatl.training import (
@@ -54,6 +54,24 @@ class TestWindowBank:
         fresh = WindowBank(cube, labels, 4, 2)
         with pytest.raises(ValueError):
             fresh.take(np.array([0]))
+
+    def test_lazy_windows_equal_taken_ones(self):
+        _, _, _, _, bank = small_problem()
+        pixels = bank.pixels[[5, 0, 17, 100]]
+        windows, targets = bank.windows(pixels)
+        feats, taken_targets = bank.take(pixels)
+        assert len(windows) == 4
+        assert windows[:].tobytes() == feats.tobytes()
+        assert windows[1:3].tobytes() == feats[1:3].tobytes()
+        np.testing.assert_array_equal(targets, taken_targets)
+
+    @pytest.mark.parametrize("size", [12, 16])
+    def test_label_map_of_another_extent_rejected(self, size):
+        cube, labels, *_ = small_problem()
+        other = LabelMap(np.resize(labels.labels, (size, size)))
+        message = f"label map is {size}x{size} but the cube is 14x14"
+        with pytest.raises(DimensionError, match=message):
+            WindowBank(cube, other, 4, 2)
 
 
 class TestTrainModel:

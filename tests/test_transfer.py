@@ -123,7 +123,7 @@ def transfer_fixture(seed=42):
 class TestLayerFeatures:
     def test_shape_and_determinism(self):
         _, _, model, bank = transfer_fixture()
-        feats = bank.features[:10]
+        feats = bank.take(bank.pixels[:10])[0]
         out = layer_features(model, feats, 2)
         assert out.shape == (10, 8)
         np.testing.assert_array_equal(out, layer_features(model, feats, 2))
@@ -134,21 +134,21 @@ class TestLayerFeatures:
         _, _, model, bank = transfer_fixture()
         for p in model.parameters().values():
             p.data[...] = 0.0
-        out = layer_features(model, bank.features[:6], 1)
+        out = layer_features(model, bank.take(bank.pixels[:6])[0], 1)
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
 
 class TestFreezePlan:
     def test_frozen_count_is_floor_rho_l(self):
         _, _, model, bank = transfer_fixture()
-        src, tgt = bank.features[:20], bank.features[20:40]
+        src, tgt = bank.take(bank.pixels[:20])[0], bank.take(bank.pixels[20:40])[0]
         for rho, expected in [(0.0, 0), (0.24, 0), (0.25, 1), (0.5, 2), (0.75, 3), (1.0, 4)]:
             plan = freeze_plan(model, src, tgt, rho)
             assert len(plan.frozen) == expected, rho
 
     def test_identical_domains_tie_break_to_low_indices(self):
         _, _, model, bank = transfer_fixture()
-        src = bank.features[:20]
+        src = bank.take(bank.pixels[:20])[0]
         plan = freeze_plan(model, src, src.copy(), 0.5)
         assert plan.layer_mmd == [0.0, 0.0, 0.0, 0.0]
         assert plan.frozen == [0, 1]
@@ -157,7 +157,7 @@ class TestFreezePlan:
         cube, labels, model, bank = transfer_fixture()
         shifted, shifted_labels = synth_cube(3, 12, 12, 8, noise=0.2, shift=1.0, seed=1)
         tgt_bank = WindowBank(shifted, shifted_labels, 4, 2)
-        src, tgt = bank.features[:30], tgt_bank.features[:30]
+        src, tgt = bank.take(bank.pixels[:30])[0], tgt_bank.take(tgt_bank.pixels[:30])[0]
         previous: set = set()
         for rho in (0.0, 0.25, 0.5, 0.75, 1.0):
             plan = freeze_plan(model, src, tgt, rho)
@@ -167,7 +167,8 @@ class TestFreezePlan:
 
     def test_variances_recorded_per_layer(self):
         _, _, model, bank = transfer_fixture()
-        plan = freeze_plan(model, bank.features[:15], bank.features[15:30], 0.5)
+        src, tgt = bank.take(bank.pixels[:15])[0], bank.take(bank.pixels[15:30])[0]
+        plan = freeze_plan(model, src, tgt, 0.5)
         assert len(plan.variance_source) == 4
         assert len(plan.variance_target) == 4
         assert all(v >= 0 for v in plan.variance_source)
@@ -175,7 +176,8 @@ class TestFreezePlan:
     def test_rho_out_of_range_rejected(self):
         _, _, model, bank = transfer_fixture()
         with pytest.raises(ValueError):
-            freeze_plan(model, bank.features[:5], bank.features[:5], 1.1)
+            feats = bank.take(bank.pixels[:5])[0]
+            freeze_plan(model, feats, feats, 1.1)
 
     def test_apply_sets_flags(self):
         _, _, model, _ = transfer_fixture()
@@ -198,11 +200,12 @@ class TestFreezePlan:
 class TestFineTune:
     def test_frozen_layers_bitwise_unchanged(self):
         _, _, model, bank = transfer_fixture()
-        plan = freeze_plan(model, bank.features[:20], bank.features[:20], 0.5)
+        feats = bank.take(bank.pixels[:20])[0]
+        plan = freeze_plan(model, feats, feats, 0.5)
         before = {
             name: p.data.tobytes() for name, p in model.parameters().items()
         }
-        feats, targets = bank.features[:30], bank.targets[:30]
+        feats, targets = bank.take(bank.pixels[:30])[0], bank.targets[:30]
         fine_tune(model, feats, targets + 1, plan,
                   TrainConfig(epochs=2, batch_size=8, seed=0), n_classes=3)
         frozen_groups = {f"enc{i}" for i in plan.frozen} | {"embed"}
@@ -213,18 +216,20 @@ class TestFineTune:
 
     def test_zero_epochs_changes_nothing(self):
         _, _, model, bank = transfer_fixture()
-        plan = freeze_plan(model, bank.features[:10], bank.features[:10], 0.0)
+        feats = bank.take(bank.pixels[:10])[0]
+        plan = freeze_plan(model, feats, feats, 0.0)
         before = {name: p.data.tobytes() for name, p in model.parameters().items()}
-        fine_tune(model, bank.features[:10], bank.targets[:10] + 1, plan,
+        fine_tune(model, feats, bank.targets[:10] + 1, plan,
                   TrainConfig(epochs=0), n_classes=3)
         for name, p in model.parameters().items():
             assert p.data.tobytes() == before[name]
 
     def test_class_count_mismatch_resets_head(self):
         _, _, model, bank = transfer_fixture()
-        plan = freeze_plan(model, bank.features[:10], bank.features[:10], 0.0)
+        feats = bank.take(bank.pixels[:10])[0]
+        plan = freeze_plan(model, feats, feats, 0.0)
         targets = np.minimum(bank.targets[:30], 1)  # pretend two classes only
-        fine_tune(model, bank.features[:30], targets + 1, plan,
+        fine_tune(model, bank.take(bank.pixels[:30])[0], targets + 1, plan,
                   TrainConfig(epochs=1, batch_size=8), n_classes=2)
         assert model.config.n_classes == 2
         assert model.head_w2.shape == (8, 2)
@@ -271,3 +276,15 @@ class TestRunTransfer:
             run_transfer(model, source_cube, source_labels,
                          target_cube, target_labels, rho=0.5,
                          mmd_cfg=MmdConfig(), train_cfg=TrainConfig(epochs=0))
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_label_map_of_another_extent_rejected(self, side):
+        cube, labels = synth_cube(3, 12, 12, 8, seed=0)
+        _, small_labels = synth_cube(3, 10, 10, 8, seed=1)
+        cfg = SstConfig(bands=8, n_classes=3, window=4, subpatch=2,
+                        d_model=8, n_layers=2, n_heads=2)
+        pairs = {"source": (cube, labels), "target": (cube, labels)}
+        pairs[side] = (cube, small_labels)
+        with pytest.raises(DimensionError, match="label map is 10x10 but the cube is 12x12"):
+            run_transfer(init_model(cfg, seed=0), *pairs["source"], *pairs["target"],
+                         rho=0.5, mmd_cfg=MmdConfig(), train_cfg=TrainConfig(epochs=0))
