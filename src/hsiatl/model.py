@@ -27,7 +27,7 @@ import numpy as np
 
 from hsiatl import autodiff as ad
 from hsiatl.autodiff import Tensor
-from hsiatl.data import HsiCube, extract_windows_batch, window_pad
+from hsiatl.data import DimensionError, HsiCube, extract_windows_batch, window_pad
 
 
 @dataclass
@@ -402,8 +402,15 @@ def encode(
 
     Returns:
         Final [B, N_p, d_model] tensor, or (tensor, list of block outputs).
+
+    Raises DimensionError when N_p is not the model's token count, such as
+    for windows unfolded at another window size.
     """
     x = features if isinstance(features, Tensor) else Tensor(features)
+    if x.shape[-2] != model.config.n_tokens:
+        raise DimensionError(
+            f"windows have {x.shape[-2]} tokens, the model expects {model.config.n_tokens}"
+        )
     positional = _positional_table(x.shape[-2], model.config.d_model)
     z = ad.add(ad.matmul(x, model.embed_weight), Tensor(positional))
     captured = []

@@ -134,38 +134,10 @@ def select_top(scores: np.ndarray, k: int) -> np.ndarray:
     return order[: min(k, scores.size)]
 
 
-def _pool_probs(
-    model: SstModel, cube: HsiCube, pool: np.ndarray, features: np.ndarray | PixelWindows | None
-) -> np.ndarray:
-    """Probabilities for the pool; its windows are gathered per batch unless given."""
-    if features is None:
-        features = PixelWindows(cube, pool, model.config.window, model.config.subpatch)
-    return predict_probs(model, features)
-
-
-def hybrid_query(
-    model: SstModel,
-    cube: HsiCube,
-    pool: np.ndarray,
-    cfg: QueryConfig,
-    features: np.ndarray | PixelWindows | None = None,
+def _rank_hybrid(
+    cube: HsiCube, pool: np.ndarray, cfg: QueryConfig, probs: np.ndarray
 ) -> QueryResult:
-    """Uncertainty shortlist, then diversity ranking.
-
-    Args:
-        pool: flattened candidate pixel indices, non-empty.
-        features: optional unfolded windows aligned with ``pool`` rows, such
-            as ``WindowBank.windows`` gives; by default they are gathered
-            from ``cube`` batch by batch.
-
-    Returns:
-        QueryResult with min(query_size, len(pool)) distinct pool pixels,
-        ordered by descending diversity within the uncertainty shortlist.
-    """
-    pool = np.asarray(pool)
-    if pool.size == 0:
-        raise ValueError("pool is empty")
-    probs = _pool_probs(model, cube, pool, features)
+    """Shortlist ``pool`` by uncertainty of ``probs``, then rank it by diversity."""
     informativeness = uncertainty_scores(probs)
     n_shortlist = min(cfg.beta * cfg.query_size, pool.size)
     shortlist = select_top(informativeness, n_shortlist)
@@ -179,6 +151,26 @@ def hybrid_query(
     )
 
 
+def hybrid_query(
+    model: SstModel, cube: HsiCube, pool: np.ndarray, cfg: QueryConfig
+) -> QueryResult:
+    """Uncertainty shortlist, then diversity ranking.
+
+    Args:
+        pool: flattened candidate pixel indices, non-empty. Their windows are
+            gathered from ``cube`` batch by batch while they are scored.
+
+    Returns:
+        QueryResult with min(query_size, len(pool)) distinct pool pixels,
+        ordered by descending diversity within the uncertainty shortlist.
+    """
+    pool = np.asarray(pool)
+    if pool.size == 0:
+        raise ValueError("pool is empty")
+    windows = PixelWindows(cube, pool, model.config.window, model.config.subpatch)
+    return _rank_hybrid(cube, pool, cfg, predict_probs(model, windows))
+
+
 def query_pool(
     model: SstModel,
     cube: HsiCube,
@@ -186,15 +178,17 @@ def query_pool(
     pool: np.ndarray,
     cfg: QueryConfig,
     rng: np.random.Generator | None = None,
-    features: np.ndarray | PixelWindows | None = None,
+    features: np.ndarray | None = None,
 ) -> QueryResult:
-    """Dispatch one acquisition round for any configured strategy."""
+    """Dispatch one acquisition round for any configured strategy.
+
+    ``features``, if given, are the unfolded windows of the ``pool`` rows;
+    by default they are gathered from ``cube`` batch by batch while scored.
+    """
     pool = np.asarray(pool)
     if pool.size == 0:
         raise ValueError("pool is empty")
     take = min(cfg.query_size, pool.size)
-    if cfg.strategy == "hybrid":
-        return hybrid_query(model, cube, pool, cfg, features)
     if cfg.strategy == "random":
         if rng is None:
             raise ValueError("random strategy needs an rng")
@@ -206,7 +200,11 @@ def query_pool(
         picked = select_top(diversity, take)
         return QueryResult(selected=pool[picked], informativeness=np.zeros(take),
                            diversity=diversity[picked])
-    probs = _pool_probs(model, cube, pool, features)
+    if features is None:
+        features = PixelWindows(cube, pool, model.config.window, model.config.subpatch)
+    probs = predict_probs(model, features)
+    if cfg.strategy == "hybrid":
+        return _rank_hybrid(cube, pool, cfg, probs)
     scorer = {
         "uncertainty": uncertainty_scores,
         "entropy": entropy_scores,

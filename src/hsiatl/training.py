@@ -223,10 +223,7 @@ def run_active_learning(
                 fit_and_score(round_idx, np.zeros(0, dtype=np.int64))
                 continue
             cfg = dataclasses.replace(query_cfg, query_size=size)
-        result = query_pool(
-            model, cube, labels, pool, cfg,
-            rng=rng, features=bank.windows(pool)[0],
-        )
+        result = query_pool(model, cube, labels, pool, cfg, rng=rng)
         train, pool = al_round(train, pool, result.selected)
         fit_and_score(round_idx, result.selected)
     return records

@@ -21,7 +21,7 @@ from conftest import (
 from hsiatl import autodiff as ad
 from hsiatl import model as model_module
 from hsiatl.autodiff import Tape, Tensor
-from hsiatl.data import HsiCube, extract_windows_batch
+from hsiatl.data import DimensionError, HsiCube, extract_windows_batch
 from hsiatl.model import (
     PixelWindows,
     SstConfig,
@@ -169,6 +169,16 @@ class TestPositionalEncoding:
         assert not table.flags.writeable
         assert table.tobytes() == positional_encoding(cfg.n_tokens, cfg.d_model).tobytes()
         assert model_module._positional_table(cfg.n_tokens, cfg.d_model) is table
+
+    def test_windows_of_another_size_are_rejected(self):
+        cfg = tiny_config()
+        model = init_model(cfg, seed=1)
+        wide = unfold(np.zeros((3, 2 * cfg.window, 2 * cfg.window, cfg.bands)), cfg.subpatch)
+        assert wide.shape[-1] == cfg.token_dim and wide.shape[-2] != cfg.n_tokens
+        with pytest.raises(DimensionError, match=f"model expects {cfg.n_tokens}"):
+            forward_batch(model, wide)
+        with pytest.raises(DimensionError):
+            predict_probs(model, wide, batch_size=1)
 
 
 class TestAttention:

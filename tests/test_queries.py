@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from conftest import diversity_oracle, neighborhood_spectra
 
-from hsiatl.data import HsiCube, synth_cube
-from hsiatl.model import SstConfig, init_model
+from hsiatl.data import HsiCube, extract_windows_batch, synth_cube
+from hsiatl.model import SstConfig, init_model, unfold
 from hsiatl.queries import (
     QueryConfig,
     al_round,
@@ -233,6 +233,20 @@ class TestQueryStrategies:
         unc_cfg = QueryConfig(query_size=6, strategy="uncertainty")
         alone = query_pool(self.model, self.cube, self.labels, self.pool, unc_cfg)
         np.testing.assert_array_equal(hybrid.selected, alone.selected)
+
+    @pytest.mark.parametrize("strategy", ["hybrid", "uncertainty", "entropy", "margin"])
+    def test_given_windows_pick_what_gathered_ones_do(self, strategy):
+        cfg = QueryConfig(query_size=6, beta=2, strategy=strategy)
+        window, subpatch = self.model.config.window, self.model.config.subpatch
+        features = unfold(extract_windows_batch(self.cube, self.pool, window), subpatch)
+        given = query_pool(self.model, self.cube, self.labels, self.pool, cfg,
+                           features=features)
+        gathered = query_pool(self.model, self.cube, self.labels, self.pool, cfg)
+        for field in ("selected", "informativeness", "diversity"):
+            assert getattr(given, field).tobytes() == getattr(gathered, field).tobytes()
+        if strategy == "hybrid":
+            direct = hybrid_query(self.model, self.cube, self.pool, cfg)
+            assert direct.selected.tobytes() == gathered.selected.tobytes()
 
     def test_hybrid_finds_planted_boundary_pixel(self):
         # a model that is clueless everywhere ranks uniformly; plant a pixel
