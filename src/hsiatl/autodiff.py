@@ -25,7 +25,8 @@ class ShapeError(ValueError):
 
 
 class GraphError(RuntimeError):
-    """A backward pass was requested for a tensor the tape never recorded."""
+    """A backward pass was requested for a tensor the tape never recorded,
+    or on a tape that was already swept."""
 
 
 _active = threading.local()
@@ -158,19 +159,27 @@ def _record(out: Tensor, parents: Sequence[Tensor], backward_fn: Callable) -> Te
 def backward(tape: Tape, loss: Tensor) -> None:
     """Reverse sweep: accumulate gradients of ``loss`` into ``Tensor.grad``.
 
-    ``loss`` must be a scalar recorded on ``tape``. Gradients add into any
-    tensor that participated, parameters included; reset ``grad`` to ``None``
-    between steps.
+    ``loss`` must be a scalar recorded on ``tape``. Gradients add into the
+    leaf tensors that participated, parameters included; reset ``grad`` to
+    ``None`` between steps. The sweep frees the graph as it goes: each
+    record drops its backward closure (and with it the activations that
+    closure holds) and, except for ``loss``, its gradient once that has
+    been passed on. ``tape.records`` keeps every entry, but a swept tape
+    cannot be swept again.
     """
     if loss._tape is None or loss._tape() is not tape:
         raise GraphError("loss tensor was not recorded on this tape")
     if loss.size != 1:
         raise GraphError(f"loss must be scalar, got shape {loss.shape}")
+    if loss._backward is None:
+        raise GraphError("this tape was already swept")
     loss.grad = np.ones_like(loss.data)
     for t in reversed(tape.records):
-        if t.grad is None or t._backward is None:
-            continue
-        t._backward(t.grad)
+        if t.grad is not None:
+            t._backward(t.grad)
+            if t is not loss:
+                t.grad = None
+        t._backward = None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 usage error, 2 data or file-format error,
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import ctypes
 import dataclasses
@@ -488,13 +489,13 @@ def cmd_ablate(args: argparse.Namespace, run: RunConfig) -> int:
                 "oa": last["oa"], "aa": last["aa"], "kappa": last["kappa"],
             })
         if want_transfer:
+            # one source model per seed; each arm adapts its own copy
+            source = init_model(run.model_config(cube.bands, labels.n_classes), seed=seed)
+            features, targets = bank.take(manifest.train)
+            train_model(source, features, targets, run.train_config(seed))
             for label, rho in (("freezing", run.rho), ("no_freezing", 0.0)):
-                model = init_model(
-                    run.model_config(cube.bands, labels.n_classes), seed=seed)
-                features, targets = bank.take(manifest.train)
-                train_model(model, features, targets, run.train_config(seed))
                 _, report = run_transfer(
-                    model, cube, labels, target_cube, target_labels,
+                    copy.deepcopy(source), cube, labels, target_cube, target_labels,
                     rho=rho, mmd_cfg=run.mmd_config(),
                     train_cfg=run.train_config(seed),
                     target_fraction=run.target_fraction, seed=seed,

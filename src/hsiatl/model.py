@@ -335,16 +335,17 @@ def encoder_block(
     return ad.layer_norm(ad.add(z, ff), layer.ln2_gain, layer.ln2_bias, cfg.ln_eps)
 
 
-def dropout_draws(cfg: SstConfig, batch: int, rng) -> list[np.ndarray]:
+def dropout_draws(cfg: SstConfig, batch: int, rng, from_block: int = 0) -> list[np.ndarray]:
     """The uniforms a training ``forward_batch`` over ``batch`` windows draws.
 
     They come from ``rng`` in the order ``encoder_block`` draws them (per
-    block: attention, then feed-forward); there are none when dropout is 0.
+    block that runs, from ``from_block`` on: attention, then feed-forward);
+    there are none when dropout is 0.
     """
     if cfg.dropout == 0:
         return []
     shape = (batch, cfg.n_tokens, cfg.d_model)
-    return [rng.random(shape) for _ in range(2 * cfg.n_layers)]
+    return [rng.random(shape) for _ in range(2 * (cfg.n_layers - from_block))]
 
 
 class RowDraws:
@@ -393,29 +394,45 @@ def encode(
     training: bool = False,
     rng=None,
     capture: bool = False,
+    from_block: int = 0,
 ):
     """Run embedding + positional code + encoder stack on unfolded tokens.
 
     Args:
-        features: [B, N_p, p*p*bands] unfolded windows (see ``unfold``).
-        capture: also return the per-block outputs as plain arrays.
+        features: [B, N_p, p*p*bands] unfolded windows (see ``unfold``), or
+            with ``from_block`` above 0 the [B, N_p, d_model] tokens that
+            ``encode_prefix`` gives for that many blocks.
+        capture: also return the outputs of the blocks that ran as plain
+            arrays.
+        from_block: the first encoder block to run; the embedding and the
+            blocks before it are skipped.
 
     Returns:
         Final [B, N_p, d_model] tensor, or (tensor, list of block outputs).
 
     Raises DimensionError when N_p is not the model's token count, such as
-    for windows unfolded at another window size.
+    for windows unfolded at another window size, or when tokens entering a
+    later block are not ``d_model`` wide.
     """
+    cfg = model.config
     x = features if isinstance(features, Tensor) else Tensor(features)
-    if x.shape[-2] != model.config.n_tokens:
+    if x.shape[-2] != cfg.n_tokens:
         raise DimensionError(
-            f"windows have {x.shape[-2]} tokens, the model expects {model.config.n_tokens}"
+            f"windows have {x.shape[-2]} tokens, the model expects {cfg.n_tokens}"
         )
-    positional = _positional_table(x.shape[-2], model.config.d_model)
-    z = ad.add(ad.matmul(x, model.embed_weight), Tensor(positional))
+    if from_block == 0:
+        positional = _positional_table(x.shape[-2], cfg.d_model)
+        z = ad.add(ad.matmul(x, model.embed_weight), Tensor(positional))
+    elif x.shape[-1] != cfg.d_model:
+        raise DimensionError(
+            f"tokens entering block {from_block} are {x.shape[-1]} wide, "
+            f"the model's width is {cfg.d_model}"
+        )
+    else:
+        z = x
     captured = []
-    for layer in model.layers:
-        z = encoder_block(z, layer, model.config, training, rng)
+    for layer in model.layers[from_block:]:
+        z = encoder_block(z, layer, cfg, training, rng)
         if capture:
             captured.append(z.data)
     if capture:
@@ -424,10 +441,18 @@ def encode(
 
 
 def forward_batch(
-    model: SstModel, features: np.ndarray | Tensor, training: bool = False, rng=None
+    model: SstModel,
+    features: np.ndarray | Tensor,
+    training: bool = False,
+    rng=None,
+    from_block: int = 0,
 ) -> Tensor:
-    """Unfolded windows [B, N_p, p*p*bands] -> class probabilities [B, C]."""
-    z = encode(model, features, training, rng)
+    """Unfolded windows [B, N_p, p*p*bands] -> class probabilities [B, C].
+
+    With ``from_block`` above 0 the input is tokens entering that block (see
+    ``encode``).
+    """
+    z = encode(model, features, training, rng, from_block=from_block)
     return classify(cross_attention_pool(z, model), model)
 
 
@@ -479,8 +504,27 @@ def map_batches(fn, items: np.ndarray | PixelWindows, batch_size: int = 64) -> l
         ]
 
 
+def _lone_row_as_pair(fn):
+    """``fn`` over a batch, with a one-row batch run as a duplicated pair.
+
+    A one-row matrix product takes a different BLAS kernel, whose last bits
+    differ from the multi-row one; running a lone row as a pair keeps every
+    row's result independent of how the input was batched.
+    """
+
+    def run(batch: np.ndarray) -> np.ndarray:
+        if batch.shape[0] == 1:
+            return fn(np.repeat(batch, 2, axis=0))[:1]
+        return fn(batch)
+
+    return run
+
+
 def predict_probs(
-    model: SstModel, features: np.ndarray | PixelWindows, batch_size: int = 64
+    model: SstModel,
+    features: np.ndarray | PixelWindows,
+    batch_size: int = 64,
+    from_block: int = 0,
 ) -> np.ndarray:
     """Evaluation-mode probabilities [n, C] for unfolded windows.
 
@@ -488,19 +532,32 @@ def predict_probs(
     ``PixelWindows``) run on one thread per available CPU (see
     ``map_batches``); there is no setting for the thread count, and the
     result is bitwise identical for any CPU count, array or lazy source.
+    With ``from_block`` above 0, ``features`` are the tokens
+    ``encode_prefix`` gives for that many blocks, and the result is bitwise
+    the one the windows would give.
     """
-
-    def probs(batch: np.ndarray) -> np.ndarray:
-        # A one-row matrix product takes a different BLAS kernel, whose last
-        # bits differ from the multi-row one; score a lone row as a pair so
-        # no row's result depends on how the input was batched.
-        if batch.shape[0] == 1:
-            return forward_batch(model, np.repeat(batch, 2, axis=0)).data[:1]
-        return forward_batch(model, batch).data
-
+    probs = _lone_row_as_pair(lambda batch: forward_batch(model, batch, from_block=from_block).data)
     chunks = map_batches(probs, features, batch_size)
     if not chunks:
         return np.zeros((0, model.config.n_classes))
+    return np.concatenate(chunks, axis=0)
+
+
+def encode_prefix(
+    model: SstModel, features: np.ndarray | PixelWindows, n_blocks: int
+) -> np.ndarray:
+    """Evaluation-mode tokens [n, N_p, d_model] after the embedding and the
+    first ``n_blocks`` encoder blocks.
+
+    ``encode``, ``forward_batch``, ``predict_probs`` and ``train_model``
+    continue from them with ``from_block=n_blocks``. Batches run as in
+    ``predict_probs``, so the tokens are bitwise the ones a full pass
+    computes; they take N_p * d_model * 8 bytes per window.
+    """
+    prefix = dataclasses.replace(model, layers=model.layers[:n_blocks])
+    chunks = map_batches(_lone_row_as_pair(lambda batch: encode(prefix, batch).data), features)
+    if not chunks:
+        return np.zeros((0, model.config.n_tokens, model.config.d_model))
     return np.concatenate(chunks, axis=0)
 
 

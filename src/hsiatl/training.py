@@ -87,6 +87,7 @@ def train_model(
     targets: np.ndarray,
     cfg: TrainConfig,
     log=None,
+    from_block: int = 0,
 ) -> list[float]:
     """Train in place; returns the mean loss per epoch.
 
@@ -96,7 +97,11 @@ def train_model(
     half does forward and backward on its own parameter replica and tape,
     and the two gradients are added in half order before one optimizer step.
     The split never depends on the CPU count, so neither does the result.
-    Raises NumericalError on a non-finite loss.
+    With ``from_block`` above 0, ``features`` are the tokens
+    ``encode_prefix`` gives for that many blocks; only the blocks from
+    ``from_block`` on, the pool and the head run, so the earlier blocks and
+    the embedding are not trained. Raises NumericalError on a non-finite
+    loss.
     """
     rng = np.random.default_rng(cfg.seed)
     params = model.parameters()
@@ -110,7 +115,7 @@ def train_model(
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             # drawn for the whole batch, in serial order, before either half runs
-            draws = dropout_draws(model.config, batch.size, rng)
+            draws = dropout_draws(model.config, batch.size, rng, from_block)
 
             def half_step(rows: np.ndarray) -> tuple[float, dict[str, ad.Tensor]]:
                 replica = model.replica()
@@ -118,7 +123,7 @@ def train_model(
                 with Tape() as tape:
                     probs = forward_batch(
                         replica, features[picked], training=True,
-                        rng=RowDraws(draws, rows),
+                        rng=RowDraws(draws, rows), from_block=from_block,
                     )
                     # weighted by row share: the halves sum to the batch mean
                     loss = ad.scale(
@@ -146,10 +151,16 @@ def train_model(
 
 
 def evaluate(
-    model: SstModel, features: np.ndarray | PixelWindows, target_classes: np.ndarray
+    model: SstModel,
+    features: np.ndarray | PixelWindows,
+    target_classes: np.ndarray,
+    from_block: int = 0,
 ) -> MetricsReport:
-    """Score evaluation-mode predictions; target classes are 1-based."""
-    probs = predict_probs(model, features)
+    """Score evaluation-mode predictions; target classes are 1-based.
+
+    ``from_block`` is passed to ``predict_probs``.
+    """
+    probs = predict_probs(model, features, from_block=from_block)
     predicted = probs.argmax(axis=1) + 1
     matrix = confusion(predicted, np.asarray(target_classes), model.config.n_classes)
     return report(matrix)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hsiatl.data import DimensionError, HsiCube, LabelMap, check_extent, make_split
-from hsiatl.model import PixelWindows, SstModel, encode, map_batches, reset_head
+from hsiatl.model import PixelWindows, SstModel, encode, encode_prefix, map_batches, reset_head
 from hsiatl.training import TrainConfig, WindowBank, evaluate, train_model
 
 logger = logging.getLogger(__name__)
@@ -59,13 +59,32 @@ def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
 
 
+def _median_distance(within_x: np.ndarray, within_y: np.ndarray, cross: np.ndarray) -> float:
+    """Median pairwise distance over the pooled rows of two samples, from
+    their squared-distance blocks; 1.0 if that median is 0.
+
+    The pooled pairs are the strict upper triangles of the within-sample
+    blocks plus every cross pair. One partition finds the middle one or two
+    squared distances, and only those are square-rooted: the root is
+    monotone, so this is the median of the distances.
+    """
+    values = np.concatenate(
+        [row[i + 1 :] for block in (within_x, within_y) for i, row in enumerate(block)]
+        + [cross.ravel()]
+    )
+    if values.size == 0:
+        return 1.0
+    mid = (values.size - 1) // 2
+    picks = [mid] if values.size % 2 else [mid, mid + 1]
+    med = float(np.mean(np.sqrt(np.partition(values, picks)[picks])))
+    return med if med > 0 else 1.0
+
+
 def median_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
     """Median pairwise distance over the pooled rows; 1.0 if that is 0."""
-    pooled = np.vstack([x, y])
-    d = np.sqrt(_pairwise_sq_dists(pooled, pooled))
-    upper = d[np.triu_indices(pooled.shape[0], k=1)]
-    med = float(np.median(upper)) if upper.size else 0.0
-    return med if med > 0 else 1.0
+    return _median_distance(
+        _pairwise_sq_dists(x, x), _pairwise_sq_dists(y, y), _pairwise_sq_dists(x, y)
+    )
 
 
 def mmd(x: np.ndarray, y: np.ndarray, cfg: MmdConfig | None = None) -> float:
@@ -77,7 +96,7 @@ def mmd(x: np.ndarray, y: np.ndarray, cfg: MmdConfig | None = None) -> float:
     Args:
         x, y: [n, d] and [m, d] feature rows; both need >= 2 rows.
         cfg: kernel settings; defaults to RBF with the median heuristic
-            bandwidth.
+            bandwidth, taken from the same squared distances the kernel uses.
     """
     cfg = cfg or MmdConfig()
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -88,11 +107,10 @@ def mmd(x: np.ndarray, y: np.ndarray, cfg: MmdConfig | None = None) -> float:
     if n < 2 or m < 2:
         raise ValueError("unbiased estimator needs at least 2 rows per sample")
     if cfg.kernel == "rbf":
-        sigma = cfg.bandwidth if cfg.bandwidth is not None else median_bandwidth(x, y)
+        d_xx, d_yy, d_xy = (_pairwise_sq_dists(a, b) for a, b in ((x, x), (y, y), (x, y)))
+        sigma = cfg.bandwidth if cfg.bandwidth is not None else _median_distance(d_xx, d_yy, d_xy)
         scale = -1.0 / (2.0 * sigma * sigma)
-        k_xx = np.exp(scale * _pairwise_sq_dists(x, x))
-        k_yy = np.exp(scale * _pairwise_sq_dists(y, y))
-        k_xy = np.exp(scale * _pairwise_sq_dists(x, y))
+        k_xx, k_yy, k_xy = np.exp(scale * d_xx), np.exp(scale * d_yy), np.exp(scale * d_xy)
     else:
         k_xx = x @ x.T
         k_yy = y @ y.T
@@ -169,6 +187,15 @@ def apply_freeze_plan(model: SstModel, plan: FreezePlan) -> None:
     model.apply_freeze()
 
 
+def _frozen_prefix(plan: FreezePlan) -> int:
+    """j when the plan freezes blocks 0..j-1 (and with them the embedding)
+    as one unbroken run, 0 when it leaves block 0 trainable."""
+    j = 0
+    while j in plan.frozen:
+        j += 1
+    return j
+
+
 def fine_tune(
     model: SstModel,
     features: np.ndarray,
@@ -183,7 +210,9 @@ def fine_tune(
 
     If the target class count differs from the model's, the output projection
     is re-initialized first. epochs = 0 leaves every parameter untouched
-    (beyond any head reset). ``target_classes`` are 1-based ids.
+    (beyond any head reset). ``target_classes`` are 1-based ids. The frozen
+    prefix of the plan (see ``_frozen_prefix``) runs once, in evaluation
+    mode, over ``features``; every epoch trains from the block after it.
 
     Returns the adapted model.
     """
@@ -194,7 +223,12 @@ def fine_tune(
         reset_head(model, n_classes, seed=head_seed)
     apply_freeze_plan(model, plan)
     if cfg.epochs > 0:
-        history = train_model(model, features, target_classes - 1, cfg, log=log)
+        blocks = _frozen_prefix(plan)
+        if blocks:
+            features = encode_prefix(model, features, blocks)
+        history = train_model(
+            model, features, target_classes - 1, cfg, log=log, from_block=blocks
+        )
         for epoch, value in enumerate(history):
             logger.debug("fine-tune epoch %d: loss=%.6f", epoch, value)
     return model
@@ -217,6 +251,8 @@ def run_transfer(
     The target labels are split (target_fraction, 0, rest) into fine-tuning
     and test pixels. Discrepancies are estimated on up to
     mmd_cfg.sample_count labeled windows per domain, drawn with ``seed``.
+    Fine-tuning leaves the plan's frozen prefix as it is, so that prefix
+    runs once over the test windows and both scores start after it.
 
     Returns the adapted model and a JSON-ready report.
     """
@@ -250,15 +286,18 @@ def run_transfer(
     )
     bank = WindowBank(target_cube, target_labels, window, subpatch)
     test_windows, test_targets = bank.windows(split.test)
+    blocks = _frozen_prefix(plan)
+    if blocks:
+        test_windows = encode_prefix(model, test_windows, blocks)
     zero_shot = None
     if target_labels.n_classes == model.config.n_classes:
-        zero_shot = evaluate(model, test_windows, test_targets + 1).as_dict()
+        zero_shot = evaluate(model, test_windows, test_targets + 1, blocks).as_dict()
     tune_features, tune_targets = bank.take(split.train)
     fine_tune(
         model, tune_features, tune_targets + 1, plan, train_cfg,
         n_classes=target_labels.n_classes, head_seed=seed,
     )
-    tuned = evaluate(model, test_windows, test_targets + 1).as_dict()
+    tuned = evaluate(model, test_windows, test_targets + 1, blocks).as_dict()
     report = {
         "per_layer_mmd": plan.layer_mmd,
         "per_layer_variance": {

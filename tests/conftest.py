@@ -3,7 +3,8 @@
 Besides the gradient and checkpoint helpers, this holds the per-window and
 per-pixel reference versions of library code that works on batches: mirror
 indexing, window extraction, neighborhood diversity, single-window forward,
-patch embedding, token uncertainty and per-layer features.
+patch embedding, token uncertainty and per-layer features; and the
+pooled-matrix median heuristic and discrepancy estimate.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from hsiatl import autodiff as ad
 from hsiatl.autodiff import Tensor
 from hsiatl.model import _row_entropy, encode, forward_batch, unfold
+from hsiatl.transfer import _pairwise_sq_dists
 
 
 def numeric_gradient(fn, arrays: list[np.ndarray], step: float = 1e-5):
@@ -151,3 +153,30 @@ def layer_features(model, features: np.ndarray, layer_index: int) -> np.ndarray:
     one whole-batch pass: [n, d_model]."""
     _, captured = encode(model, features, capture=True)
     return captured[layer_index].mean(axis=1)
+
+
+def median_bandwidth_oracle(x: np.ndarray, y: np.ndarray) -> float:
+    """Median of the upper triangle of the pooled rows' distance matrix;
+    1.0 if that is 0."""
+    pooled = np.vstack([x, y])
+    d = np.sqrt(_pairwise_sq_dists(pooled, pooled))
+    upper = d[np.triu_indices(pooled.shape[0], k=1)]
+    med = float(np.median(upper)) if upper.size else 0.0
+    return med if med > 0 else 1.0
+
+
+def mmd_oracle(x: np.ndarray, y: np.ndarray, cfg) -> float:
+    """Unbiased squared MMD, clamped at 0, with the bandwidth from
+    ``median_bandwidth_oracle`` unless ``cfg`` fixes one."""
+    n, m = x.shape[0], y.shape[0]
+    if cfg.kernel == "rbf":
+        sigma = cfg.bandwidth if cfg.bandwidth is not None else median_bandwidth_oracle(x, y)
+        scale = -1.0 / (2.0 * sigma * sigma)
+        k_xx = np.exp(scale * _pairwise_sq_dists(x, x))
+        k_yy = np.exp(scale * _pairwise_sq_dists(y, y))
+        k_xy = np.exp(scale * _pairwise_sq_dists(x, y))
+    else:
+        k_xx, k_yy, k_xy = x @ x.T, y @ y.T, x @ y.T
+    xx = (k_xx.sum() - np.trace(k_xx)) / (n * (n - 1))
+    yy = (k_yy.sum() - np.trace(k_yy)) / (m * (m - 1))
+    return max(float(xx + yy - 2.0 * k_xy.mean()), 0.0)

@@ -427,6 +427,30 @@ class TestTapeMechanics:
         assert c.grad is None
         np.testing.assert_allclose(x.grad, [2.0])
 
+    def test_sweep_releases_intermediate_grads_and_closures(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        w = Tensor([0.5, -1.0], requires_grad=True)
+        with Tape() as tape:
+            hidden = ad.mul(x, w)
+            loss = ad.reduce_sum(ad.scale(hidden, 3.0))
+        ad.backward(tape, loss)
+        assert len(tape) == 3
+        assert all(t._backward is None for t in tape.records)
+        assert all(t.grad is None for t in tape.records if t is not loss)
+        # the loss and the leaves keep their gradients
+        np.testing.assert_array_equal(loss.grad, 1.0)
+        np.testing.assert_array_equal(x.grad, [1.5, -3.0])
+        np.testing.assert_array_equal(w.grad, [3.0, 6.0])
+
+    def test_second_sweep_of_a_tape_raises(self):
+        x = Tensor([3.0], requires_grad=True)
+        with Tape() as tape:
+            loss = ad.reduce_sum(ad.mul(x, x))
+        ad.backward(tape, loss)
+        with pytest.raises(GraphError, match="already swept"):
+            ad.backward(tape, loss)
+        np.testing.assert_array_equal(x.grad, [6.0])
+
     def test_diamond_graph_gradient(self):
         x = Tensor([2.0], requires_grad=True)
         def fn(x):

@@ -221,6 +221,54 @@ class TestAblate:
             assert 0.0 <= float(row["oa"]) <= 100.0
 
 
+    def test_transfer_arms_share_one_source_model_per_seed(self, tmp_path, monkeypatch, capsys):
+        cfg = {
+            "window": 4, "d_model": 8, "n_layers": 2, "n_heads": 2, "dropout": 0.0,
+            "epochs": 1, "batch_size": 16, "query_size": 4, "rounds": 1,
+            "ratios": [0.05, 0.45, 0.5], "sample_count": 32, "rho": 0.5,
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        for stem, seed, shift in (("a", 7, 0.0), ("b", 8, 1.5707963)):
+            assert run(["synth", "--classes", 3, "--size", "16x16x8", "--seed", seed,
+                        "--shift", shift, "--cube", tmp_path / f"{stem}.hsic",
+                        "--labels", tmp_path / f"{stem}.hsil"]) == 0
+        trained, starts = [], []
+        train_model, run_transfer = cli.train_model, cli.run_transfer
+
+        def train_spy(model, *args, **kwargs):
+            trained.append(model)
+            return train_model(model, *args, **kwargs)
+
+        def transfer_spy(model, *args, rho, **kwargs):
+            params = b"".join(p.data.tobytes() for p in model.parameters().values())
+            starts.append((rho, model, params))
+            return run_transfer(model, *args, rho=rho, **kwargs)
+
+        monkeypatch.setattr(cli, "train_model", train_spy)
+        monkeypatch.setattr(cli, "run_transfer", transfer_spy)
+        out = tmp_path / "ablate.csv"
+        code = run(["ablate", "--config", tmp_path / "cfg.json",
+                    "--cube", tmp_path / "a.hsic", "--labels", tmp_path / "a.hsil",
+                    "--target-cube", tmp_path / "b.hsic",
+                    "--target-labels", tmp_path / "b.hsil",
+                    "--seeds", "0,1", "--out", out])
+        assert code == 0
+        capsys.readouterr()
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for seed in ("0", "1"):
+            arms = [r["strategy"] for r in rows if r["seed"] == seed]
+            assert arms[-2:] == ["freezing", "no_freezing"]
+        # one source training per seed; each arm adapts a copy of it as trained
+        assert len(trained) == 2
+        assert [rho for rho, _, _ in starts] == [0.5, 0.0, 0.5, 0.0]
+        for k, source in enumerate(trained):
+            (_, first, first_params), (_, second, second_params) = starts[2 * k : 2 * k + 2]
+            assert first is not source and second is not source and first is not second
+            source_params = b"".join(p.data.tobytes() for p in source.parameters().values())
+            assert first_params == second_params == source_params
+
+
 class TestTransfer:
     def test_report_written(self, workdir, tmp_path, capsys):
         code = run(["synth", "--classes", 3, "--size", "20x20x8", "--seed", 8,

@@ -30,7 +30,9 @@ from hsiatl.model import (
     calibrated_attention,
     classify,
     cross_attention_pool,
+    dropout_draws,
     encode,
+    encode_prefix,
     encoder_block,
     forward_batch,
     init_model,
@@ -666,3 +668,48 @@ class TestParallelEvaluation:
             assert sum(sums) == sum(range(200))
             assert source.live == 0
             assert 1 <= source.most <= width, (width, source.most)
+
+
+class TestEncodeFromBlock:
+    """Tokens cached after the first j blocks continue to the same bytes."""
+
+    @pytest.mark.parametrize("n", [65, 129])  # a one-row last batch of 64
+    def test_cached_tokens_continue_to_the_full_pass(self, monkeypatch, n):
+        model, feats = TestParallelEvaluation.problem(n=n)
+        full, captured = encode(model, feats, capture=True)
+        for cpus in (1, 2):
+            TestParallelEvaluation.force_cpus(monkeypatch, cpus)
+            for j in range(1, len(model.layers) + 1):
+                tokens = encode_prefix(model, feats, j)
+                assert tokens.tobytes() == captured[j - 1].tobytes(), (cpus, j)
+                assert encode(model, tokens, from_block=j).data.tobytes() == full.data.tobytes()
+                for batch_size in (1, 3, 64):
+                    expected = predict_probs(model, feats, batch_size=batch_size)
+                    got = predict_probs(model, tokens, batch_size=batch_size, from_block=j)
+                    assert got.tobytes() == expected.tobytes(), (cpus, j, batch_size)
+
+    def test_lazy_windows_give_the_same_tokens(self):
+        model = init_model(SstConfig(bands=3, n_classes=3, window=4, d_model=8, n_heads=2), seed=2)
+        cube = HsiCube(np.random.default_rng(6).normal(size=(9, 9, 3)))
+        windows = PixelWindows(cube, np.arange(0, 81, 2), 4, 2)
+        assert encode_prefix(model, windows, 2).tobytes() == encode_prefix(
+            model, windows[:], 2).tobytes()
+
+    def test_empty_input_gives_empty_tokens(self):
+        model, feats = TestParallelEvaluation.problem(n=2)
+        assert encode_prefix(model, feats[:0], 1).shape == (0, 16, 56)
+
+    def test_tokens_of_another_width_rejected(self):
+        model, feats = TestParallelEvaluation.problem(n=3)
+        assert feats.shape[-1] != model.config.d_model
+        with pytest.raises(DimensionError, match="entering block 1"):
+            encode(model, feats, from_block=1)
+        with pytest.raises(DimensionError):
+            predict_probs(model, feats, from_block=2)
+
+    def test_dropout_draws_only_for_blocks_that_run(self):
+        cfg = tiny_config(n_layers=3)
+        for j in range(4):
+            draws = dropout_draws(cfg, 5, np.random.default_rng(0), j)
+            assert len(draws) == 2 * (3 - j)
+        assert dropout_draws(tiny_config(dropout=0.0), 5, np.random.default_rng(0), 1) == []

@@ -14,7 +14,7 @@ from hsiatl import model as model_module
 from hsiatl import training as training_module
 from hsiatl.autodiff import Tape
 from hsiatl.data import DimensionError, LabelMap, extract_windows_batch, make_split, synth_cube
-from hsiatl.model import SstConfig, forward_batch, init_model, unfold
+from hsiatl.model import SstConfig, encode_prefix, forward_batch, init_model, unfold
 from hsiatl.queries import QueryConfig
 from hsiatl.training import (
     NumericalError,
@@ -201,6 +201,28 @@ class TestTwoHalfStep:
         history = train_model(model, feats, targets, TrainConfig(epochs=1, seed=2))
         assert np.isfinite(history[0])
         assert not np.array_equal(model.head_b2.data, before)
+
+    def test_from_block_trains_only_the_blocks_after_the_cached_prefix(self):
+        _, _, cfg, _, bank = small_problem()
+        cfg = dataclasses.replace(cfg, n_layers=2)
+        feats, targets = bank.take(bank.pixels[:30])
+
+        def run():
+            model = init_model(cfg, seed=4)
+            model.freeze.update(embed=True, enc0=True)
+            tokens = encode_prefix(model, feats, 1)
+            before = {n: p.data.copy() for n, p in model.parameters().items()}
+            # dropout draws are made for block 1 only; a wrong count raises
+            history = train_model(model, tokens, targets,
+                                  TrainConfig(epochs=2, batch_size=8, seed=1), from_block=1)
+            return history, before, model
+
+        history, before, model = run()
+        assert np.isfinite(history).all()
+        for name, p in model.parameters().items():
+            moved = not np.array_equal(p.data, before[name])
+            assert moved == (model.group_of(name) not in ("embed", "enc0")), name
+        assert run()[0] == history
 
     def test_nonfinite_loss_in_worker_raises_numerical_error(self, monkeypatch):
         self.force_cpus(monkeypatch, 2)

@@ -1,13 +1,17 @@
 """Discrepancy estimates against closed forms and a permutation null,
 freeze-plan arithmetic, and fine-tuning's freeze contract."""
 
+import copy
+import json
+
 import numpy as np
 import pytest
-from conftest import layer_features
+from conftest import layer_features, median_bandwidth_oracle, mmd_oracle
 
+from hsiatl import transfer as transfer_module
 from hsiatl.data import DimensionError, synth_cube
-from hsiatl.model import SstConfig, init_model, unfold
-from hsiatl.training import TrainConfig, WindowBank
+from hsiatl.model import SstConfig, encode_prefix, init_model, unfold
+from hsiatl.training import TrainConfig, WindowBank, train_model
 from hsiatl.transfer import (
     FreezePlan,
     MmdConfig,
@@ -107,6 +111,34 @@ class TestMmd:
             MmdConfig(bandwidth=0.0)
         with pytest.raises(ValueError):
             MmdConfig(sample_count=1)
+
+
+class TestMmdAgainstPooledOracle:
+    """The bandwidth from the three kernel blocks equals the one from the
+    pooled distance matrix, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n, m", [(1024, 1024), (1000, 1023), (256, 256), (129, 300), (7, 5), (2, 2)]
+    )
+    def test_median_heuristic_bitwise_equal(self, n, m):
+        rng = np.random.default_rng(n * 7919 + m)
+        x = rng.normal(size=(n, 12))
+        y = rng.normal(size=(m, 12)) + 0.4
+        assert median_bandwidth(x, y) == median_bandwidth_oracle(x, y)
+        assert mmd(x, y) == mmd_oracle(x, y, MmdConfig())
+
+    def test_identical_rows_fall_back_to_unit_bandwidth(self):
+        x = np.full((6, 4), 2.5)
+        y = np.full((3, 4), 2.5)
+        assert median_bandwidth(x, y) == median_bandwidth_oracle(x, y) == 1.0
+        assert mmd(x, y) == mmd_oracle(x, y, MmdConfig())
+
+    @pytest.mark.parametrize("cfg", [MmdConfig(bandwidth=0.7), MmdConfig(kernel="linear")])
+    def test_fixed_bandwidth_and_linear_kernel_unchanged(self, cfg):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(40, 5))
+        y = rng.normal(size=(33, 5)) + 0.3
+        assert mmd(x, y, cfg) == mmd_oracle(x, y, cfg)
 
 
 def transfer_fixture(seed=42):
@@ -288,3 +320,89 @@ class TestRunTransfer:
         with pytest.raises(DimensionError, match="label map is 10x10 but the cube is 12x12"):
             run_transfer(init_model(cfg, seed=0), *pairs["source"], *pairs["target"],
                          rho=0.5, mmd_cfg=MmdConfig(), train_cfg=TrainConfig(epochs=0))
+
+
+def plan_of(frozen, n_layers=4):
+    return FreezePlan(rho=len(frozen) / n_layers, layer_mmd=[0.0] * n_layers,
+                      frozen=frozen, variance_source=[0.0] * n_layers,
+                      variance_target=[0.0] * n_layers)
+
+
+class TestFrozenPrefix:
+    """The plan's frozen prefix runs once; results match the uncached path
+    (the prefix length forced to 0) bit for bit when dropout is 0."""
+
+    @staticmethod
+    def spy_prefix(monkeypatch) -> list[int]:
+        calls = []
+
+        def spy(model, features, n_blocks):
+            calls.append(n_blocks)
+            return encode_prefix(model, features, n_blocks)
+
+        monkeypatch.setattr(transfer_module, "encode_prefix", spy)
+        return calls
+
+    @pytest.mark.parametrize("frozen", [[0, 1], [0, 1, 2, 3]])
+    def test_fine_tune_bitwise_equal_to_uncached(self, monkeypatch, frozen):
+        _, _, model, bank = transfer_fixture()
+        feats, targets = bank.take(bank.pixels[:30])
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=0)
+
+        def tuned() -> bytes:
+            adapted = fine_tune(copy.deepcopy(model), feats, targets + 1,
+                                plan_of(frozen), cfg, n_classes=3)
+            return b"".join(p.data.tobytes() for p in adapted.parameters().values())
+
+        calls = self.spy_prefix(monkeypatch)
+        cached = tuned()
+        assert calls == [len(frozen)]
+        monkeypatch.setattr(transfer_module, "_frozen_prefix", lambda plan: 0)
+        assert tuned() == cached
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_run_transfer_report_bitwise_equal_to_uncached(self, monkeypatch, rho):
+        source_cube, source_labels = synth_cube(3, 12, 12, 8, noise=0.2, seed=0)
+        target_cube, target_labels = synth_cube(3, 12, 12, 8, noise=0.2, shift=1.0, seed=1)
+        _, _, model, _ = transfer_fixture()
+
+        def transfer():
+            adapted, doc = run_transfer(
+                copy.deepcopy(model), source_cube, source_labels,
+                target_cube, target_labels, rho=rho,
+                mmd_cfg=MmdConfig(sample_count=32),
+                train_cfg=TrainConfig(epochs=2, batch_size=8, seed=0),
+                target_fraction=0.2, seed=3,
+            )
+            params = b"".join(p.data.tobytes() for p in adapted.parameters().values())
+            return json.dumps(doc, sort_keys=True), params
+
+        calls = self.spy_prefix(monkeypatch)
+        cached = transfer()
+        frozen = json.loads(cached[0])["frozen"]
+        prefix = transfer_module._frozen_prefix(plan_of(frozen))
+        assert prefix > 0
+        assert calls == [prefix, prefix]  # test windows, then tuning windows
+        monkeypatch.setattr(transfer_module, "_frozen_prefix", lambda plan: 0)
+        assert transfer() == cached
+
+    def test_plan_leaving_layer_zero_trainable_caches_nothing(self, monkeypatch):
+        _, _, model, bank = transfer_fixture()
+        calls = self.spy_prefix(monkeypatch)
+        starts = []
+
+        def train_spy(*args, from_block=0, **kwargs):
+            starts.append(from_block)
+            return train_model(*args, from_block=from_block, **kwargs)
+
+        monkeypatch.setattr(transfer_module, "train_model", train_spy)
+        feats, targets = bank.take(bank.pixels[:20])
+        fine_tune(model, feats, targets + 1, plan_of([1]),
+                  TrainConfig(epochs=1, batch_size=8), n_classes=3)
+        assert calls == [] and starts == [0]
+
+    @pytest.mark.parametrize("frozen, expected", [
+        ([], 0), ([1], 0), ([1, 2], 0), ([0], 1), ([0, 2], 1), ([0, 1, 3], 2), ([0, 1, 2, 3], 4),
+    ])
+    def test_prefix_is_the_unbroken_run_from_layer_zero(self, frozen, expected):
+        assert transfer_module._frozen_prefix(plan_of(frozen)) == expected
