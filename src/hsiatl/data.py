@@ -143,8 +143,11 @@ def load_cube(path: str | Path) -> HsiCube:
     if len(raw) > expected:
         raise FormatError(f"{path}: {len(raw) - expected} trailing bytes")
     values = np.frombuffer(raw[16:], dtype="<f4").reshape(rows, cols, bands)
+    # a signalling NaN raises numpy's invalid-cast warning; HsiCube rejects it
+    with np.errstate(invalid="ignore"):
+        values = values.astype(np.float64)
     try:
-        return HsiCube(values.astype(np.float64))
+        return HsiCube(values)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

@@ -250,28 +250,94 @@ class PixelWindows:
         return unfold(windows, self.subpatch)
 
 
-def _swap_last(t: Tensor) -> Tensor:
-    axes = tuple(range(t.ndim - 2)) + (t.ndim - 1, t.ndim - 2)
-    return ad.transpose(t, axes)
+def _softmax_rows_(scores: np.ndarray) -> np.ndarray:
+    """``ad.softmax`` over the last axis, in place; returns ``scores``.
+
+    The row max is found by halving: ``np.maximum`` is exact, so the max,
+    and with it every weight, is bitwise what ``scores.max(axis=-1)`` gives,
+    in about two thirds of its time on 16-wide rows.
+    """
+    top = scores
+    while top.shape[-1] > 1:
+        half = top.shape[-1] // 2
+        folded = np.maximum(top[..., :half], top[..., half : 2 * half])
+        if top.shape[-1] % 2:
+            folded[..., :1] = np.maximum(folded[..., :1], top[..., -1:])
+        top = folded
+    scores -= top
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
+def _entropy_scale(n: int) -> float:
+    """-1 / ln(n): turns a row's sum of p log p into its entropy in [0, 1]."""
+    return -1.0 / (math.log(n) if n > 1 else 1.0)
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, calibration: float, renormalize: bool):
+    """Self-calibrated attention on arrays [..., N, d_k].
+
+    Returns the output, the softmax weights P and the boost column
+    1 + calibration * U ([..., N, 1], U the normalized row entropy of P;
+    None at calibration 0), which is what ``_attend_back`` needs.
+    """
+    probs = q @ np.swapaxes(k, -1, -2)
+    probs *= 1.0 / math.sqrt(q.shape[-1])
+    _softmax_rows_(probs)
+    if calibration == 0:
+        return probs @ v, probs, None
+    # in-place steps give the bits of the op-by-op expressions they replace
+    plogp = np.maximum(probs, ad.LOG_FLOOR)
+    np.log(plogp, out=plogp)
+    plogp *= probs
+    boost = plogp.sum(axis=-1, keepdims=True) * _entropy_scale(probs.shape[-1])
+    boost = boost * float(calibration) + 1.0
+    del plogp
+    weights = probs * boost
+    if renormalize:
+        weights /= weights.sum(axis=-1, keepdims=True)
+    return weights @ v, probs, boost
+
+
+def _attend_back(g, q, k, v, probs, boost, calibration: float, renormalize: bool):
+    """Gradients (g_q, g_k, g_v) of ``_attend`` for its output gradient ``g``.
+
+    This is the chain rule of the op graph (``ad.matmul``, ``ad.softmax``,
+    ``ad.log`` and friends) that ``_attend`` replaces, op by op in the order
+    ``ad.backward`` visits them and on arrays of the same layout, so the
+    gradients carry that graph's bits. ``P * boost`` and ``log max(P, 1e-12)``
+    are recomputed, not kept.
+    """
+    boosted = probs if boost is None else probs * boost
+    sums = boosted.sum(axis=-1, keepdims=True) if boost is not None and renormalize else None
+    weights = boosted if sums is None else boosted / sums
+    g_v = np.swapaxes(weights, -1, -2) @ g
+    g_p = g @ np.swapaxes(v, -1, -2)
+    if boost is not None:
+        g_boosted = g_p
+        if sums is not None:
+            g_sums = ad._unbroadcast(-g_boosted * boosted / (sums * sums), sums.shape)
+            g_boosted = g_boosted / sums
+            g_boosted += g_sums
+        g_p = g_boosted * boost
+        g_plogp = (
+            ad._unbroadcast(g_boosted * probs, boost.shape)
+            * float(calibration)
+            * _entropy_scale(probs.shape[-1])
+        )
+        clamped = np.maximum(probs, ad.LOG_FLOOR)
+        g_p += g_plogp * np.log(clamped)
+        g_p += g_plogp * probs * (probs > ad.LOG_FLOOR) / clamped
+    inner = (g_p * probs).sum(axis=-1, keepdims=True)
+    g_scores = (g_p - inner) * probs * (1.0 / math.sqrt(q.shape[-1]))
+    g_k = np.ascontiguousarray(np.swapaxes(np.swapaxes(q, -1, -2) @ g_scores, -1, -2))
+    return g_scores @ k, g_k, g_v
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(Q K^T / sqrt(d_k)) V on the last two axes."""
-    d_k = q.shape[-1]
-    scores = ad.scale(ad.matmul(q, _swap_last(k)), 1.0 / math.sqrt(d_k))
-    return ad.matmul(ad.softmax(scores, axis=-1), v)
-
-
-def _row_entropy(attn: Tensor) -> Tensor:
-    """Shannon entropy of each attention row, normalized by ln(row length).
-
-    Input [..., N, N]; output [..., N, 1] with values in [0, 1]. A row of
-    all-equal weights scores 1; a one-hot row scores 0.
-    """
-    n = attn.shape[-1]
-    denominator = math.log(n) if n > 1 else 1.0
-    plogp = ad.reduce_sum(ad.mul(attn, ad.log(attn)), axis=-1, keepdims=True)
-    return ad.scale(plogp, -1.0 / denominator)
+    return calibrated_attention(q, k, v, 0.0)
 
 
 def calibrated_attention(
@@ -280,43 +346,87 @@ def calibrated_attention(
     """Attention whose rows are amplified by their own entropy.
 
     Row i of the softmax weights is scaled by (1 + calibration * U_i) with
-    U_i its normalized entropy. calibration = 0 short-circuits to the plain
-    attention path, making the outputs bitwise identical. With
-    ``renormalize`` the scaled rows are re-divided by their sums, which
-    restores row-stochasticity (and with it, plain attention up to rounding).
+    U_i its normalized entropy. calibration = 0 skips the scaling, making the
+    outputs bitwise those of ``attention``. With ``renormalize`` the scaled
+    rows are re-divided by their sums, which restores row-stochasticity (and
+    with it, plain attention up to rounding). One tape node.
     """
     if calibration < 0:
         raise ValueError(f"calibration must be >= 0, got {calibration}")
-    if calibration == 0:
-        return attention(q, k, v)
-    d_k = q.shape[-1]
-    scores = ad.scale(ad.matmul(q, _swap_last(k)), 1.0 / math.sqrt(d_k))
-    weights = ad.softmax(scores, axis=-1)
-    boost = ad.add(ad.scale(_row_entropy(weights), calibration), 1.0)
-    weights = ad.mul(weights, boost)
-    if renormalize:
-        weights = ad.div(weights, ad.reduce_sum(weights, axis=-1, keepdims=True))
-    return ad.matmul(weights, v)
+    q, k, v = (ad._as_tensor(t) for t in (q, k, v))
+    out, probs, boost = _attend(q.data, k.data, v.data, calibration, renormalize)
+
+    def bwd(g):
+        grads = _attend_back(g, q.data, k.data, v.data, probs, boost, calibration, renormalize)
+        # the order the op graph reaches them in: v, then q, then k
+        for t, g_t in ((v, grads[2]), (q, grads[0]), (k, grads[1])):
+            if t.requires_grad:
+                t.accumulate(ad._unbroadcast(g_t, t.shape))
+
+    return ad._record(Tensor._result(out), (q, k, v), bwd)
 
 
-def _split_heads(t: Tensor, n_heads: int) -> Tensor:
-    b, n, d = t.shape
-    return ad.transpose(
-        ad.reshape(t, (b, n, n_heads, d // n_heads)), (0, 2, 1, 3)
-    )
-
-
-def _merge_heads(t: Tensor) -> Tensor:
-    b, h, n, d_k = t.shape
-    return ad.reshape(ad.transpose(t, (0, 2, 1, 3)), (b, n, h * d_k))
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of the 2-D weight of ``x @ w`` as ``ad.matmul`` takes it: one
+    GEMM over every stacked row of ``x``."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
 def _self_attention(z: Tensor, layer: EncoderLayerParams, cfg: SstConfig) -> Tensor:
-    q = _split_heads(ad.matmul(z, layer.attn_q), cfg.n_heads)
-    k = _split_heads(ad.matmul(z, layer.attn_k), cfg.n_heads)
-    v = _split_heads(ad.matmul(z, layer.attn_v), cfg.n_heads)
-    heads = calibrated_attention(q, k, v, cfg.calibration, cfg.renormalize)
-    return ad.matmul(_merge_heads(heads), layer.attn_out)
+    """The attention sublayer as one tape node: the q/k/v projections, head
+    split, ``_attend``, head merge and output projection.
+
+    Its backward keeps q, k, v, the softmax weights, the boost column and the
+    merged heads, and replays the op graph's chain rule (``_attend_back``),
+    so ``z`` receives the v, k and q contributions in that order, after the
+    residual's.
+    """
+    b, n, d = z.shape
+    split = (b, n, cfg.n_heads, d // cfg.n_heads)
+    projections = (layer.attn_q, layer.attn_k, layer.attn_v)
+    q, k, v = ((z.data @ w.data).reshape(split).transpose(0, 2, 1, 3) for w in projections)
+    heads, probs, boost = _attend(q, k, v, cfg.calibration, cfg.renormalize)
+    merged = heads.transpose(0, 2, 1, 3).reshape(b, n, d)
+    w_out = layer.attn_out
+
+    def bwd(g):
+        if w_out.requires_grad:
+            w_out.accumulate(_weight_grad(merged, g))
+        g_heads = (g @ w_out.data.T).reshape(split).transpose(0, 2, 1, 3).copy()
+        grads = _attend_back(g_heads, q, k, v, probs, boost, cfg.calibration, cfg.renormalize)
+        for w, g_x in reversed(list(zip(projections, grads))):
+            g_x = g_x.transpose(0, 2, 1, 3).reshape(b, n, d)
+            if z.requires_grad:
+                z.accumulate(g_x @ w.data.T)
+            if w.requires_grad:
+                w.accumulate(_weight_grad(z.data, g_x))
+
+    return ad._record(Tensor._result(merged @ w_out.data), (z, *projections, w_out), bwd)
+
+
+def _feed_forward(z: Tensor, layer: EncoderLayerParams) -> Tensor:
+    """relu(z W1 + b1) W2 + b2 as one tape node that keeps only the ReLU
+    output; its backward is the chain rule of the five ops it replaces."""
+    w1, b1, w2, b2 = layer.ff_w1, layer.ff_b1, layer.ff_w2, layer.ff_b2
+    hidden = z.data @ w1.data
+    hidden += b1.data
+    np.maximum(hidden, 0.0, out=hidden)
+
+    def bwd(g):
+        if b2.requires_grad:
+            b2.accumulate(ad._unbroadcast(g, b2.shape))
+        if w2.requires_grad:
+            w2.accumulate(_weight_grad(hidden, g))
+        # relu's mask: the output is positive exactly where its input was
+        g_pre = (g @ w2.data.T) * (hidden > 0.0)
+        if b1.requires_grad:
+            b1.accumulate(ad._unbroadcast(g_pre, b1.shape))
+        if z.requires_grad:
+            z.accumulate(g_pre @ w1.data.T)
+        if w1.requires_grad:
+            w1.accumulate(_weight_grad(z.data, g_pre))
+
+    return ad._record(Tensor._result(hidden @ w2.data + b2.data), (z, w1, b1, w2, b2), bwd)
 
 
 def encoder_block(
@@ -329,9 +439,7 @@ def encoder_block(
     """Residual attention and feed-forward sublayers, each closed by LayerNorm."""
     attn = ad.dropout(_self_attention(z, layer, cfg), cfg.dropout, training, rng)
     z = ad.layer_norm(ad.add(z, attn), layer.ln1_gain, layer.ln1_bias, cfg.ln_eps)
-    hidden = ad.relu(ad.add(ad.matmul(z, layer.ff_w1), layer.ff_b1))
-    ff = ad.add(ad.matmul(hidden, layer.ff_w2), layer.ff_b2)
-    ff = ad.dropout(ff, cfg.dropout, training, rng)
+    ff = ad.dropout(_feed_forward(z, layer), cfg.dropout, training, rng)
     return ad.layer_norm(ad.add(z, ff), layer.ln2_gain, layer.ln2_bias, cfg.ln_eps)
 
 
@@ -374,7 +482,7 @@ def cross_attention_pool(z: Tensor, model: SstModel) -> Tensor:
     keys = ad.matmul(z, model.pool_k)
     values = ad.matmul(z, model.pool_v)
     scores = ad.scale(
-        ad.matmul(model.class_query, _swap_last(keys)),
+        ad.matmul(model.class_query, ad.transpose(keys, (0, 2, 1))),
         1.0 / math.sqrt(model.config.d_model),
     )
     pooled = ad.matmul(ad.softmax(scores, axis=-1), values)

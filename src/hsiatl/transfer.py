@@ -76,7 +76,8 @@ def _median_distance(within_x: np.ndarray, within_y: np.ndarray, cross: np.ndarr
         return 1.0
     mid = (values.size - 1) // 2
     picks = [mid] if values.size % 2 else [mid, mid + 1]
-    med = float(np.mean(np.sqrt(np.partition(values, picks)[picks])))
+    values.partition(picks)
+    med = float(np.mean(np.sqrt(values[picks])))
     return med if med > 0 else 1.0
 
 
@@ -110,7 +111,11 @@ def mmd(x: np.ndarray, y: np.ndarray, cfg: MmdConfig | None = None) -> float:
         d_xx, d_yy, d_xy = (_pairwise_sq_dists(a, b) for a, b in ((x, x), (y, y), (x, y)))
         sigma = cfg.bandwidth if cfg.bandwidth is not None else _median_distance(d_xx, d_yy, d_xy)
         scale = -1.0 / (2.0 * sigma * sigma)
-        k_xx, k_yy, k_xy = np.exp(scale * d_xx), np.exp(scale * d_yy), np.exp(scale * d_xy)
+        # the distance blocks become the kernel blocks in place
+        for block in (d_xx, d_yy, d_xy):
+            block *= scale
+            np.exp(block, out=block)
+        k_xx, k_yy, k_xy = d_xx, d_yy, d_xy
     else:
         k_xx = x @ x.T
         k_yy = y @ y.T

@@ -3,19 +3,22 @@
 Besides the gradient and checkpoint helpers, this holds the per-window and
 per-pixel reference versions of library code that works on batches: mirror
 indexing, window extraction, neighborhood diversity, single-window forward,
-patch embedding, token uncertainty and per-layer features; and the
-pooled-matrix median heuristic and discrepancy estimate.
+patch embedding, token uncertainty and per-layer features; the op-level
+graphs of the attention and feed-forward sublayers that the model runs as
+single tape nodes; and the pooled-matrix median heuristic and discrepancy
+estimate.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from hsiatl import autodiff as ad
 from hsiatl.autodiff import Tensor
-from hsiatl.model import _row_entropy, encode, forward_batch, unfold
+from hsiatl.model import encode, forward_batch, unfold
 from hsiatl.transfer import _pairwise_sq_dists
 
 
@@ -144,8 +147,56 @@ def token_uncertainty(attn) -> Tensor:
         raise ad.ShapeError(f"attention stack must be [h, N, N], got {attn.shape}")
     if np.any(np.abs(attn.data.sum(axis=-1) - 1.0) > 1e-6):
         raise ValueError("attention rows must sum to 1 within 1e-6")
-    per_head = _row_entropy(attn)
+    per_head = row_entropy(attn)
     return ad.reshape(ad.reduce_mean(per_head, axis=0), (attn.shape[-2],))
+
+
+def row_entropy(attn: Tensor) -> Tensor:
+    """Shannon entropy of each attention row, normalized by ln(row length).
+
+    Input [..., N, N]; output [..., N, 1] with values in [0, 1]. A row of
+    all-equal weights scores 1; a one-hot row scores 0.
+    """
+    n = attn.shape[-1]
+    denominator = math.log(n) if n > 1 else 1.0
+    plogp = ad.reduce_sum(ad.mul(attn, ad.log(attn)), axis=-1, keepdims=True)
+    return ad.scale(plogp, -1.0 / denominator)
+
+
+def calibrated_attention_ops(q, k, v, calibration: float, renormalize: bool = False) -> Tensor:
+    """``calibrated_attention`` as a graph of autodiff ops, one record each."""
+    q, k, v = (t if isinstance(t, Tensor) else Tensor(t) for t in (q, k, v))
+    k_t = ad.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
+    scores = ad.scale(ad.matmul(q, k_t), 1.0 / math.sqrt(q.shape[-1]))
+    weights = ad.softmax(scores, axis=-1)
+    if calibration == 0:
+        return ad.matmul(weights, v)
+    boost = ad.add(ad.scale(row_entropy(weights), calibration), 1.0)
+    weights = ad.mul(weights, boost)
+    if renormalize:
+        weights = ad.div(weights, ad.reduce_sum(weights, axis=-1, keepdims=True))
+    return ad.matmul(weights, v)
+
+
+def encoder_block_ops(z: Tensor, layer, cfg, training: bool = False, rng=None) -> Tensor:
+    """``encoder_block`` with both sublayers as graphs of autodiff ops."""
+
+    def split_heads(t: Tensor) -> Tensor:
+        b, n, d = t.shape
+        return ad.transpose(ad.reshape(t, (b, n, cfg.n_heads, d // cfg.n_heads)), (0, 2, 1, 3))
+
+    q, k, v = (
+        split_heads(ad.matmul(z, w)) for w in (layer.attn_q, layer.attn_k, layer.attn_v)
+    )
+    heads = calibrated_attention_ops(q, k, v, cfg.calibration, cfg.renormalize)
+    b, h, n, d_k = heads.shape
+    merged = ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), (b, n, h * d_k))
+    attn = ad.dropout(ad.matmul(merged, layer.attn_out), cfg.dropout, training, rng)
+    z = ad.layer_norm(ad.add(z, attn), layer.ln1_gain, layer.ln1_bias, cfg.ln_eps)
+    hidden = ad.relu(ad.add(ad.matmul(z, layer.ff_w1), layer.ff_b1))
+    ff = ad.add(ad.matmul(hidden, layer.ff_w2), layer.ff_b2)
+    ff = ad.dropout(ff, cfg.dropout, training, rng)
+    return ad.layer_norm(ad.add(z, ff), layer.ln2_gain, layer.ln2_bias, cfg.ln_eps)
 
 
 def layer_features(model, features: np.ndarray, layer_index: int) -> np.ndarray:

@@ -429,6 +429,24 @@ class TestIncompatibleData:
         err = self.eval_data(workdir, capsys, cube=tmp_path / "nan.hsic")
         assert "nan.hsic: cube values must be finite" in err
 
+    def test_signalling_nan_cube_value_prints_one_line(self, workdir, tmp_path):
+        # float32 0x7f800001 is a signalling NaN; casting it used to print
+        # numpy's invalid-cast warning ahead of the data error
+        write_cube(tmp_path / "snan.hsic", 20, 20, 8)
+        raw = bytearray((tmp_path / "snan.hsic").read_bytes())
+        raw[16 + 4 * 17 : 16 + 4 * 18] = (0x7F800001).to_bytes(4, "little")
+        (tmp_path / "snan.hsic").write_bytes(raw)
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "hsiatl.cli", "eval",
+             "--checkpoint", workdir / "a.sstc", "--cube", tmp_path / "snan.hsic",
+             "--labels", workdir / "a.hsil"],
+            cwd=src, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("data error:") and done.stderr.count("\n") == 1, done.stderr
+        assert "snan.hsic: cube values must be finite" in done.stderr
+
     def test_noncontiguous_class_ids(self, workdir, tmp_path, capsys):
         labels = np.ones((20, 20), dtype=np.int64)
         labels[:5] = 3

@@ -2,6 +2,7 @@
 embedding oracle, raw-numpy attention, entropy formulas, and finite
 differences through whole encoder blocks and the full classifier."""
 
+import dataclasses
 import os
 import sys
 import threading
@@ -11,7 +12,9 @@ import weakref
 import numpy as np
 import pytest
 from conftest import (
+    calibrated_attention_ops,
     embed_patches,
+    encoder_block_ops,
     forward,
     max_relative_error,
     numeric_gradient,
@@ -23,6 +26,7 @@ from hsiatl import model as model_module
 from hsiatl.autodiff import Tape, Tensor
 from hsiatl.data import DimensionError, HsiCube, extract_windows_batch
 from hsiatl.model import (
+    EncoderLayerParams,
     PixelWindows,
     SstConfig,
     SstModel,
@@ -344,6 +348,112 @@ class TestEncoderBlock:
 
         num = numeric_gradient(value, [z_val])
         assert max_relative_error(z.grad, num[0]) < 1e-4
+
+
+SUBLAYER_CASES = [(0.0, False), (0.0, True), (0.5, False), (0.5, True)]
+
+
+def weighted_sum_grads(fn, tensors, weight):
+    """The output of fn(*tensors), the gradients of sum(output * weight), one
+    per tensor (None where a tensor does not require them), and the number of
+    records fn put on the tape."""
+    for t in tensors:
+        t.grad = None
+    with Tape() as tape:
+        out = fn(*tensors)
+        n_records = len(tape)
+        loss = ad.reduce_sum(ad.mul(out, Tensor(weight)))
+    ad.backward(tape, loss)
+    return out.data, [t.grad for t in tensors], n_records
+
+
+class TestSublayerNodes:
+    """The attention and feed-forward sublayers run as one tape node each;
+    they must match the op-level graphs in conftest: forward bits, gradients
+    within 1e-12, central differences, and the calibration identities."""
+
+    @pytest.mark.parametrize("calibration, renormalize", SUBLAYER_CASES)
+    def test_calibrated_attention_matches_op_graph(self, calibration, renormalize):
+        rng = np.random.default_rng(21)
+        arrays = [rng.normal(size=(2, 3, 5, 4)) for _ in range(3)]
+        weight = rng.normal(size=(2, 3, 5, 4))
+        results = []
+        for fn in (calibrated_attention, calibrated_attention_ops):
+            tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            results.append(weighted_sum_grads(
+                lambda q, k, v: fn(q, k, v, calibration, renormalize), tensors, weight
+            ))
+        (out, grads, n_records), (out_ops, grads_ops, _) = results
+        assert n_records == 1
+        assert out.tobytes() == out_ops.tobytes()
+        for g, g_ops in zip(grads, grads_ops):
+            np.testing.assert_allclose(g, g_ops, rtol=0, atol=1e-12 * np.abs(g_ops).max())
+
+    @pytest.mark.parametrize("calibration, renormalize", SUBLAYER_CASES)
+    def test_calibrated_attention_gradient_matches_central_differences(
+        self, calibration, renormalize
+    ):
+        rng = np.random.default_rng(22)
+        arrays = [rng.normal(size=(2, 4, 3)) for _ in range(3)]
+        weight = rng.normal(size=(2, 4, 3))
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        _, grads, _ = weighted_sum_grads(
+            lambda q, k, v: calibrated_attention(q, k, v, calibration, renormalize),
+            tensors, weight,
+        )
+
+        def value(q, k, v):
+            out = calibrated_attention(Tensor(q), Tensor(k), Tensor(v), calibration, renormalize)
+            return float((out.data * weight).sum())
+
+        for g, num in zip(grads, numeric_gradient(value, arrays)):
+            assert max_relative_error(g, num) < 1e-4
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_zero_strength_is_bitwise_plain_attention(self, renormalize):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            q, k, v = (Tensor(rng.normal(size=(3, 6, 4))) for _ in range(3))
+            plain = attention(q, k, v).data.tobytes()
+            assert calibrated_attention(q, k, v, 0.0, renormalize).data.tobytes() == plain
+
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_onehot_rows_invariant_to_strength(self, renormalize):
+        q = Tensor(np.eye(4)[None] * 1e4)
+        k = Tensor(np.eye(4)[None] * 1e4)
+        v = Tensor(np.random.default_rng(24).normal(size=(1, 4, 3)))
+        reference = attention(q, k, v).data.tobytes()
+        for lam in (0.25, 0.5, 5.0):
+            assert calibrated_attention(q, k, v, lam, renormalize).data.tobytes() == reference
+
+    @pytest.mark.parametrize("calibration, renormalize", SUBLAYER_CASES)
+    @pytest.mark.parametrize("frozen", [(), ("z",), ("attn_q", "attn_k", "ff_w1", "ff_b1"),
+                                        ("z", "attn_q", "attn_k", "attn_v", "ff_w1", "ff_b1")])
+    def test_encoder_block_matches_op_graph(self, calibration, renormalize, frozen):
+        cfg = tiny_config(d_model=8, n_heads=2, calibration=calibration,
+                          renormalize=renormalize, dropout=0.2)
+        layer = init_model(cfg, seed=25).layers[0]
+        rng = np.random.default_rng(26)
+        z_val = rng.normal(size=(3, cfg.n_tokens, cfg.d_model))
+        weight = rng.normal(size=z_val.shape)
+        names = ["z"] + [f.name for f in dataclasses.fields(EncoderLayerParams)]
+        results = []
+        for fn in (encoder_block, encoder_block_ops):
+            z = Tensor(z_val.copy(), requires_grad="z" not in frozen)
+            for name in names[1:]:
+                getattr(layer, name).requires_grad = name not in frozen
+            tensors = [z] + [getattr(layer, name) for name in names[1:]]
+            block = lambda z, *_: fn(z, layer, cfg, True, np.random.default_rng(27))
+            results.append(weighted_sum_grads(block, tensors, weight))
+        (out, grads, n_records), (out_ops, grads_ops, _) = results
+        assert n_records == 8  # two sublayer nodes, two dropouts, two adds, two LayerNorms
+        assert out.tobytes() == out_ops.tobytes()
+        for name, g, g_ops in zip(names, grads, grads_ops):
+            assert (g is None) == (name in frozen), name
+            if g is not None:
+                np.testing.assert_allclose(
+                    g, g_ops, rtol=0, atol=1e-12 * np.abs(g_ops).max(), err_msg=name
+                )
 
 
 class TestPoolAndHead:
