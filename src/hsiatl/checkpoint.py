@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import re
 import struct
 import typing
 from pathlib import Path
@@ -26,7 +25,7 @@ import numpy as np
 
 from hsiatl.autodiff import Tensor
 from hsiatl.data import BadMagicError, FormatError, TruncatedPayloadError
-from hsiatl.model import EncoderLayerParams, SstConfig, SstModel
+from hsiatl.model import SstConfig, SstModel, param_spec
 
 CHECKPOINT_MAGIC = b"SSTC"
 VERSION = 1
@@ -83,13 +82,16 @@ def load_model(path: str | Path) -> SstModel:
     entries = header.get("params")
     if not isinstance(entries, list):
         raise FormatError(f"{path}: header field 'params' must be a list, got {entries!r}")
+    spec = param_spec(config)
     offset = 8 + header_len
     values: dict[str, np.ndarray] = {}
     for entry in entries:
         name, shape = _param_entry(path, entry)
-        expected = _param_shape(config, name)
+        expected = spec.get(name)
         if expected is None:
             raise FormatError(f"{path}: unknown parameter {name!r}")
+        if name in values:
+            raise FormatError(f"{path}: parameter {name} is listed twice")
         if shape != expected:
             raise FormatError(
                 f"{path}: parameter {name} has shape {list(shape)}, expected {list(expected)}"
@@ -104,33 +106,11 @@ def load_model(path: str | Path) -> SstModel:
         offset += nbytes
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
-
-    def take(name: str) -> Tensor:
-        try:
-            return Tensor(values[name], requires_grad=True)
-        except KeyError as exc:
-            raise FormatError(f"{path}: checkpoint missing parameter {name}") from exc
-
-    layers = []
-    for i in range(config.n_layers):
-        kwargs = {
-            fld.name: take(f"enc{i}.{fld.name}")
-            for fld in dataclasses.fields(EncoderLayerParams)
-        }
-        layers.append(EncoderLayerParams(**kwargs))
-    model = SstModel(
-        config=config,
-        embed_weight=take("embed.weight"),
-        layers=layers,
-        class_query=take("pool.class_query"),
-        pool_k=take("pool.k"),
-        pool_v=take("pool.v"),
-        head_w1=take("head.w1"),
-        head_b1=take("head.b1"),
-        head_w2=take("head.w2"),
-        head_b2=take("head.b2"),
-        freeze=dict(freeze),
-    )
+    missing = [name for name in spec if name not in values]
+    if missing:
+        raise FormatError(f"{path}: checkpoint missing parameter {missing[0]}")
+    params = {name: Tensor(values[name], requires_grad=True) for name in spec}
+    model = SstModel(config, params, dict(freeze))
     groups = {model.group_of(name) for name in model.parameters()}
     if set(freeze) != groups:
         raise FormatError(
@@ -161,21 +141,6 @@ def _config(path, raw) -> SstConfig:
         return SstConfig(**raw)
     except (TypeError, ValueError) as exc:  # a missing field, or a bad value
         raise FormatError(f"{path}: invalid config: {exc}") from exc
-
-
-def _param_shape(config: SstConfig, name: str) -> tuple[int, ...] | None:
-    """The shape the config implies for a parameter, None for a name it has
-    no parameter of; from the config fields alone, so nothing is allocated."""
-    d, f, c = config.d_model, config.d_ff, config.n_classes
-    prefix, _, field = name.partition(".")
-    layer = re.fullmatch(r"enc(0|[1-9][0-9]*)", prefix)
-    if layer and int(layer[1]) < config.n_layers:
-        return {"attn_q": (d, d), "attn_k": (d, d), "attn_v": (d, d), "attn_out": (d, d),
-                "ff_w1": (d, f), "ff_b1": (f,), "ff_w2": (f, d), "ff_b2": (d,),
-                "ln1_gain": (d,), "ln1_bias": (d,), "ln2_gain": (d,), "ln2_bias": (d,)}.get(field)
-    return {"embed.weight": (config.token_dim, d), "pool.class_query": (1, d),
-            "pool.k": (d, d), "pool.v": (d, d), "head.w1": (d, d), "head.b1": (d,),
-            "head.w2": (d, c), "head.b2": (c,)}.get(name)
 
 
 def _param_entry(path, entry) -> tuple[str, tuple[int, ...]]:

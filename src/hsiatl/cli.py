@@ -294,7 +294,7 @@ def _resolve_manifest(
     path = Path(args.manifest) if args.manifest else Path(str(args.cube) + ".manifest.json")
     if path.exists():
         manifest = load_manifest(path)
-        validate_split(manifest, labels)
+        validate_split(manifest, labels, path)
         return manifest
     manifest = make_split(labels, run.ratios, run.seed)
     save_manifest(manifest, path)
@@ -422,13 +422,16 @@ def cmd_eval(args: argparse.Namespace, run: RunConfig) -> int:
     bank = WindowBank(cube, labels, model.config.window, model.config.subpatch)
     if args.manifest:
         manifest = load_manifest(args.manifest)
-        validate_split(manifest, labels)
+        validate_split(manifest, labels, args.manifest)
         pixels = manifest.test
         scope = "test"
     else:
         pixels = labels.labeled_indices()
         scope = "all-labeled"
-    report = evaluate_pixels(model, bank, pixels)
+    try:
+        report = evaluate_pixels(model, bank, pixels)
+    except NumericalError as exc:
+        raise NumericalError(f"{args.checkpoint}: {exc}") from None
     print(_format_metrics(scope, report))
     print(f"{'class':>5}  {'accuracy':>8}")
     for class_id, value in enumerate(report.per_class, start=1):

@@ -42,6 +42,10 @@ class DimensionError(FormatError):
     pass
 
 
+class SplitError(FormatError):
+    """A split manifest does not fit its label map."""
+
+
 @dataclass
 class HsiCube:
     """A (rows, cols, bands) reflectance cube, float64, all values finite."""
@@ -287,18 +291,23 @@ def make_split(
     )
 
 
-def validate_split(manifest: SplitManifest, labels: LabelMap) -> None:
-    """Check a manifest covers exactly the labeled pixels, one+ train/class."""
-    flat = labels.labels.ravel()
-    combined = np.sort(
-        np.concatenate([manifest.train, manifest.pool, manifest.test])
-    )
-    if not np.array_equal(combined, labels.labeled_indices()):
-        raise ValueError("manifest does not partition the labeled pixels")
-    train_classes = np.unique(flat[manifest.train])
-    expected = np.arange(1, labels.n_classes + 1)
-    if not np.array_equal(train_classes, expected):
-        raise ValueError("every class needs at least one train pixel")
+def validate_split(manifest: SplitManifest, labels: LabelMap, path="manifest") -> None:
+    """Check a manifest covers exactly the labeled pixels, one+ train/class.
+
+    A SplitError names ``path`` and the lowest stray pixel index (labeled but
+    not listed, or the reverse) or the first class with no train pixel.
+    """
+    labeled = labels.labeled_indices()
+    stray = np.setxor1d(np.concatenate([manifest.train, manifest.pool, manifest.test]), labeled)
+    if stray.size:
+        kind = "labeled but not listed" if stray[0] in labeled else "listed but not labeled"
+        raise SplitError(f"{path}: manifest does not partition the labeled pixels: "
+                         f"pixel {stray[0]} is {kind}")
+    classes = np.arange(1, labels.n_classes + 1)
+    untrained = np.setdiff1d(classes, labels.labels.ravel()[manifest.train])
+    if untrained.size:
+        raise SplitError(f"{path}: every class needs at least one train pixel; "
+                         f"class {untrained[0]} has none")
 
 
 def save_manifest(manifest: SplitManifest, path: str | Path) -> None:

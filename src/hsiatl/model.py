@@ -97,25 +97,39 @@ class SstConfig:
         return self.subpatch * self.subpatch * self.bands
 
 
-@dataclass
-class EncoderLayerParams:
-    attn_q: Tensor
-    attn_k: Tensor
-    attn_v: Tensor
-    attn_out: Tensor
-    ff_w1: Tensor
-    ff_b1: Tensor
-    ff_w2: Tensor
-    ff_b2: Tensor
-    ln1_gain: Tensor
-    ln1_bias: Tensor
-    ln2_gain: Tensor
-    ln2_bias: Tensor
+class NumericalError(RuntimeError):
+    """A training loss or the model's probabilities became non-finite."""
+
+
+# the short names of one encoder block's tensors, in checkpoint order
+BLOCK_PARAMS = ("attn_q", "attn_k", "attn_v", "attn_out", "ff_w1", "ff_b1", "ff_w2", "ff_b2",
+                "ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias")
+
+
+def param_spec(cfg: SstConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter in checkpoint order (encoder block i's
+    as ``enc{i}.<a BLOCK_PARAMS name>``), from the config fields alone, so
+    nothing is allocated."""
+    d, f, c = cfg.d_model, cfg.d_ff, cfg.n_classes
+    block = dict(zip(BLOCK_PARAMS, [(d, d)] * 4 + [(d, f), (f,), (f, d)] + [(d,)] * 5))
+    spec = {"embed.weight": (cfg.token_dim, d)}
+    for i in range(cfg.n_layers):
+        spec.update({f"enc{i}.{name}": shape for name, shape in block.items()})
+    spec.update({"pool.class_query": (1, d), "pool.k": (d, d), "pool.v": (d, d),
+                 "head.w1": (d, d), "head.b1": (d,), "head.w2": (d, c), "head.b2": (c,)})
+    return spec
+
+
+def _twin(t: Tensor) -> Tensor:
+    """A tensor over the same ``data`` with the same flag and no gradient."""
+    out = Tensor._result(t.data)
+    out.requires_grad = t.requires_grad
+    return out
 
 
 @dataclass
 class SstModel:
-    """Parameters plus per-group freeze flags.
+    """Parameters, in ``param_spec`` order, plus per-group freeze flags.
 
     Freeze groups are "embed", "enc0".."enc{L-1}", and "head"; the head group
     also covers the cross-attention pooling parameters, since both adapt to
@@ -124,36 +138,21 @@ class SstModel:
     """
 
     config: SstConfig
-    embed_weight: Tensor
-    layers: list[EncoderLayerParams]
-    class_query: Tensor
-    pool_k: Tensor
-    pool_v: Tensor
-    head_w1: Tensor
-    head_b1: Tensor
-    head_w2: Tensor
-    head_b2: Tensor
+    params: dict[str, Tensor]
     freeze: dict[str, bool] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.freeze:
             self.freeze = {"embed": False, "head": False}
-            self.freeze.update({f"enc{i}": False for i in range(len(self.layers))})
+            self.freeze.update({f"enc{i}": False for i in range(self.config.n_layers)})
 
     def parameters(self) -> dict[str, Tensor]:
         """Stable name -> tensor mapping; the order defines checkpoints."""
-        out = {"embed.weight": self.embed_weight}
-        for i, layer in enumerate(self.layers):
-            for fld in dataclasses.fields(EncoderLayerParams):
-                out[f"enc{i}.{fld.name}"] = getattr(layer, fld.name)
-        out["pool.class_query"] = self.class_query
-        out["pool.k"] = self.pool_k
-        out["pool.v"] = self.pool_v
-        out["head.w1"] = self.head_w1
-        out["head.b1"] = self.head_b1
-        out["head.w2"] = self.head_w2
-        out["head.b2"] = self.head_b2
-        return out
+        return self.params
+
+    def block(self, i: int) -> dict[str, Tensor]:
+        """Encoder block i's tensors by short name (see ``BLOCK_PARAMS``)."""
+        return {name: self.params[f"enc{i}.{name}"] for name in BLOCK_PARAMS}
 
     def replica(self) -> "SstModel":
         """The same model over new parameter tensors with their own ``grad``.
@@ -162,21 +161,7 @@ class SstModel:
         keeps its ``requires_grad`` flag, so in-place updates to the original
         show through while gradients accumulate apart.
         """
-
-        def twin(t: Tensor) -> Tensor:
-            out = Tensor._result(t.data)
-            out.requires_grad = t.requires_grad
-            return out
-
-        def twins(obj) -> dict[str, Tensor]:
-            return {
-                fld.name: twin(getattr(obj, fld.name))
-                for fld in dataclasses.fields(obj)
-                if isinstance(getattr(obj, fld.name), Tensor)
-            }
-
-        layers = [dataclasses.replace(layer, **twins(layer)) for layer in self.layers]
-        return dataclasses.replace(self, layers=layers, **twins(self))
+        return dataclasses.replace(self, params={n: _twin(t) for n, t in self.params.items()})
 
     def group_of(self, param_name: str) -> str:
         prefix = param_name.split(".", 1)[0]
@@ -372,7 +357,7 @@ def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
-def _self_attention(z: Tensor, layer: EncoderLayerParams, cfg: SstConfig) -> Tensor:
+def _self_attention(z: Tensor, layer: dict[str, Tensor], cfg: SstConfig) -> Tensor:
     """The attention sublayer as one tape node: the q/k/v projections, head
     split, ``_attend``, head merge and output projection.
 
@@ -383,11 +368,11 @@ def _self_attention(z: Tensor, layer: EncoderLayerParams, cfg: SstConfig) -> Ten
     """
     b, n, d = z.shape
     split = (b, n, cfg.n_heads, d // cfg.n_heads)
-    projections = (layer.attn_q, layer.attn_k, layer.attn_v)
+    projections = (layer["attn_q"], layer["attn_k"], layer["attn_v"])
     q, k, v = ((z.data @ w.data).reshape(split).transpose(0, 2, 1, 3) for w in projections)
     heads, probs, boost = _attend(q, k, v, cfg.calibration, cfg.renormalize)
     merged = heads.transpose(0, 2, 1, 3).reshape(b, n, d)
-    w_out = layer.attn_out
+    w_out = layer["attn_out"]
 
     def bwd(g):
         if w_out.requires_grad:
@@ -404,10 +389,10 @@ def _self_attention(z: Tensor, layer: EncoderLayerParams, cfg: SstConfig) -> Ten
     return ad._record(Tensor._result(merged @ w_out.data), (z, *projections, w_out), bwd)
 
 
-def _feed_forward(z: Tensor, layer: EncoderLayerParams) -> Tensor:
+def _feed_forward(z: Tensor, layer: dict[str, Tensor]) -> Tensor:
     """relu(z W1 + b1) W2 + b2 as one tape node that keeps only the ReLU
     output; its backward is the chain rule of the five ops it replaces."""
-    w1, b1, w2, b2 = layer.ff_w1, layer.ff_b1, layer.ff_w2, layer.ff_b2
+    w1, b1, w2, b2 = (layer[name] for name in ("ff_w1", "ff_b1", "ff_w2", "ff_b2"))
     hidden = z.data @ w1.data
     hidden += b1.data
     np.maximum(hidden, 0.0, out=hidden)
@@ -431,16 +416,16 @@ def _feed_forward(z: Tensor, layer: EncoderLayerParams) -> Tensor:
 
 def encoder_block(
     z: Tensor,
-    layer: EncoderLayerParams,
+    layer: dict[str, Tensor],
     cfg: SstConfig,
     training: bool = False,
     rng=None,
 ) -> Tensor:
     """Residual attention and feed-forward sublayers, each closed by LayerNorm."""
     attn = ad.dropout(_self_attention(z, layer, cfg), cfg.dropout, training, rng)
-    z = ad.layer_norm(ad.add(z, attn), layer.ln1_gain, layer.ln1_bias, cfg.ln_eps)
+    z = ad.layer_norm(ad.add(z, attn), layer["ln1_gain"], layer["ln1_bias"], cfg.ln_eps)
     ff = ad.dropout(_feed_forward(z, layer), cfg.dropout, training, rng)
-    return ad.layer_norm(ad.add(z, ff), layer.ln2_gain, layer.ln2_bias, cfg.ln_eps)
+    return ad.layer_norm(ad.add(z, ff), layer["ln2_gain"], layer["ln2_bias"], cfg.ln_eps)
 
 
 def dropout_draws(cfg: SstConfig, batch: int, rng, from_block: int = 0) -> list[np.ndarray]:
@@ -479,10 +464,11 @@ class RowDraws:
 def cross_attention_pool(z: Tensor, model: SstModel) -> Tensor:
     """Collapse [B, N_p, d_model] tokens to [B, d_model] by attending a
     learned class query."""
-    keys = ad.matmul(z, model.pool_k)
-    values = ad.matmul(z, model.pool_v)
+    p = model.params
+    keys = ad.matmul(z, p["pool.k"])
+    values = ad.matmul(z, p["pool.v"])
     scores = ad.scale(
-        ad.matmul(model.class_query, ad.transpose(keys, (0, 2, 1))),
+        ad.matmul(p["pool.class_query"], ad.transpose(keys, (0, 2, 1))),
         1.0 / math.sqrt(model.config.d_model),
     )
     pooled = ad.matmul(ad.softmax(scores, axis=-1), values)
@@ -491,8 +477,9 @@ def cross_attention_pool(z: Tensor, model: SstModel) -> Tensor:
 
 def classify(pooled: Tensor, model: SstModel) -> Tensor:
     """Two-layer softmax head: [B, d_model] -> probabilities [B, C]."""
-    hidden = ad.relu(ad.add(ad.matmul(pooled, model.head_w1), model.head_b1))
-    logits = ad.add(ad.matmul(hidden, model.head_w2), model.head_b2)
+    p = model.params
+    hidden = ad.relu(ad.add(ad.matmul(pooled, p["head.w1"]), p["head.b1"]))
+    logits = ad.add(ad.matmul(hidden, p["head.w2"]), p["head.b2"])
     return ad.softmax(logits, axis=-1)
 
 
@@ -530,7 +517,7 @@ def encode(
         )
     if from_block == 0:
         positional = _positional_table(x.shape[-2], cfg.d_model)
-        z = ad.add(ad.matmul(x, model.embed_weight), Tensor(positional))
+        z = ad.add(ad.matmul(x, model.params["embed.weight"]), Tensor(positional))
     elif x.shape[-1] != cfg.d_model:
         raise DimensionError(
             f"tokens entering block {from_block} are {x.shape[-1]} wide, "
@@ -539,8 +526,8 @@ def encode(
     else:
         z = x
     captured = []
-    for layer in model.layers[from_block:]:
-        z = encoder_block(z, layer, cfg, training, rng)
+    for i in range(from_block, cfg.n_layers):
+        z = encoder_block(z, model.block(i), cfg, training, rng)
         if capture:
             captured.append(z.data)
     if capture:
@@ -642,10 +629,18 @@ def predict_probs(
     result is bitwise identical for any CPU count, array or lazy source.
     With ``from_block`` above 0, ``features`` are the tokens
     ``encode_prefix`` gives for that many blocks, and the result is bitwise
-    the one the windows would give.
+    the one the windows would give. Raises NumericalError when a batch's
+    probabilities are not finite (numpy's floating-point warnings are off).
     """
-    probs = _lone_row_as_pair(lambda batch: forward_batch(model, batch, from_block=from_block).data)
-    chunks = map_batches(probs, features, batch_size)
+
+    def probs(batch: np.ndarray) -> np.ndarray:
+        out = forward_batch(model, batch, from_block=from_block).data
+        if not np.isfinite(out).all():
+            raise NumericalError("the model's class probabilities are not finite")
+        return out
+
+    with np.errstate(all="ignore"):
+        chunks = map_batches(_lone_row_as_pair(probs), features, batch_size)
     if not chunks:
         return np.zeros((0, model.config.n_classes))
     return np.concatenate(chunks, axis=0)
@@ -662,67 +657,46 @@ def encode_prefix(
     ``predict_probs``, so the tokens are bitwise the ones a full pass
     computes; they take N_p * d_model * 8 bytes per window.
     """
-    prefix = dataclasses.replace(model, layers=model.layers[:n_blocks])
+    config = dataclasses.replace(model.config, n_layers=n_blocks)
+    prefix = dataclasses.replace(model, config=config)
     chunks = map_batches(_lone_row_as_pair(lambda batch: encode(prefix, batch).data), features)
     if not chunks:
         return np.zeros((0, model.config.n_tokens, model.config.d_model))
     return np.concatenate(chunks, axis=0)
 
 
-def _uniform_weight(rng, fan_in: int, shape: tuple[int, ...]) -> Tensor:
-    bound = math.sqrt(1.0 / fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+def _initial(rng, name: str, shape: tuple[int, ...]) -> Tensor:
+    """A fresh parameter: ones for LayerNorm gains, zeros for biases and the
+    class query, else uniform(+/- sqrt(1/fan_in)) with fan_in = shape[0]."""
+    if name.endswith("_gain"):
+        data = np.ones(shape)
+    elif len(shape) == 1 or name == "pool.class_query":
+        data = np.zeros(shape)
+    else:
+        bound = math.sqrt(1.0 / shape[0])
+        data = rng.uniform(-bound, bound, size=shape)
+    return Tensor(data, requires_grad=True)
 
 
 def init_model(config: SstConfig, seed: int = 0) -> SstModel:
-    """Fresh model: uniform(+/- sqrt(1/fan_in)) weights, zero biases and
-    class query, unit LayerNorm gains. Deterministic for a fixed seed.
-    """
+    """Fresh model (see ``_initial``), deterministic for a fixed seed. Every
+    encoder block draws its weights before the embedding, pool and head do."""
     rng = np.random.default_rng(seed)
-    d = config.d_model
-    layers = []
-    for _ in range(config.n_layers):
-        layers.append(
-            EncoderLayerParams(
-                attn_q=_uniform_weight(rng, d, (d, d)),
-                attn_k=_uniform_weight(rng, d, (d, d)),
-                attn_v=_uniform_weight(rng, d, (d, d)),
-                attn_out=_uniform_weight(rng, d, (d, d)),
-                ff_w1=_uniform_weight(rng, d, (d, config.d_ff)),
-                ff_b1=Tensor(np.zeros(config.d_ff), requires_grad=True),
-                ff_w2=_uniform_weight(rng, config.d_ff, (config.d_ff, d)),
-                ff_b2=Tensor(np.zeros(d), requires_grad=True),
-                ln1_gain=Tensor(np.ones(d), requires_grad=True),
-                ln1_bias=Tensor(np.zeros(d), requires_grad=True),
-                ln2_gain=Tensor(np.ones(d), requires_grad=True),
-                ln2_bias=Tensor(np.zeros(d), requires_grad=True),
-            )
-        )
-    model = SstModel(
-        config=config,
-        embed_weight=_uniform_weight(rng, config.token_dim, (config.token_dim, d)),
-        layers=layers,
-        class_query=Tensor(np.zeros((1, d)), requires_grad=True),
-        pool_k=_uniform_weight(rng, d, (d, d)),
-        pool_v=_uniform_weight(rng, d, (d, d)),
-        head_w1=_uniform_weight(rng, d, (d, d)),
-        head_b1=Tensor(np.zeros(d), requires_grad=True),
-        head_w2=_uniform_weight(rng, d, (d, config.n_classes)),
-        head_b2=Tensor(np.zeros(config.n_classes), requires_grad=True),
-    )
-    model.apply_freeze()
-    return model
+    spec = param_spec(config)
+    # sorting is stable, so only the encoder blocks move ahead
+    drawn = {n: _initial(rng, n, spec[n]) for n in sorted(spec, key=lambda n: n[:3] != "enc")}
+    return SstModel(config, {name: drawn[name] for name in spec})
 
 
 def reset_head(model: SstModel, n_classes: int, seed: int = 0) -> None:
     """Re-initialize the output projection for a new class count.
 
-    Only the final projection (head_w2, head_b2) is replaced; the rest of the
+    Only the final projection (head.w2, head.b2) is replaced; the rest of the
     head keeps its learned values.
     """
     rng = np.random.default_rng(seed)
-    d = model.config.d_model
-    model.head_w2 = _uniform_weight(rng, d, (d, n_classes))
-    model.head_b2 = Tensor(np.zeros(n_classes), requires_grad=True)
     model.config = dataclasses.replace(model.config, n_classes=n_classes)
+    spec = param_spec(model.config)
+    for name in ("head.w2", "head.b2"):
+        model.params[name] = _initial(rng, name, spec[name])
     model.apply_freeze()

@@ -12,7 +12,8 @@ from hsiatl import autodiff as ad
 from hsiatl.autodiff import Tape
 from hsiatl.data import HsiCube, LabelMap, SplitManifest, check_extent, window_pad
 from hsiatl.metrics import MetricsReport, confusion, report
-from hsiatl.model import (
+from hsiatl.model import (  # NumericalError is re-exported
+    NumericalError,
     PixelWindows,
     RowDraws,
     SstModel,
@@ -23,10 +24,6 @@ from hsiatl.model import (
 )
 from hsiatl.optim import Adam
 from hsiatl.queries import QueryConfig, al_round, query_pool
-
-
-class NumericalError(RuntimeError):
-    """Training loss became non-finite."""
 
 
 @dataclass

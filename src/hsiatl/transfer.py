@@ -139,7 +139,7 @@ def _token_means(model: SstModel, features: np.ndarray | PixelWindows) -> list[n
 
     chunks = map_batches(capture, features)
     if not chunks:
-        return [np.zeros((0, model.config.d_model))] * len(model.layers)
+        return [np.zeros((0, model.config.d_model))] * model.config.n_layers
     return [np.concatenate(per_block) for per_block in zip(*chunks)]
 
 
@@ -170,7 +170,7 @@ def freeze_plan(
             "layer %d: mmd=%.6g source_var=%.6g target_var=%.6g",
             i, scores[-1], var_s[-1], var_t[-1],
         )
-    n_frozen = math.floor(rho * len(model.layers))
+    n_frozen = math.floor(rho * model.config.n_layers)
     order = np.argsort(np.asarray(scores), kind="stable")
     frozen = sorted(int(i) for i in order[:n_frozen])
     return FreezePlan(
@@ -185,7 +185,7 @@ def freeze_plan(
 def apply_freeze_plan(model: SstModel, plan: FreezePlan) -> None:
     """Set freeze flags: planned layers freeze, the embedding follows layer
     0, and the head never freezes."""
-    for i in range(len(model.layers)):
+    for i in range(model.config.n_layers):
         model.freeze[f"enc{i}"] = i in plan.frozen
     model.freeze["embed"] = 0 in plan.frozen
     model.freeze["head"] = False

@@ -186,17 +186,17 @@ def encoder_block_ops(z: Tensor, layer, cfg, training: bool = False, rng=None) -
         return ad.transpose(ad.reshape(t, (b, n, cfg.n_heads, d // cfg.n_heads)), (0, 2, 1, 3))
 
     q, k, v = (
-        split_heads(ad.matmul(z, w)) for w in (layer.attn_q, layer.attn_k, layer.attn_v)
+        split_heads(ad.matmul(z, layer[name])) for name in ("attn_q", "attn_k", "attn_v")
     )
     heads = calibrated_attention_ops(q, k, v, cfg.calibration, cfg.renormalize)
     b, h, n, d_k = heads.shape
     merged = ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), (b, n, h * d_k))
-    attn = ad.dropout(ad.matmul(merged, layer.attn_out), cfg.dropout, training, rng)
-    z = ad.layer_norm(ad.add(z, attn), layer.ln1_gain, layer.ln1_bias, cfg.ln_eps)
-    hidden = ad.relu(ad.add(ad.matmul(z, layer.ff_w1), layer.ff_b1))
-    ff = ad.add(ad.matmul(hidden, layer.ff_w2), layer.ff_b2)
+    attn = ad.dropout(ad.matmul(merged, layer["attn_out"]), cfg.dropout, training, rng)
+    z = ad.layer_norm(ad.add(z, attn), layer["ln1_gain"], layer["ln1_bias"], cfg.ln_eps)
+    hidden = ad.relu(ad.add(ad.matmul(z, layer["ff_w1"]), layer["ff_b1"]))
+    ff = ad.add(ad.matmul(hidden, layer["ff_w2"]), layer["ff_b2"])
     ff = ad.dropout(ff, cfg.dropout, training, rng)
-    return ad.layer_norm(ad.add(z, ff), layer.ln2_gain, layer.ln2_bias, cfg.ln_eps)
+    return ad.layer_norm(ad.add(z, ff), layer["ln2_gain"], layer["ln2_bias"], cfg.ln_eps)
 
 
 def layer_features(model, features: np.ndarray, layer_index: int) -> np.ndarray:

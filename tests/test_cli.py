@@ -44,6 +44,21 @@ def run(argv):
     return cli.main([str(a) for a in argv])
 
 
+def run_process(argv):
+    """``python -m hsiatl.cli`` in a fresh interpreter that prints every
+    warning, as a user's shell would see it."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-W", "default", "-m", "hsiatl.cli", *map(str, argv)],
+        cwd=src, capture_output=True, text=True, timeout=120,
+    )
+
+
+def assert_one_line(done, code, prefix):
+    assert done.returncode == code, done.stderr
+    assert done.stderr.startswith(prefix) and done.stderr.count("\n") == 1, done.stderr
+
+
 class TestSynth:
     def test_reruns_byte_identical(self, tmp_path):
         for stem in ("one", "two"):
@@ -355,12 +370,40 @@ class TestMalformedCheckpoint:
         assert f"parameter {name} has shape [2, 4], expected {expected}" in err
 
     def test_unknown_parameter(self, workdir, tmp_path, capsys):
-        def rename(header):
-            header["params"][-1]["name"] = "head.b3"
-            return header
+        # the checkpoint has one encoder block, enc0
+        for name in ("head.b3", "head.w3", "enc1.attn_q", "enc00.attn_q", "enc0.attn"):
+            def rename(header):
+                header["params"][-1]["name"] = name
+                return header
 
-        err = self.eval_bad(workdir, tmp_path, capsys, edit_header=rename)
-        assert "unknown parameter 'head.b3'" in err
+            err = self.eval_bad(workdir, tmp_path, capsys, edit_header=rename)
+            assert f"unknown parameter {name!r}" in err
+
+    def test_repeated_parameter(self, workdir, tmp_path):
+        # the last entry, head.b2 (3 values), listed twice with its payload
+        # repeated; the second copy used to win silently
+        bad = tmp_path / "twice.sstc"
+        rewrite_checkpoint(workdir / "a.sstc", bad, edit_header=lambda h: {
+            **h, "params": h["params"] + h["params"][-1:]})
+        bad.write_bytes(bad.read_bytes() + (workdir / "a.sstc").read_bytes()[-24:])
+        done = run_process(["eval", "--checkpoint", bad, "--cube", workdir / "a.hsic",
+                            "--labels", workdir / "a.hsil"])
+        assert_one_line(done, 2, "data error:")
+        assert "parameter head.b2 is listed twice" in done.stderr
+
+
+class TestNumericalFailure:
+    def test_huge_finite_parameters_exit_3(self, workdir, tmp_path):
+        # the loader accepts any finite values; evaluation used to print
+        # numpy's overflow warnings, score garbage and exit 0
+        raw = (workdir / "a.sstc").read_bytes()
+        start = 8 + int.from_bytes(raw[4:8], "little")
+        huge = np.full((len(raw) - start) // 8, 1e200, dtype="<f8").tobytes()
+        (tmp_path / "huge.sstc").write_bytes(raw[:start] + huge)
+        done = run_process(["eval", "--checkpoint", tmp_path / "huge.sstc",
+                            "--cube", workdir / "a.hsic", "--labels", workdir / "a.hsil"])
+        assert_one_line(done, 3, "numerical failure: ")
+        assert "huge.sstc: the model's class probabilities are not finite" in done.stderr
 
 
 def write_cube(path, rows, cols, bands, nan_at=None):
@@ -436,16 +479,46 @@ class TestIncompatibleData:
         raw = bytearray((tmp_path / "snan.hsic").read_bytes())
         raw[16 + 4 * 17 : 16 + 4 * 18] = (0x7F800001).to_bytes(4, "little")
         (tmp_path / "snan.hsic").write_bytes(raw)
-        src = Path(cli.__file__).resolve().parents[1]
-        done = subprocess.run(
-            [sys.executable, "-W", "default", "-m", "hsiatl.cli", "eval",
-             "--checkpoint", workdir / "a.sstc", "--cube", tmp_path / "snan.hsic",
-             "--labels", workdir / "a.hsil"],
-            cwd=src, capture_output=True, text=True, timeout=60,
-        )
-        assert done.returncode == 2, done.stderr
-        assert done.stderr.startswith("data error:") and done.stderr.count("\n") == 1, done.stderr
+        done = run_process(["eval", "--checkpoint", workdir / "a.sstc",
+                            "--cube", tmp_path / "snan.hsic", "--labels", workdir / "a.hsil"])
+        assert_one_line(done, 2, "data error:")
         assert "snan.hsic: cube values must be finite" in done.stderr
+
+    def eval_manifest(self, workdir, tmp_path, edit):
+        """stderr of ``eval`` with an edited copy of the manifest, checked to
+        be one data-error line naming the copy and exit 2 (these used to
+        exit 1)."""
+        doc = json.loads((workdir / "a.split.json").read_text())
+        edit(doc)
+        (tmp_path / "edited.json").write_text(json.dumps(doc))
+        done = run_process(["eval", "--checkpoint", workdir / "a.sstc",
+                            "--cube", workdir / "a.hsic", "--labels", workdir / "a.hsil",
+                            "--manifest", tmp_path / "edited.json"])
+        assert_one_line(done, 2, "data error: ")
+        assert "edited.json: " in done.stderr
+        return done.stderr
+
+    @pytest.mark.parametrize("stray", ["missing", "extra"])
+    def test_manifest_that_does_not_partition_the_labels(self, workdir, tmp_path, stray):
+        # every pixel of the 20x20 map is labeled, so 400 is not
+        pixel = json.loads((workdir / "a.split.json").read_text())["test"][0]
+        if stray == "missing":
+            err = self.eval_manifest(workdir, tmp_path, lambda doc: doc["test"].remove(pixel))
+            assert f"pixel {pixel} is labeled but not listed" in err
+        else:
+            err = self.eval_manifest(workdir, tmp_path, lambda doc: doc["pool"].append(400))
+            assert "pixel 400 is listed but not labeled" in err
+        assert "manifest does not partition the labeled pixels" in err
+
+    def test_manifest_class_without_a_train_pixel(self, workdir, tmp_path):
+        flat = load_labels(workdir / "a.hsil").labels.ravel()
+
+        def untrain_class_2(doc):
+            doc["pool"] += [i for i in doc["train"] if flat[i] == 2]
+            doc["train"] = [i for i in doc["train"] if flat[i] != 2]
+
+        err = self.eval_manifest(workdir, tmp_path, untrain_class_2)
+        assert "every class needs at least one train pixel; class 2 has none" in err
 
     def test_noncontiguous_class_ids(self, workdir, tmp_path, capsys):
         labels = np.ones((20, 20), dtype=np.int64)

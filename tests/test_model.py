@@ -2,7 +2,6 @@
 embedding oracle, raw-numpy attention, entropy formulas, and finite
 differences through whole encoder blocks and the full classifier."""
 
-import dataclasses
 import os
 import sys
 import threading
@@ -26,7 +25,7 @@ from hsiatl import model as model_module
 from hsiatl.autodiff import Tape, Tensor
 from hsiatl.data import DimensionError, HsiCube, extract_windows_batch
 from hsiatl.model import (
-    EncoderLayerParams,
+    BLOCK_PARAMS,
     PixelWindows,
     SstConfig,
     SstModel,
@@ -315,7 +314,7 @@ class TestEncoderBlock:
         cfg = tiny_config()
         model = init_model(cfg, seed=42)
         z = Tensor(np.random.default_rng(0).normal(size=(2, cfg.n_tokens, cfg.d_model)))
-        out = encoder_block(z, model.layers[0], cfg)
+        out = encoder_block(z, model.block(0), cfg)
         assert out.shape == (2, cfg.n_tokens, cfg.d_model)
         assert np.isfinite(out.data).all()
 
@@ -325,14 +324,14 @@ class TestEncoderBlock:
         for t in model.parameters().values():
             t.data[...] = 0.0
         z = Tensor(np.random.default_rng(1).normal(size=(1, cfg.n_tokens, cfg.d_model)))
-        out = encoder_block(z, model.layers[0], cfg)
+        out = encoder_block(z, model.block(0), cfg)
         assert np.isfinite(out.data).all()
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         cfg = tiny_config(n_layers=1, calibration=0.5)
         model = init_model(cfg, seed=42)
-        layer = model.layers[0]
+        layer = model.block(0)
         rng = np.random.default_rng(2)
         z_val = rng.normal(size=(1, cfg.n_tokens, cfg.d_model))
         w = rng.normal(size=(1, cfg.n_tokens, cfg.d_model))
@@ -432,17 +431,17 @@ class TestSublayerNodes:
     def test_encoder_block_matches_op_graph(self, calibration, renormalize, frozen):
         cfg = tiny_config(d_model=8, n_heads=2, calibration=calibration,
                           renormalize=renormalize, dropout=0.2)
-        layer = init_model(cfg, seed=25).layers[0]
+        layer = init_model(cfg, seed=25).block(0)
         rng = np.random.default_rng(26)
         z_val = rng.normal(size=(3, cfg.n_tokens, cfg.d_model))
         weight = rng.normal(size=z_val.shape)
-        names = ["z"] + [f.name for f in dataclasses.fields(EncoderLayerParams)]
+        names = ["z", *BLOCK_PARAMS]
         results = []
         for fn in (encoder_block, encoder_block_ops):
             z = Tensor(z_val.copy(), requires_grad="z" not in frozen)
             for name in names[1:]:
-                getattr(layer, name).requires_grad = name not in frozen
-            tensors = [z] + [getattr(layer, name) for name in names[1:]]
+                layer[name].requires_grad = name not in frozen
+            tensors = [z] + [layer[name] for name in names[1:]]
             block = lambda z, *_: fn(z, layer, cfg, True, np.random.default_rng(27))
             results.append(weighted_sum_grads(block, tensors, weight))
         (out, grads, n_records), (out_ops, grads_ops, _) = results
@@ -462,7 +461,7 @@ class TestPoolAndHead:
         model = init_model(cfg, seed=42)
         z_val = np.random.default_rng(3).normal(size=(1, 1, cfg.d_model))
         pooled = cross_attention_pool(Tensor(z_val), model).data
-        np.testing.assert_allclose(pooled, z_val[:, 0] @ model.pool_v.data, atol=1e-12)
+        np.testing.assert_allclose(pooled, z_val[:, 0] @ model.params["pool.v"].data, atol=1e-12)
 
     def test_pool_matches_dense_recomputation(self):
         cfg = tiny_config()
@@ -470,9 +469,9 @@ class TestPoolAndHead:
         z_val = np.random.default_rng(5).normal(size=(2, cfg.n_tokens, cfg.d_model))
         got = cross_attention_pool(Tensor(z_val), model).data
         for b in range(2):
-            keys = z_val[b] @ model.pool_k.data
-            values = z_val[b] @ model.pool_v.data
-            scores = (model.class_query.data @ keys.T) / np.sqrt(cfg.d_model)
+            keys = z_val[b] @ model.params["pool.k"].data
+            values = z_val[b] @ model.params["pool.v"].data
+            scores = (model.params["pool.class_query"].data @ keys.T) / np.sqrt(cfg.d_model)
             e = np.exp(scores - scores.max())
             weights = e / e.sum()
             np.testing.assert_allclose(got[b], (weights @ values)[0], atol=1e-12)
@@ -490,7 +489,7 @@ class TestPoolAndHead:
         model = init_model(cfg, seed=6)
         pooled = Tensor(np.random.default_rng(7).normal(size=(3, cfg.d_model)))
         before = classify(pooled, model).data.argmax(axis=1)
-        model.head_b2.data += 5.0
+        model.params["head.b2"].data += 5.0
         after = classify(pooled, model).data.argmax(axis=1)
         np.testing.assert_array_equal(before, after)
 
@@ -548,10 +547,10 @@ class TestForward:
         d_k = cfg.d_model // cfg.n_heads
         perm = np.array([1, 0])
         cols = np.concatenate([np.arange(h * d_k, (h + 1) * d_k) for h in perm])
-        layer = permuted.layers[0]
-        for t in (layer.attn_q, layer.attn_k, layer.attn_v):
-            t.data[...] = t.data[:, cols]
-        layer.attn_out.data[...] = layer.attn_out.data[cols, :]
+        params = permuted.params
+        for name in ("enc0.attn_q", "enc0.attn_k", "enc0.attn_v"):
+            params[name].data[...] = params[name].data[:, cols]
+        params["enc0.attn_out"].data[...] = params["enc0.attn_out"].data[cols, :]
         np.testing.assert_allclose(
             forward(permuted, window),
             forward(base, window),
@@ -615,11 +614,11 @@ class TestHeadReset:
     def test_reset_replaces_only_output_projection(self):
         cfg = tiny_config()
         model = init_model(cfg, seed=42)
-        w1_before = model.head_w1.data.copy()
+        w1_before = model.params["head.w1"].data.copy()
         reset_head(model, 5, seed=1)
         assert model.config.n_classes == 5
-        assert model.head_w2.shape == (cfg.d_model, 5)
-        np.testing.assert_array_equal(model.head_w1.data, w1_before)
+        assert model.params["head.w2"].shape == (cfg.d_model, 5)
+        np.testing.assert_array_equal(model.params["head.w1"].data, w1_before)
         probs = forward(model, np.zeros((4, 4, 3)))
         assert probs.shape == (5,)
 
@@ -789,7 +788,7 @@ class TestEncodeFromBlock:
         full, captured = encode(model, feats, capture=True)
         for cpus in (1, 2):
             TestParallelEvaluation.force_cpus(monkeypatch, cpus)
-            for j in range(1, len(model.layers) + 1):
+            for j in range(1, model.config.n_layers + 1):
                 tokens = encode_prefix(model, feats, j)
                 assert tokens.tobytes() == captured[j - 1].tobytes(), (cpus, j)
                 assert encode(model, tokens, from_block=j).data.tobytes() == full.data.tobytes()

@@ -134,7 +134,7 @@ class TestTrainModel:
     def test_nonfinite_loss_raises_numerical_error(self):
         # overflow the embedding products so LayerNorm sees inf - inf
         _, _, _, model, bank = small_problem()
-        model.embed_weight.data[...] = 1e308
+        model.params["embed.weight"].data[...] = 1e308
         feats, targets = bank.take(bank.pixels[:30])
         with np.errstate(all="ignore"), pytest.raises(NumericalError):
             train_model(
@@ -197,10 +197,10 @@ class TestTwoHalfStep:
     def test_final_batch_of_one_row(self):
         _, _, _, model, bank = small_problem()
         feats, targets = bank.take(bank.pixels[:57])  # default batches of 56, then 1
-        before = model.head_b2.data.copy()
+        before = model.params["head.b2"].data.copy()
         history = train_model(model, feats, targets, TrainConfig(epochs=1, seed=2))
         assert np.isfinite(history[0])
-        assert not np.array_equal(model.head_b2.data, before)
+        assert not np.array_equal(model.params["head.b2"].data, before)
 
     def test_from_block_trains_only_the_blocks_after_the_cached_prefix(self):
         _, _, cfg, _, bank = small_problem()
@@ -234,7 +234,7 @@ class TestTwoHalfStep:
 
         monkeypatch.setattr(training_module, "forward_batch", spy)
         _, _, _, model, bank = small_problem()
-        model.embed_weight.data[...] = 1e308
+        model.params["embed.weight"].data[...] = 1e308
         feats, targets = bank.take(bank.pixels[:30])
         with np.errstate(all="ignore"), pytest.raises(NumericalError):
             train_model(

@@ -264,7 +264,7 @@ class TestFineTune:
         fine_tune(model, bank.take(bank.pixels[:30])[0], targets + 1, plan,
                   TrainConfig(epochs=1, batch_size=8), n_classes=2)
         assert model.config.n_classes == 2
-        assert model.head_w2.shape == (8, 2)
+        assert model.params["head.w2"].shape == (8, 2)
 
 
 class TestRunTransfer:
