@@ -400,12 +400,14 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
         raise ShapeError(
             f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = Tensor._result(xhat * gain.data + bias.data)
+    # in place where the op-by-op expression would allocate; same bits
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    var += eps
+    inv = 1.0 / np.sqrt(var)
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def bwd(g):
         if gain.requires_grad:
@@ -418,7 +420,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
             m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
             x.accumulate(inv * (gx_hat - m1 - xhat * m2))
 
-    return _record(out, (x, gain, bias), bwd)
+    return _record(Tensor._result(out), (x, gain, bias), bwd)
 
 
 def dropout(x, rate: float = 0.1, training: bool = False, rng=None) -> Tensor:

@@ -394,14 +394,17 @@ def cmd_transfer(args: argparse.Namespace, run: RunConfig) -> int:
     # the target's class count may differ: fine-tuning resets the head then
     _check_compatible(model, cube)
     _check_compatible(model, target_cube)
-    model, report = run_transfer(
-        model, cube, labels, target_cube, target_labels,
-        rho=run.rho,
-        mmd_cfg=run.mmd_config(),
-        train_cfg=run.train_config(),
-        target_fraction=run.target_fraction,
-        seed=run.seed,
-    )
+    try:
+        model, report = run_transfer(
+            model, cube, labels, target_cube, target_labels,
+            rho=run.rho,
+            mmd_cfg=run.mmd_config(),
+            train_cfg=run.train_config(),
+            target_fraction=run.target_fraction,
+            seed=run.seed,
+        )
+    except NumericalError as exc:
+        raise NumericalError(f"{args.source_ckpt}: {exc}") from None
     report["source"] = str(args.cube)
     report["target"] = str(args.target_cube)
     if report["zero_shot"] is not None:

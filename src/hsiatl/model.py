@@ -10,7 +10,8 @@ by a two-layer softmax head.
 Attention is self-calibrated: each attention row is rescaled by
 1 + calibration * U_i, where U_i is that row's Shannon entropy normalized to
 [0, 1], so ambiguous tokens contribute more. calibration = 0 reproduces
-plain scaled dot-product attention bitwise.
+plain scaled dot-product attention bitwise. One kernel (``_attend`` and
+``_attend_back``) serves evaluation and training.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ class SstConfig:
         dropout: dropout rate on both sublayers.
         ln_eps: LayerNorm variance epsilon.
         calibration: entropy-rescaling strength (lambda), >= 0.
-        renormalize: re-divide calibrated attention rows by their sum.
+        renormalize: re-divide calibrated attention rows by their sum; this
+            cancels the calibration, leaving plain attention bitwise.
     """
 
     bands: int
@@ -235,89 +237,77 @@ class PixelWindows:
         return unfold(windows, self.subpatch)
 
 
-def _softmax_rows_(scores: np.ndarray) -> np.ndarray:
-    """``ad.softmax`` over the last axis, in place; returns ``scores``.
-
-    The row max is found by halving: ``np.maximum`` is exact, so the max,
-    and with it every weight, is bitwise what ``scores.max(axis=-1)`` gives,
-    in about two thirds of its time on 16-wide rows.
-    """
-    top = scores
-    while top.shape[-1] > 1:
-        half = top.shape[-1] // 2
-        folded = np.maximum(top[..., :half], top[..., half : 2 * half])
-        if top.shape[-1] % 2:
-            folded[..., :1] = np.maximum(folded[..., :1], top[..., -1:])
-        top = folded
-    scores -= top
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    return scores
-
-
-def _entropy_scale(n: int) -> float:
-    """-1 / ln(n): turns a row's sum of p log p into its entropy in [0, 1]."""
-    return -1.0 / (math.log(n) if n > 1 else 1.0)
-
-
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, calibration: float, renormalize: bool):
-    """Self-calibrated attention on arrays [..., N, d_k].
+    """Self-calibrated attention on arrays [..., N, d_k], with the scores
+    held keys first.
 
-    Returns the output, the softmax weights P and the boost column
-    1 + calibration * U ([..., N, 1], U the normalized row entropy of P;
-    None at calibration 0), which is what ``_attend_back`` needs.
+    The shifted scores s' = c q.k - (row max), c = 1/sqrt(d_k), live as
+    [N_k, ..., N_q], so every reduction over a row's keys works on whole
+    [..., N_q] slabs. With e = exp(s'), Z = sum(e) and A = sum(e s') over the
+    keys, a row's entropy is H = log Z - A/Z (no log of any weight), its
+    boost is b = 1 + calibration * H / ln N_k, and the output is
+    (e^T v) * b / Z. Renormalized rows lose their boost, so they take b = 1.
+
+    Returns the output and what ``_attend_back`` needs: s', Z, the row
+    factor b / Z and, when the boost is on, A/Z and calibration / ln N_k.
     """
-    probs = q @ np.swapaxes(k, -1, -2)
-    probs *= 1.0 / math.sqrt(q.shape[-1])
-    _softmax_rows_(probs)
-    if calibration == 0:
-        return probs @ v, probs, None
-    # in-place steps give the bits of the op-by-op expressions they replace
-    plogp = np.maximum(probs, ad.LOG_FLOOR)
-    np.log(plogp, out=plogp)
-    plogp *= probs
-    boost = plogp.sum(axis=-1, keepdims=True) * _entropy_scale(probs.shape[-1])
-    boost = boost * float(calibration) + 1.0
-    del plogp
-    weights = probs * boost
-    if renormalize:
-        weights /= weights.sum(axis=-1, keepdims=True)
-    return weights @ v, probs, boost
+    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    n_k = k.shape[-2]
+    shifted = np.empty((n_k, *lead, q.shape[-2]))
+    np.matmul(k, np.swapaxes(q, -1, -2), out=np.moveaxis(shifted, 0, -2))
+    shifted *= 1.0 / math.sqrt(q.shape[-1])
+    shifted -= np.maximum.reduce(shifted, axis=0)
+    e = np.exp(shifted)
+    z = np.add.reduce(e, axis=0)
+    out = np.matmul(np.moveaxis(e, 0, -1), v)
+    if renormalize or calibration == 0:
+        scale, entropy = 1.0 / z, None
+    else:
+        slope = float(calibration) / (math.log(n_k) if n_k > 1 else 1.0)
+        e *= shifted
+        mean = np.add.reduce(e, axis=0)
+        mean /= z
+        boost = np.log(z)
+        boost -= mean
+        boost *= slope
+        boost += 1.0
+        scale, entropy = boost / z, (mean, slope)
+    out *= scale[..., None]
+    return out, (shifted, z, scale, entropy)
 
 
-def _attend_back(g, q, k, v, probs, boost, calibration: float, renormalize: bool):
-    """Gradients (g_q, g_k, g_v) of ``_attend`` for its output gradient ``g``.
+def _attend_back(g, q, k, v, state):
+    """Gradients (g_q, g_k, g_v) of ``_attend`` for its output gradient ``g``,
+    in closed form on the same keys-first layout.
 
-    This is the chain rule of the op graph (``ad.matmul``, ``ad.softmax``,
-    ``ad.log`` and friends) that ``_attend`` replaces, op by op in the order
-    ``ad.backward`` visits them and on arrays of the same layout, so the
-    gradients carry that graph's bits. ``P * boost`` and ``log max(P, 1e-12)``
-    are recomputed, not kept.
+    With P = e/Z, g_w = g v^T and r = sum(P g_w) over a row's keys, the
+    shifted scores get P * (b (g_w - r) - slope * r * (s' - A/Z)): the
+    softmax's and the entropy's terms in one expression. The row max
+    cancels through the softmax, so there is no log, clamp or mask. e is
+    recomputed from s'.
     """
-    boosted = probs if boost is None else probs * boost
-    sums = boosted.sum(axis=-1, keepdims=True) if boost is not None and renormalize else None
-    weights = boosted if sums is None else boosted / sums
-    g_v = np.swapaxes(weights, -1, -2) @ g
-    g_p = g @ np.swapaxes(v, -1, -2)
-    if boost is not None:
-        g_boosted = g_p
-        if sums is not None:
-            g_sums = ad._unbroadcast(-g_boosted * boosted / (sums * sums), sums.shape)
-            g_boosted = g_boosted / sums
-            g_boosted += g_sums
-        g_p = g_boosted * boost
-        g_plogp = (
-            ad._unbroadcast(g_boosted * probs, boost.shape)
-            * float(calibration)
-            * _entropy_scale(probs.shape[-1])
-        )
-        clamped = np.maximum(probs, ad.LOG_FLOOR)
-        g_p += g_plogp * np.log(clamped)
-        g_p += g_plogp * probs * (probs > ad.LOG_FLOOR) / clamped
-    inner = (g_p * probs).sum(axis=-1, keepdims=True)
-    g_scores = (g_p - inner) * probs * (1.0 / math.sqrt(q.shape[-1]))
-    g_k = np.ascontiguousarray(np.swapaxes(np.swapaxes(q, -1, -2) @ g_scores, -1, -2))
-    return g_scores @ k, g_k, g_v
+    shifted, z, scale, entropy = state
+    e = np.exp(shifted)
+    g_v = np.matmul(np.moveaxis(e, 0, -2), g * scale[..., None])
+    g_s = np.empty_like(shifted)
+    np.matmul(v, np.swapaxes(g, -1, -2), out=np.moveaxis(g_s, 0, -2))
+    product = e * g_s
+    r = np.add.reduce(product, axis=0)
+    r /= z
+    # g_s becomes e * (alpha g_w - beta s' + gamma), with c in every row factor
+    c = 1.0 / math.sqrt(q.shape[-1])
+    alpha = scale * c
+    gamma = -alpha * r
+    g_s *= alpha
+    if entropy is not None:
+        mean, slope = entropy
+        beta = r * (slope * c) / z
+        gamma += beta * mean
+        np.multiply(shifted, beta, out=product)
+        g_s -= product
+    g_s += gamma
+    g_s *= e
+    return np.matmul(np.moveaxis(g_s, 0, -1), k), np.matmul(np.moveaxis(g_s, 0, -2), q), g_v
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -332,17 +322,17 @@ def calibrated_attention(
 
     Row i of the softmax weights is scaled by (1 + calibration * U_i) with
     U_i its normalized entropy. calibration = 0 skips the scaling, making the
-    outputs bitwise those of ``attention``. With ``renormalize`` the scaled
-    rows are re-divided by their sums, which restores row-stochasticity (and
-    with it, plain attention up to rounding). One tape node.
+    outputs bitwise those of ``attention``. Re-dividing the scaled rows by
+    their sums (``renormalize``) cancels the scaling, so those outputs are
+    bitwise those of ``attention`` too. One tape node (see ``_attend``).
     """
     if calibration < 0:
         raise ValueError(f"calibration must be >= 0, got {calibration}")
     q, k, v = (ad._as_tensor(t) for t in (q, k, v))
-    out, probs, boost = _attend(q.data, k.data, v.data, calibration, renormalize)
+    out, state = _attend(q.data, k.data, v.data, calibration, renormalize)
 
     def bwd(g):
-        grads = _attend_back(g, q.data, k.data, v.data, probs, boost, calibration, renormalize)
+        grads = _attend_back(g, q.data, k.data, v.data, state)
         # the order the op graph reaches them in: v, then q, then k
         for t, g_t in ((v, grads[2]), (q, grads[0]), (k, grads[1])):
             if t.requires_grad:
@@ -361,24 +351,24 @@ def _self_attention(z: Tensor, layer: dict[str, Tensor], cfg: SstConfig) -> Tens
     """The attention sublayer as one tape node: the q/k/v projections, head
     split, ``_attend``, head merge and output projection.
 
-    Its backward keeps q, k, v, the softmax weights, the boost column and the
-    merged heads, and replays the op graph's chain rule (``_attend_back``),
-    so ``z`` receives the v, k and q contributions in that order, after the
-    residual's.
+    Its backward keeps q, k, v, the shifted scores with their row statistics
+    and the merged heads (``_attend_back`` takes the gradients through the
+    heads in closed form), and ``z`` receives the v, k and q contributions
+    in that order, after the residual's, as in the op graph.
     """
     b, n, d = z.shape
     split = (b, n, cfg.n_heads, d // cfg.n_heads)
     projections = (layer["attn_q"], layer["attn_k"], layer["attn_v"])
     q, k, v = ((z.data @ w.data).reshape(split).transpose(0, 2, 1, 3) for w in projections)
-    heads, probs, boost = _attend(q, k, v, cfg.calibration, cfg.renormalize)
+    heads, state = _attend(q, k, v, cfg.calibration, cfg.renormalize)
     merged = heads.transpose(0, 2, 1, 3).reshape(b, n, d)
     w_out = layer["attn_out"]
 
     def bwd(g):
         if w_out.requires_grad:
             w_out.accumulate(_weight_grad(merged, g))
-        g_heads = (g @ w_out.data.T).reshape(split).transpose(0, 2, 1, 3).copy()
-        grads = _attend_back(g_heads, q, k, v, probs, boost, cfg.calibration, cfg.renormalize)
+        g_heads = (g @ w_out.data.T).reshape(split).transpose(0, 2, 1, 3)
+        grads = _attend_back(g_heads, q, k, v, state)
         for w, g_x in reversed(list(zip(projections, grads))):
             g_x = g_x.transpose(0, 2, 1, 3).reshape(b, n, d)
             if z.requires_grad:

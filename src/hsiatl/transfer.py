@@ -15,7 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from hsiatl.data import DimensionError, HsiCube, LabelMap, check_extent, make_split
-from hsiatl.model import PixelWindows, SstModel, encode, encode_prefix, map_batches, reset_head
+from hsiatl.model import (
+    NumericalError,
+    PixelWindows,
+    SstModel,
+    encode,
+    encode_prefix,
+    map_batches,
+    reset_head,
+)
 from hsiatl.training import TrainConfig, WindowBank, evaluate, train_model
 
 logger = logging.getLogger(__name__)
@@ -130,14 +138,20 @@ def _token_means(model: SstModel, features: np.ndarray | PixelWindows) -> list[n
     """Mean-over-tokens output of every encoder block, one [n, d] per block.
 
     Windows are encoded in parallel batches (see ``map_batches``); a row's
-    features do not depend on the batch it ran in.
+    features do not depend on the batch it ran in. Raises NumericalError
+    when a block's means are not finite (numpy's floating-point warnings are
+    off).
     """
 
     def capture(batch: np.ndarray) -> list[np.ndarray]:
         _, captured = encode(model, batch, capture=True)
-        return [z.mean(axis=1) for z in captured]
+        means = [z.mean(axis=1) for z in captured]
+        if not all(np.isfinite(m).all() for m in means):
+            raise NumericalError("the encoder blocks' features are not finite")
+        return means
 
-    chunks = map_batches(capture, features)
+    with np.errstate(all="ignore"):
+        chunks = map_batches(capture, features)
     if not chunks:
         return [np.zeros((0, model.config.d_model))] * model.config.n_layers
     return [np.concatenate(per_block) for per_block in zip(*chunks)]

@@ -140,6 +140,18 @@ class TestLayerNorm:
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-10)
         np.testing.assert_allclose(out.std(axis=-1), 1.0, atol=1e-4)
 
+    def test_forward_bytes_equal_op_by_op_expression(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(4, 16, 56)) * 3 + 1
+        gain, bias = rng.normal(size=56), rng.normal(size=56)
+        eps = 1e-6
+        mu = x.mean(axis=-1, keepdims=True)
+        centered = x - mu
+        var = (centered * centered).mean(axis=-1, keepdims=True)
+        expected = centered * (1.0 / np.sqrt(var + eps)) * gain + bias
+        out = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias), eps).data
+        assert out.tobytes() == expected.tobytes()
+
     def test_gain_bias_shape_checked(self):
         with pytest.raises(ShapeError):
             ad.layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)))

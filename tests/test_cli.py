@@ -405,6 +405,22 @@ class TestNumericalFailure:
         assert_one_line(done, 3, "numerical failure: ")
         assert "huge.sstc: the model's class probabilities are not finite" in done.stderr
 
+    def test_huge_finite_parameters_exit_3_in_transfer(self, workdir, tmp_path):
+        # the freeze plan's capture used to print numpy's overflow warnings,
+        # and the message did not name the checkpoint
+        raw = (workdir / "a.sstc").read_bytes()
+        start = 8 + int.from_bytes(raw[4:8], "little")
+        huge = np.full((len(raw) - start) // 8, 1e200, dtype="<f8").tobytes()
+        (tmp_path / "huge.sstc").write_bytes(raw[:start] + huge)
+        done = run_process(["transfer", "--config", workdir / "cfg.json",
+                            "--source-ckpt", tmp_path / "huge.sstc",
+                            "--cube", workdir / "a.hsic", "--labels", workdir / "a.hsil",
+                            "--target-cube", workdir / "a.hsic",
+                            "--target-labels", workdir / "a.hsil",
+                            "--out", tmp_path / "transfer.json"])
+        assert_one_line(done, 3, f"numerical failure: {tmp_path / 'huge.sstc'}: ")
+        assert "Warning" not in done.stderr
+
 
 def write_cube(path, rows, cols, bands, nan_at=None):
     values = np.random.default_rng(0).normal(size=rows * cols * bands).astype("<f4")
