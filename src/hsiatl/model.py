@@ -605,6 +605,28 @@ def _lone_row_as_pair(fn):
     return run
 
 
+def _map_into(out: np.ndarray, fn, items: np.ndarray | PixelWindows, batch_size: int = 64):
+    """``out``, with ``fn(items[a:b])`` written to its rows a:b for every
+    batch ``map_batches`` runs; a batch's result is dropped once written, so
+    no list of them is held and nothing is concatenated."""
+
+    class Rows:
+        # slices of ``items`` paired with their first row; ``map_batches``
+        # still cuts every batch on the calling thread
+        def __len__(self) -> int:
+            return len(items)
+
+        def __getitem__(self, rows: slice) -> tuple[int, np.ndarray]:
+            return rows.start, items[rows]
+
+    def write(first_and_batch: tuple[int, np.ndarray]) -> None:
+        first, batch = first_and_batch
+        out[first : first + len(batch)] = fn(batch)
+
+    map_batches(write, Rows(), batch_size)
+    return out
+
+
 def predict_probs(
     model: SstModel,
     features: np.ndarray | PixelWindows,
@@ -645,14 +667,13 @@ def encode_prefix(
     ``encode``, ``forward_batch``, ``predict_probs`` and ``train_model``
     continue from them with ``from_block=n_blocks``. Batches run as in
     ``predict_probs``, so the tokens are bitwise the ones a full pass
-    computes; they take N_p * d_model * 8 bytes per window.
+    computes; they take N_p * d_model * 8 bytes per window, written into
+    one array as each batch finishes.
     """
     config = dataclasses.replace(model.config, n_layers=n_blocks)
     prefix = dataclasses.replace(model, config=config)
-    chunks = map_batches(_lone_row_as_pair(lambda batch: encode(prefix, batch).data), features)
-    if not chunks:
-        return np.zeros((0, model.config.n_tokens, model.config.d_model))
-    return np.concatenate(chunks, axis=0)
+    out = np.empty((len(features), config.n_tokens, config.d_model))
+    return _map_into(out, _lone_row_as_pair(lambda batch: encode(prefix, batch).data), features)
 
 
 def _initial(rng, name: str, shape: tuple[int, ...]) -> Tensor:

@@ -64,48 +64,80 @@ class FreezePlan:
 def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     aa = (a * a).sum(axis=1)[:, None]
     bb = (b * b).sum(axis=1)[None, :]
-    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+    out = aa + bb - 2.0 * (a @ b.T)
+    return np.maximum(out, 0.0, out=out)
 
 
-def _median_distance(within_x: np.ndarray, within_y: np.ndarray, cross: np.ndarray) -> float:
-    """Median pairwise distance over the pooled rows of two samples, from
-    their squared-distance blocks; 1.0 if that median is 0.
+# rows per range of the pooled distance pass (see ``_row_ranges``)
+_RANGE_ROWS = 256
 
-    The pooled pairs are the strict upper triangles of the within-sample
-    blocks plus every cross pair. One partition finds the middle one or two
-    squared distances, and only those are square-rooted: the root is
-    monotone, so this is the median of the distances.
+
+def _row_ranges(n: int) -> list[tuple[int, int]]:
+    """[start, end) ranges of at most _RANGE_ROWS rows that cover 0..n.
+
+    A trailing lone row joins the range before it: a one-row product takes
+    a different BLAS kernel (see ``model._lone_row_as_pair``), whose last
+    bits differ from the multi-row one the whole block uses.
     """
-    values = np.concatenate(
-        [row[i + 1 :] for block in (within_x, within_y) for i, row in enumerate(block)]
-        + [cross.ravel()]
-    )
-    if values.size == 0:
-        return 1.0
-    mid = (values.size - 1) // 2
-    picks = [mid] if values.size % 2 else [mid, mid + 1]
-    values.partition(picks)
-    med = float(np.mean(np.sqrt(values[picks])))
-    return med if med > 0 else 1.0
+    starts = list(range(0, n, _RANGE_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
 
 
 def median_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
-    """Median pairwise distance over the pooled rows; 1.0 if that is 0."""
-    return _median_distance(
-        _pairwise_sq_dists(x, x), _pairwise_sq_dists(y, y), _pairwise_sq_dists(x, y)
-    )
+    """Median pairwise Euclidean distance over the pooled rows; 1.0 if that
+    is 0.
+
+    The pooled pairs are the strict upper triangles of the within-sample
+    blocks plus every cross pair. Their squared distances fill one array a
+    row range at a time (rows s:e against columns s: of a within-sample
+    block, rows s:e against all of the other sample in the cross block), so
+    no whole distance block is ever held. A partition finds the middle one
+    or two values, and only those are square-rooted: the root is monotone,
+    so this is the median of the distances.
+    """
+    n, m = x.shape[0], y.shape[0]
+
+    def pieces():
+        for a in (x, y):
+            for s, e in _row_ranges(a.shape[0]):
+                block = _pairwise_sq_dists(a[s:e], a[s:])
+                yield block[np.arange(e - s)[:, None] < np.arange(block.shape[1])]
+        for s, e in _row_ranges(n):
+            yield _pairwise_sq_dists(x[s:e], y).ravel()
+
+    values = np.empty(n * (n - 1) // 2 + m * (m - 1) // 2 + n * m)
+    filled = 0
+    for piece in pieces():
+        values[filled : filled + piece.size] = piece
+        filled += piece.size
+    if values.size == 0:
+        return 1.0
+    mid = (values.size - 1) // 2
+    values.partition(mid)
+    middle = [values[mid]]
+    if values.size % 2 == 0:
+        # the next value up is the least one past ``mid`` (fmin passes over
+        # NaN, which the partition puts last); one selection and this scan
+        # are several times faster than selecting both values at once
+        middle.append(np.fmin.reduce(values[mid + 1 :]))
+    med = float(np.mean(np.sqrt(middle)))
+    return med if med > 0 else 1.0
 
 
 def mmd(x: np.ndarray, y: np.ndarray, cfg: MmdConfig | None = None) -> float:
     """Squared maximum mean discrepancy between two samples, clamped at 0.
 
     The unbiased U-statistic estimator: within-sample kernel means leave out
-    the diagonal.
+    the diagonal. The three kernel blocks are built one at a time and each
+    is dropped before the next, so besides the median heuristic's pooled
+    distances (see ``median_bandwidth``) at most one block is held.
 
     Args:
         x, y: [n, d] and [m, d] feature rows; both need >= 2 rows.
         cfg: kernel settings; defaults to RBF with the median heuristic
-            bandwidth, taken from the same squared distances the kernel uses.
+            bandwidth.
     """
     cfg = cfg or MmdConfig()
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -116,21 +148,23 @@ def mmd(x: np.ndarray, y: np.ndarray, cfg: MmdConfig | None = None) -> float:
     if n < 2 or m < 2:
         raise ValueError("unbiased estimator needs at least 2 rows per sample")
     if cfg.kernel == "rbf":
-        d_xx, d_yy, d_xy = (_pairwise_sq_dists(a, b) for a, b in ((x, x), (y, y), (x, y)))
-        sigma = cfg.bandwidth if cfg.bandwidth is not None else _median_distance(d_xx, d_yy, d_xy)
+        sigma = cfg.bandwidth if cfg.bandwidth is not None else median_bandwidth(x, y)
         scale = -1.0 / (2.0 * sigma * sigma)
-        # the distance blocks become the kernel blocks in place
-        for block in (d_xx, d_yy, d_xy):
-            block *= scale
-            np.exp(block, out=block)
-        k_xx, k_yy, k_xy = d_xx, d_yy, d_xy
-    else:
-        k_xx = x @ x.T
-        k_yy = y @ y.T
-        k_xy = x @ y.T
-    xx = (k_xx.sum() - np.trace(k_xx)) / (n * (n - 1))
-    yy = (k_yy.sum() - np.trace(k_yy)) / (m * (m - 1))
-    value = float(xx + yy - 2.0 * k_xy.mean())
+
+    def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if cfg.kernel == "linear":
+            return a @ b.T
+        # the distance block becomes the kernel block in place
+        block = _pairwise_sq_dists(a, b)
+        block *= scale
+        return np.exp(block, out=block)
+
+    def within_mean(a: np.ndarray, rows: int) -> float:
+        k = kernel(a, a)
+        return (k.sum() - np.trace(k)) / (rows * (rows - 1))
+
+    # each block is dropped as soon as its mean is taken
+    value = float(within_mean(x, n) + within_mean(y, m) - 2.0 * kernel(x, y).mean())
     return max(value, 0.0)
 
 

@@ -2,10 +2,12 @@
 embedding oracle, raw-numpy attention, entropy formulas, and finite
 differences through whole encoder blocks and the full classifier."""
 
+import dataclasses
 import os
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -45,7 +47,7 @@ from hsiatl.model import (
     reset_head,
     unfold,
 )
-from hsiatl.transfer import freeze_plan, mmd
+from hsiatl.transfer import _token_means, freeze_plan, mmd
 
 
 def tiny_config(**overrides) -> SstConfig:
@@ -826,6 +828,32 @@ class TestParallelEvaluation:
             assert source.live == 0
             assert 1 <= source.most <= width, (width, source.most)
 
+    def test_window_gathers_stay_on_the_calling_thread(self, monkeypatch):
+        # perfbench's tracer keeps one span stack per process, so a gather
+        # on a worker would overlap other threads' spans
+        cfg = SstConfig(bands=16, n_classes=4, n_layers=2)
+        model = init_model(cfg, seed=6)
+        cube = HsiCube(np.random.default_rng(6).normal(size=(12, 15, 16)))
+        windows = PixelWindows(cube, np.arange(150), cfg.window, cfg.subpatch)
+        gathers = []
+        gather = PixelWindows.__getitem__
+
+        def spy(self, rows):
+            gathers.append(threading.get_ident())
+            return gather(self, rows)
+
+        monkeypatch.setattr(PixelWindows, "__getitem__", spy)
+        self.force_cpus(monkeypatch, 2)
+        for run in (
+            lambda: predict_probs(model, windows),
+            lambda: encode_prefix(model, windows, 1),
+            lambda: _token_means(model, windows),
+        ):
+            gathers.clear()
+            run()
+            assert len(gathers) == 3  # batches of 64, 64 and 22 windows
+            assert set(gathers) == {threading.get_ident()}
+
 
 class TestEncodeFromBlock:
     """Tokens cached after the first j blocks continue to the same bytes."""
@@ -851,6 +879,41 @@ class TestEncodeFromBlock:
         windows = PixelWindows(cube, np.arange(0, 81, 2), 4, 2)
         assert encode_prefix(model, windows, 2).tobytes() == encode_prefix(
             model, windows[:], 2).tobytes()
+
+    def test_batches_fill_their_own_rows_under_frequent_switches(self, monkeypatch):
+        # workers write disjoint rows of one output array; more workers than
+        # cores and frequent switches would show a batch written to the
+        # wrong rows or a write lost
+        model, feats = TestParallelEvaluation.problem(n=321)  # a one-row last batch
+        TestParallelEvaluation.force_cpus(monkeypatch, 1)
+        reference = encode_prefix(model, feats, 1)
+        TestParallelEvaluation.force_cpus(monkeypatch, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                assert encode_prefix(model, feats, 1).tobytes() == reference.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_tokens_fill_one_array_without_a_second_copy(self, monkeypatch, cpus):
+        model, feats = TestParallelEvaluation.problem(n=2048)
+        TestParallelEvaluation.force_cpus(monkeypatch, cpus)
+        prefix = dataclasses.replace(
+            model, config=dataclasses.replace(model.config, n_layers=1))
+        tracemalloc.start()
+        try:
+            encode(prefix, feats[:64])
+            _, batch_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out_bytes = encode_prefix(model, feats, 1).nbytes
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the output, each worker's one batch in flight and a little slack;
+        # a list of batch outputs joined at the end would need twice the output
+        assert peak <= out_bytes + cpus * batch_peak + (1 << 20), (peak, out_bytes, batch_peak)
 
     def test_empty_input_gives_empty_tokens(self):
         model, feats = TestParallelEvaluation.problem(n=2)

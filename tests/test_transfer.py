@@ -3,6 +3,7 @@ freeze-plan arithmetic, and fine-tuning's freeze contract."""
 
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,56 @@ class TestMmdAgainstPooledOracle:
         x = rng.normal(size=(40, 5))
         y = rng.normal(size=(33, 5)) + 0.3
         assert mmd(x, y, cfg) == mmd_oracle(x, y, cfg)
+
+
+RANGE = transfer_module._RANGE_ROWS
+
+
+class TestMmdRowRanges:
+    """The pooled distances are built a row range at a time and the kernel
+    blocks one at a time; the statistic stays the pooled oracle's."""
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [
+            (RANGE + 1, 300),  # a lone row would be left after each full range
+            (2 * RANGE + 1, RANGE + 1),
+            (3 * RANGE + 1, 40),
+            (40, 2 * RANGE + 1),
+            (RANGE - 1, 100),  # both samples inside one range
+            (3, RANGE - 1),
+        ],
+    )
+    def test_median_heuristic_equals_pooled_oracle(self, n, m):
+        rng = np.random.default_rng(n * 104729 + m)
+        x = rng.normal(size=(n, 12))
+        y = rng.normal(size=(m, 12)) + 0.4
+        assert median_bandwidth(x, y) == median_bandwidth_oracle(x, y)
+        assert mmd(x, y) == mmd_oracle(x, y, MmdConfig())
+
+    @pytest.mark.parametrize("n", [1, 2, RANGE - 1, RANGE, RANGE + 1, 2 * RANGE + 1, 1024])
+    def test_ranges_cover_the_rows_without_a_lone_row(self, n):
+        ranges = transfer_module._row_ranges(n)
+        assert ranges[0][0] == 0 and ranges[-1][1] == n
+        assert all(e == s for (_, e), (s, _) in zip(ranges, ranges[1:]))
+        sizes = [e - s for s, e in ranges]
+        assert max(sizes) <= RANGE + 1
+        assert n == 1 or min(sizes) >= 2
+
+    def test_one_call_holds_the_pooled_distances_and_one_block(self):
+        # 1024 rows per sample: 16 MiB of pooled squared distances, then one
+        # 8 MiB kernel block at a time; holding all three blocks at once
+        # (and a copy of their triangles) peaks at about 40 MiB
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(1024, 56))
+        y = rng.normal(size=(1024, 56)) + 0.2
+        tracemalloc.start()
+        try:
+            mmd(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 << 20, peak
 
 
 def transfer_fixture(seed=42):
