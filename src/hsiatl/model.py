@@ -237,61 +237,77 @@ class PixelWindows:
         return unfold(windows, self.subpatch)
 
 
+def _shifted_scores(q: np.ndarray, k: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    """s' = c q.k - (row max), c = 1/sqrt(d_k), held keys first as
+    [N_k, *lead, N_q]."""
+    shifted = np.empty((k.shape[-2], *lead, q.shape[-2]))
+    np.matmul(k, np.swapaxes(q, -1, -2), out=np.moveaxis(shifted, 0, -2))
+    shifted *= 1.0 / math.sqrt(q.shape[-1])
+    shifted -= np.maximum.reduce(shifted, axis=0)
+    return shifted
+
+
+def _row_stats(shifted, e, calibration: float, renormalize: bool, scratch: np.ndarray):
+    """Z = sum(e), the row factor b / Z and, when the boost is on, A/Z and
+    calibration / ln N_k (else None), with e = exp(s'); ``scratch`` (which
+    may be ``e`` itself) receives e s'."""
+    z = np.add.reduce(e, axis=0)
+    if renormalize or calibration == 0:
+        return z, 1.0 / z, None
+    n_k = shifted.shape[0]
+    slope = float(calibration) / (math.log(n_k) if n_k > 1 else 1.0)
+    np.multiply(e, shifted, out=scratch)
+    mean = np.add.reduce(scratch, axis=0)
+    mean /= z
+    boost = np.log(z)
+    boost -= mean
+    boost *= slope
+    boost += 1.0
+    return z, boost / z, (mean, slope)
+
+
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, calibration: float, renormalize: bool):
     """Self-calibrated attention on arrays [..., N, d_k], with the scores
     held keys first.
 
-    The shifted scores s' = c q.k - (row max), c = 1/sqrt(d_k), live as
-    [N_k, ..., N_q], so every reduction over a row's keys works on whole
-    [..., N_q] slabs. With e = exp(s'), Z = sum(e) and A = sum(e s') over the
-    keys, a row's entropy is H = log Z - A/Z (no log of any weight), its
-    boost is b = 1 + calibration * H / ln N_k, and the output is
-    (e^T v) * b / Z. Renormalized rows lose their boost, so they take b = 1.
-
-    Returns the output and what ``_attend_back`` needs: s', Z, the row
-    factor b / Z and, when the boost is on, A/Z and calibration / ln N_k.
+    The shifted scores s' live as [N_k, ..., N_q] (see ``_shifted_scores``),
+    so every reduction over a row's keys works on whole [..., N_q] slabs.
+    With e = exp(s'), Z = sum(e) and A = sum(e s') over the keys, a row's
+    entropy is H = log Z - A/Z (no log of any weight), its boost is
+    b = 1 + calibration * H / ln N_k, and the output is (e^T v) * b / Z.
+    Renormalized rows lose their boost, so they take b = 1. Nothing is kept
+    for the backward: ``_attend_back`` rebuilds s' and the row statistics
+    from q and k.
     """
     lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
-    n_k = k.shape[-2]
-    shifted = np.empty((n_k, *lead, q.shape[-2]))
-    np.matmul(k, np.swapaxes(q, -1, -2), out=np.moveaxis(shifted, 0, -2))
-    shifted *= 1.0 / math.sqrt(q.shape[-1])
-    shifted -= np.maximum.reduce(shifted, axis=0)
+    shifted = _shifted_scores(q, k, lead)
     e = np.exp(shifted)
-    z = np.add.reduce(e, axis=0)
     out = np.matmul(np.moveaxis(e, 0, -1), v)
-    if renormalize or calibration == 0:
-        scale, entropy = 1.0 / z, None
-    else:
-        slope = float(calibration) / (math.log(n_k) if n_k > 1 else 1.0)
-        e *= shifted
-        mean = np.add.reduce(e, axis=0)
-        mean /= z
-        boost = np.log(z)
-        boost -= mean
-        boost *= slope
-        boost += 1.0
-        scale, entropy = boost / z, (mean, slope)
+    _, scale, _ = _row_stats(shifted, e, calibration, renormalize, e)
     out *= scale[..., None]
-    return out, (shifted, z, scale, entropy)
+    return out
 
 
-def _attend_back(g, q, k, v, state):
+def _attend_back(g, q, k, v, calibration: float, renormalize: bool):
     """Gradients (g_q, g_k, g_v) of ``_attend`` for its output gradient ``g``,
     in closed form on the same keys-first layout.
 
-    With P = e/Z, g_w = g v^T and r = sum(P g_w) over a row's keys, the
-    shifted scores get P * (b (g_w - r) - slope * r * (s' - A/Z)): the
-    softmax's and the entropy's terms in one expression. The row max
-    cancels through the softmax, so there is no log, clamp or mask. e is
-    recomputed from s'.
+    s', e and the row statistics are rebuilt from q and k by the forward's
+    own ops, so they are bitwise the forward's. With P = e/Z, g_w = g v^T
+    and r = sum(P g_w) over a row's keys, the shifted scores get
+    P * (b (g_w - r) - slope * r * (s' - A/Z)): the softmax's and the
+    entropy's terms in one expression. The row max cancels through the
+    softmax, so there is no log, clamp or mask.
     """
-    shifted, z, scale, entropy = state
+    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    shifted = _shifted_scores(q, k, lead)
     e = np.exp(shifted)
+    product = np.empty_like(shifted)
+    z, scale, entropy = _row_stats(shifted, e, calibration, renormalize, product)
     g_v = np.matmul(np.moveaxis(e, 0, -2), g * scale[..., None])
     g_s = np.empty_like(shifted)
     np.matmul(v, np.swapaxes(g, -1, -2), out=np.moveaxis(g_s, 0, -2))
-    product = e * g_s
+    np.multiply(e, g_s, out=product)
     r = np.add.reduce(product, axis=0)
     r /= z
     # g_s becomes e * (alpha g_w - beta s' + gamma), with c in every row factor
@@ -329,10 +345,10 @@ def calibrated_attention(
     if calibration < 0:
         raise ValueError(f"calibration must be >= 0, got {calibration}")
     q, k, v = (ad._as_tensor(t) for t in (q, k, v))
-    out, state = _attend(q.data, k.data, v.data, calibration, renormalize)
+    out = _attend(q.data, k.data, v.data, calibration, renormalize)
 
     def bwd(g):
-        grads = _attend_back(g, q.data, k.data, v.data, state)
+        grads = _attend_back(g, q.data, k.data, v.data, calibration, renormalize)
         # the order the op graph reaches them in: v, then q, then k
         for t, g_t in ((v, grads[2]), (q, grads[0]), (k, grads[1])):
             if t.requires_grad:
@@ -347,28 +363,62 @@ def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
-def _self_attention(z: Tensor, layer: dict[str, Tensor], cfg: SstConfig) -> Tensor:
-    """The attention sublayer as one tape node: the q/k/v projections, head
-    split, ``_attend``, head merge and output projection.
+def _keep_mask(shape: tuple[int, ...], cfg: SstConfig, training: bool, rng) -> np.ndarray | None:
+    """One sublayer's dropout keep mask, ``uniform >= rate`` as ``ad.dropout``
+    draws it (replayed by a ``RowDraws``), or None when no dropout runs."""
+    if not training or cfg.dropout == 0:
+        return None
+    if rng is None:
+        raise ValueError("training-mode dropout needs an rng for determinism")
+    if isinstance(rng, RowDraws):
+        return rng.keep_mask(shape)
+    return rng.random(shape) >= cfg.dropout
 
-    Its backward keeps q, k, v, the shifted scores with their row statistics
-    and the merged heads (``_attend_back`` takes the gradients through the
-    heads in closed form), and ``z`` receives the v, k and q contributions
-    in that order, after the residual's, as in the op graph.
+
+def _dropout_residual(out: np.ndarray, z: Tensor, keep, rate: float) -> np.ndarray:
+    """z + dropout(out), in place on ``out``: the op graph's dropout and
+    residual add, bitwise (the float keep factor is rebuilt from the mask as
+    ``ad.dropout`` builds it, and the add commutes)."""
+    if keep is not None:
+        out *= keep / (1.0 - rate)
+    out += z.data
+    return out
+
+
+def _dropout_residual_back(g: np.ndarray, z: Tensor, keep, rate: float) -> np.ndarray:
+    """Backward of ``_dropout_residual``: ``z`` takes the residual's
+    gradient first, as in the op graph, and the sublayer's own chain gets
+    the returned share."""
+    if z.requires_grad:
+        z.accumulate(g)
+    return g if keep is None else g * (keep / (1.0 - rate))
+
+
+def _self_attention(z: Tensor, layer: dict[str, Tensor], cfg: SstConfig, keep=None) -> Tensor:
+    """z + dropout(attention sublayer) as one tape node: the q/k/v
+    projections, head split, ``_attend``, head merge, output projection,
+    then ``_dropout_residual`` with the keep mask ``keep`` (None: no
+    dropout).
+
+    Its backward keeps q, k, v, the merged heads and the mask
+    (``_attend_back`` rebuilds the scores and takes the gradients through
+    the heads in closed form), and ``z`` receives the residual's, then the
+    v, k and q contributions in that order, as in the op graph.
     """
     b, n, d = z.shape
     split = (b, n, cfg.n_heads, d // cfg.n_heads)
     projections = (layer["attn_q"], layer["attn_k"], layer["attn_v"])
     q, k, v = ((z.data @ w.data).reshape(split).transpose(0, 2, 1, 3) for w in projections)
-    heads, state = _attend(q, k, v, cfg.calibration, cfg.renormalize)
+    heads = _attend(q, k, v, cfg.calibration, cfg.renormalize)
     merged = heads.transpose(0, 2, 1, 3).reshape(b, n, d)
     w_out = layer["attn_out"]
 
     def bwd(g):
+        g = _dropout_residual_back(g, z, keep, cfg.dropout)
         if w_out.requires_grad:
             w_out.accumulate(_weight_grad(merged, g))
         g_heads = (g @ w_out.data.T).reshape(split).transpose(0, 2, 1, 3)
-        grads = _attend_back(g_heads, q, k, v, state)
+        grads = _attend_back(g_heads, q, k, v, cfg.calibration, cfg.renormalize)
         for w, g_x in reversed(list(zip(projections, grads))):
             g_x = g_x.transpose(0, 2, 1, 3).reshape(b, n, d)
             if z.requires_grad:
@@ -376,18 +426,22 @@ def _self_attention(z: Tensor, layer: dict[str, Tensor], cfg: SstConfig) -> Tens
             if w.requires_grad:
                 w.accumulate(_weight_grad(z.data, g_x))
 
-    return ad._record(Tensor._result(merged @ w_out.data), (z, *projections, w_out), bwd)
+    out = _dropout_residual(merged @ w_out.data, z, keep, cfg.dropout)
+    return ad._record(Tensor._result(out), (z, *projections, w_out), bwd)
 
 
-def _feed_forward(z: Tensor, layer: dict[str, Tensor]) -> Tensor:
-    """relu(z W1 + b1) W2 + b2 as one tape node that keeps only the ReLU
-    output; its backward is the chain rule of the five ops it replaces."""
+def _feed_forward(z: Tensor, layer: dict[str, Tensor], cfg: SstConfig, keep=None) -> Tensor:
+    """z + dropout(relu(z W1 + b1) W2 + b2) as one tape node that keeps only
+    the ReLU output and the keep mask ``keep`` (None: no dropout); its
+    backward is the chain rule of the seven ops it replaces, in their
+    order, so values and gradients are bitwise the op graph's."""
     w1, b1, w2, b2 = (layer[name] for name in ("ff_w1", "ff_b1", "ff_w2", "ff_b2"))
     hidden = z.data @ w1.data
     hidden += b1.data
     np.maximum(hidden, 0.0, out=hidden)
 
     def bwd(g):
+        g = _dropout_residual_back(g, z, keep, cfg.dropout)
         if b2.requires_grad:
             b2.accumulate(ad._unbroadcast(g, b2.shape))
         if w2.requires_grad:
@@ -401,7 +455,10 @@ def _feed_forward(z: Tensor, layer: dict[str, Tensor]) -> Tensor:
         if w1.requires_grad:
             w1.accumulate(_weight_grad(z.data, g_pre))
 
-    return ad._record(Tensor._result(hidden @ w2.data + b2.data), (z, w1, b1, w2, b2), bwd)
+    out = hidden @ w2.data
+    out += b2.data
+    out = _dropout_residual(out, z, keep, cfg.dropout)
+    return ad._record(Tensor._result(out), (z, w1, b1, w2, b2), bwd)
 
 
 def encoder_block(
@@ -411,43 +468,51 @@ def encoder_block(
     training: bool = False,
     rng=None,
 ) -> Tensor:
-    """Residual attention and feed-forward sublayers, each closed by LayerNorm."""
-    attn = ad.dropout(_self_attention(z, layer, cfg), cfg.dropout, training, rng)
-    z = ad.layer_norm(ad.add(z, attn), layer["ln1_gain"], layer["ln1_bias"], cfg.ln_eps)
-    ff = ad.dropout(_feed_forward(z, layer), cfg.dropout, training, rng)
-    return ad.layer_norm(ad.add(z, ff), layer["ln2_gain"], layer["ln2_bias"], cfg.ln_eps)
+    """The attention and feed-forward sublayers, each with its dropout and
+    residual add as one tape node (see ``_dropout_residual``), each closed
+    by LayerNorm. Training draws the attention sublayer's keep mask from
+    ``rng``, then the feed-forward one's."""
+    z = _self_attention(z, layer, cfg, _keep_mask(z.shape, cfg, training, rng))
+    z = ad.layer_norm(z, layer["ln1_gain"], layer["ln1_bias"], cfg.ln_eps)
+    z = _feed_forward(z, layer, cfg, _keep_mask(z.shape, cfg, training, rng))
+    return ad.layer_norm(z, layer["ln2_gain"], layer["ln2_bias"], cfg.ln_eps)
 
 
 def dropout_draws(cfg: SstConfig, batch: int, rng, from_block: int = 0) -> list[np.ndarray]:
-    """The uniforms a training ``forward_batch`` over ``batch`` windows draws.
+    """The keep masks a training ``forward_batch`` over ``batch`` windows
+    draws: ``uniform >= cfg.dropout`` as bool arrays [batch, N_p, d_model],
+    1 byte a value.
 
-    They come from ``rng`` in the order ``encoder_block`` draws them (per
-    block that runs, from ``from_block`` on: attention, then feed-forward);
-    there are none when dropout is 0.
+    The uniforms come from ``rng`` in the order ``encoder_block`` draws them
+    (per block that runs, from ``from_block`` on: attention, then
+    feed-forward), so the generator advances as that pass would advance it.
+    There are none when dropout is 0.
     """
     if cfg.dropout == 0:
         return []
     shape = (batch, cfg.n_tokens, cfg.d_model)
-    return [rng.random(shape) for _ in range(2 * (cfg.n_layers - from_block))]
+    return [rng.random(shape) >= cfg.dropout for _ in range(2 * (cfg.n_layers - from_block))]
 
 
 class RowDraws:
-    """Generator stand-in that replays whole-batch dropout draws for some rows.
+    """Generator stand-in that replays whole-batch dropout masks for some rows.
 
-    Passed as ``rng`` to a training ``forward_batch`` over rows ``rows`` of a
-    batch, its k-th ``random`` call returns those rows of the k-th draw of
-    ``dropout_draws``, so each row gets the mask the whole-batch pass gives it.
+    Passed as ``rng`` to a training ``forward_batch`` over the contiguous
+    rows ``rows`` (a slice) of a batch, its k-th ``keep_mask`` call returns
+    those rows of the k-th ``dropout_draws`` mask, so each row is kept or
+    dropped as in the whole-batch pass. The rows are a view: no mask is
+    copied, and a sublayer node holds only its own rows' mask.
     """
 
-    def __init__(self, draws: list[np.ndarray], rows: np.ndarray):
-        self._draws = iter(draws)
+    def __init__(self, masks: list[np.ndarray], rows: slice):
+        self._masks = iter(masks)
         self._rows = rows
 
-    def random(self, shape: tuple[int, ...]) -> np.ndarray:
-        draw = next(self._draws, None)
-        part = None if draw is None else draw[self._rows]
+    def keep_mask(self, shape: tuple[int, ...]) -> np.ndarray:
+        mask = next(self._masks, None)
+        part = None if mask is None else mask[self._rows]
         if part is None or part.shape != tuple(shape):
-            raise RuntimeError(f"no pre-drawn dropout uniforms of shape {shape}")
+            raise RuntimeError(f"no pre-drawn dropout mask of shape {shape}")
         return part
 
 

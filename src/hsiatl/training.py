@@ -115,12 +115,14 @@ def train_model(
             draws = dropout_draws(model.config, batch.size, rng, from_block)
 
             def half_step(rows: np.ndarray) -> tuple[float, dict[str, ad.Tensor]]:
+                # each half is one contiguous range, so its masks are views
+                half = slice(rows[0], rows[0] + rows.size)
                 replica = model.replica()
-                picked = batch[rows]
+                picked = batch[half]
                 with Tape() as tape:
                     probs = forward_batch(
                         replica, features[picked], training=True,
-                        rng=RowDraws(draws, rows), from_block=from_block,
+                        rng=RowDraws(draws, half), from_block=from_block,
                     )
                     # weighted by row share: the halves sum to the batch mean
                     loss = ad.scale(

@@ -85,17 +85,13 @@ def _row_ranges(n: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def median_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
-    """Median pairwise Euclidean distance over the pooled rows; 1.0 if that
-    is 0.
+def _pooled_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared distances of every pooled pair: the strict upper triangles of
+    the within-sample blocks, then every cross pair.
 
-    The pooled pairs are the strict upper triangles of the within-sample
-    blocks plus every cross pair. Their squared distances fill one array a
-    row range at a time (rows s:e against columns s: of a within-sample
-    block, rows s:e against all of the other sample in the cross block), so
-    no whole distance block is ever held. A partition finds the middle one
-    or two values, and only those are square-rooted: the root is monotone,
-    so this is the median of the distances.
+    They fill one array a row range at a time (rows s:e against columns s:
+    of a within-sample block, rows s:e against all of the other sample in
+    the cross block), so no whole distance block is ever held.
     """
     n, m = x.shape[0], y.shape[0]
 
@@ -112,6 +108,18 @@ def median_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
     for piece in pieces():
         values[filled : filled + piece.size] = piece
         filled += piece.size
+    return values
+
+
+def median_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
+    """Median pairwise Euclidean distance over the pooled rows; 1.0 if that
+    is 0.
+
+    A partition of ``_pooled_sq_dists`` finds the middle one or two values,
+    and only those are square-rooted: the root is monotone, so this is the
+    median of the distances.
+    """
+    values = _pooled_sq_dists(x, y)
     if values.size == 0:
         return 1.0
     mid = (values.size - 1) // 2

@@ -4,9 +4,9 @@ Besides the gradient and checkpoint helpers, this holds the per-window and
 per-pixel reference versions of library code that works on batches: mirror
 indexing, window extraction, neighborhood diversity, single-window forward,
 patch embedding, token uncertainty and per-layer features; the op-level
-graphs of the attention and feed-forward sublayers that the model runs as
-single tape nodes; and the pooled-matrix median heuristic and discrepancy
-estimate.
+graphs of the attention and feed-forward sublayers (each with its dropout
+and residual add) that the model runs as single tape nodes; and the
+pooled-matrix median heuristic and discrepancy estimate.
 """
 
 from __future__ import annotations
@@ -178,8 +178,9 @@ def calibrated_attention_ops(q, k, v, calibration: float, renormalize: bool = Fa
     return ad.matmul(weights, v)
 
 
-def encoder_block_ops(z: Tensor, layer, cfg, training: bool = False, rng=None) -> Tensor:
-    """``encoder_block`` with both sublayers as graphs of autodiff ops."""
+def self_attention_ops(z: Tensor, layer, cfg, training: bool = False, rng=None) -> Tensor:
+    """``model._self_attention`` with its dropout and residual add as a graph
+    of autodiff ops: z + dropout(attention sublayer)."""
 
     def split_heads(t: Tensor) -> Tensor:
         b, n, d = t.shape
@@ -192,11 +193,23 @@ def encoder_block_ops(z: Tensor, layer, cfg, training: bool = False, rng=None) -
     b, h, n, d_k = heads.shape
     merged = ad.reshape(ad.transpose(heads, (0, 2, 1, 3)), (b, n, h * d_k))
     attn = ad.dropout(ad.matmul(merged, layer["attn_out"]), cfg.dropout, training, rng)
-    z = ad.layer_norm(ad.add(z, attn), layer["ln1_gain"], layer["ln1_bias"], cfg.ln_eps)
+    return ad.add(z, attn)
+
+
+def feed_forward_ops(z: Tensor, layer, cfg, training: bool = False, rng=None) -> Tensor:
+    """``model._feed_forward`` with its dropout and residual add as a graph
+    of autodiff ops: z + dropout(relu(z W1 + b1) W2 + b2)."""
     hidden = ad.relu(ad.add(ad.matmul(z, layer["ff_w1"]), layer["ff_b1"]))
     ff = ad.add(ad.matmul(hidden, layer["ff_w2"]), layer["ff_b2"])
-    ff = ad.dropout(ff, cfg.dropout, training, rng)
-    return ad.layer_norm(ad.add(z, ff), layer["ln2_gain"], layer["ln2_bias"], cfg.ln_eps)
+    return ad.add(z, ad.dropout(ff, cfg.dropout, training, rng))
+
+
+def encoder_block_ops(z: Tensor, layer, cfg, training: bool = False, rng=None) -> Tensor:
+    """``encoder_block`` with both sublayers as graphs of autodiff ops."""
+    z = self_attention_ops(z, layer, cfg, training, rng)
+    z = ad.layer_norm(z, layer["ln1_gain"], layer["ln1_bias"], cfg.ln_eps)
+    z = feed_forward_ops(z, layer, cfg, training, rng)
+    return ad.layer_norm(z, layer["ln2_gain"], layer["ln2_bias"], cfg.ln_eps)
 
 
 def layer_features(model, features: np.ndarray, layer_index: int) -> np.ndarray:
@@ -206,12 +219,17 @@ def layer_features(model, features: np.ndarray, layer_index: int) -> np.ndarray:
     return captured[layer_index].mean(axis=1)
 
 
+def pooled_sq_dists_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The upper triangle of the pooled rows' squared distance matrix, built
+    as one whole block."""
+    pooled = np.vstack([x, y])
+    return _pairwise_sq_dists(pooled, pooled)[np.triu_indices(pooled.shape[0], k=1)]
+
+
 def median_bandwidth_oracle(x: np.ndarray, y: np.ndarray) -> float:
     """Median of the upper triangle of the pooled rows' distance matrix;
     1.0 if that is 0."""
-    pooled = np.vstack([x, y])
-    d = np.sqrt(_pairwise_sq_dists(pooled, pooled))
-    upper = d[np.triu_indices(pooled.shape[0], k=1)]
+    upper = np.sqrt(pooled_sq_dists_oracle(x, y))
     med = float(np.median(upper)) if upper.size else 0.0
     return med if med > 0 else 1.0
 

@@ -16,9 +16,11 @@ from conftest import (
     calibrated_attention_ops,
     embed_patches,
     encoder_block_ops,
+    feed_forward_ops,
     forward,
     max_relative_error,
     numeric_gradient,
+    self_attention_ops,
     token_uncertainty,
 )
 
@@ -29,6 +31,7 @@ from hsiatl.data import DimensionError, HsiCube, extract_windows_batch
 from hsiatl.model import (
     BLOCK_PARAMS,
     PixelWindows,
+    RowDraws,
     SstConfig,
     SstModel,
     attention,
@@ -497,12 +500,80 @@ class TestSublayerNodes:
             block = lambda z, *_: fn(z, layer, cfg, True, np.random.default_rng(27))
             results.append(weighted_sum_grads(block, tensors, weight))
         (out, grads, n_records), (out_ops, grads_ops, _) = results
-        assert n_records == 8  # two sublayer nodes, two dropouts, two adds, two LayerNorms
+        assert n_records == 4  # two sublayer nodes, two LayerNorms
         assert_close_to_oracle(out, out_ops)
         for name, g, g_ops in zip(names, grads, grads_ops):
             assert (g is None) == (name in frozen), name
             if g is not None:
                 assert_close_to_oracle(g, g_ops, err_msg=name)
+
+    @staticmethod
+    def sublayer_results(node, ops, names, frozen, training):
+        """(output, gradients, record count) of a sublayer node and of its op
+        graph, on one training or evaluation input with dropout 0.2; both
+        draw their keep masks from generators in the same state."""
+        cfg = tiny_config(d_model=8, n_heads=2, dropout=0.2)
+        layer = init_model(cfg, seed=32).block(0)
+        rng = np.random.default_rng(33)
+        z_val = rng.normal(size=(3, cfg.n_tokens, cfg.d_model))
+        weight = rng.normal(size=z_val.shape)
+        draw = lambda: np.random.default_rng(34)
+        keep = model_module._keep_mask(z_val.shape, cfg, training, draw())
+        runs = (lambda z: node(z, layer, cfg, keep),
+                lambda z: ops(z, layer, cfg, training, draw()))
+        results = []
+        for fn in runs:
+            z = Tensor(z_val.copy(), requires_grad="z" not in frozen)
+            for name in names[1:]:
+                layer[name].requires_grad = name not in frozen
+            tensors = [z] + [layer[name] for name in names[1:]]
+            results.append(weighted_sum_grads(lambda z, *_: fn(z), tensors, weight))
+        return results
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("frozen", [(), ("z",), ("ff_w1", "ff_b1"), ("z", "ff_w2")])
+    def test_feed_forward_node_bitwise_equals_op_graph(self, training, frozen):
+        # dropout and the residual add included: the node rebuilds the op
+        # graph's float keep factor, so even signed zeros keep their bits
+        names = ["z", "ff_w1", "ff_b1", "ff_w2", "ff_b2"]
+        results = self.sublayer_results(
+            model_module._feed_forward, feed_forward_ops, names, frozen, training
+        )
+        (out, grads, n_records), (out_ops, grads_ops, _) = results
+        assert n_records == 1
+        assert out.tobytes() == out_ops.tobytes()
+        for name, g, g_ops in zip(names, grads, grads_ops):
+            assert (g is None) == (name in frozen), name
+            if g is not None:
+                assert g.tobytes() == g_ops.tobytes(), name
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("frozen", [(), ("z",), ("attn_q", "attn_out")])
+    def test_attention_node_matches_op_graph(self, training, frozen):
+        names = ["z", "attn_q", "attn_k", "attn_v", "attn_out"]
+        results = self.sublayer_results(
+            model_module._self_attention, self_attention_ops, names, frozen, training
+        )
+        (out, grads, n_records), (out_ops, grads_ops, _) = results
+        assert n_records == 1
+        assert_close_to_oracle(out, out_ops)
+        for name, g, g_ops in zip(names, grads, grads_ops):
+            assert (g is None) == (name in frozen), name
+            if g is not None:
+                assert_close_to_oracle(g, g_ops, err_msg=name)
+
+    def test_row_draws_replay_views_of_the_batch_masks(self):
+        cfg = tiny_config(dropout=0.2)
+        masks = dropout_draws(cfg, 5, np.random.default_rng(36))
+        shape = (2, cfg.n_tokens, cfg.d_model)
+        draws = RowDraws(masks, slice(3, 5))
+        for mask in masks:
+            part = draws.keep_mask(shape)
+            assert part.base is mask and np.array_equal(part, mask[3:5])
+        with pytest.raises(RuntimeError, match="no pre-drawn dropout mask"):
+            draws.keep_mask(shape)
+        with pytest.raises(RuntimeError, match="no pre-drawn dropout mask"):
+            RowDraws(masks, slice(0, 3)).keep_mask(shape)
 
 
 class TestPoolAndHead:
@@ -928,8 +999,16 @@ class TestEncodeFromBlock:
             predict_probs(model, feats, from_block=2)
 
     def test_dropout_draws_only_for_blocks_that_run(self):
-        cfg = tiny_config(n_layers=3)
+        cfg = tiny_config(n_layers=3, dropout=0.2)
+        shape = (5, cfg.n_tokens, cfg.d_model)
         for j in range(4):
-            draws = dropout_draws(cfg, 5, np.random.default_rng(0), j)
-            assert len(draws) == 2 * (3 - j)
+            ours, reference = np.random.default_rng(j), np.random.default_rng(j)
+            masks = dropout_draws(cfg, 5, ours, j)
+            assert len(masks) == 2 * (3 - j)
+            # bool masks, each the comparison ad.dropout makes of its
+            # uniforms, and the generator advanced as those draws advance it
+            for mask in masks:
+                assert mask.dtype == np.bool_
+                assert np.array_equal(mask, reference.random(shape) >= cfg.dropout)
+            assert ours.random() == reference.random()
         assert dropout_draws(tiny_config(dropout=0.0), 5, np.random.default_rng(0), 1) == []
