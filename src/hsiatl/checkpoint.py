@@ -121,6 +121,22 @@ def load_model(path: str | Path) -> SstModel:
     return model
 
 
+def type_mismatch(hint, value) -> str | None:
+    """What a field annotated ``hint`` expects, as text, when the JSON value
+    ``value`` does not fit it, else None: a bool is not an int, an int fits
+    a float, null fits only an optional field, and a fixed-length tuple is a
+    list of as many fitting values."""
+    kinds = typing.get_args(hint) or (hint,)
+    if typing.get_origin(hint) is tuple:
+        fits = isinstance(value, list) and len(value) == len(kinds)
+        fits = fits and not any(map(type_mismatch, kinds, value))
+        return None if fits else "[" + ", ".join(k.__name__ for k in kinds) + "]"
+    numbers = kinds + (int,) if float in kinds else kinds
+    if isinstance(value, bool) == (bool in kinds) and isinstance(value, numbers):
+        return None
+    return " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+
+
 def _config(path, raw) -> SstConfig:
     """The model config from a header, checked field by field."""
     if not isinstance(raw, dict):
@@ -129,11 +145,8 @@ def _config(path, raw) -> SstConfig:
     for key, value in raw.items():
         if key not in hints:
             raise FormatError(f"{path}: unknown config field {key!r}")
-        kinds = typing.get_args(hints[key]) or (hints[key],)
-        expected = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
-        if float in kinds:
-            kinds += (int,)
-        if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
+        expected = type_mismatch(hints[key], value)
+        if expected is not None:
             raise FormatError(
                 f"{path}: config field {key!r} must be {expected}, got {value!r}"
             )

@@ -24,11 +24,12 @@ import dataclasses
 import functools
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 
-from hsiatl.checkpoint import load_model, save_model
+from hsiatl.checkpoint import load_model, save_model, type_mismatch
 from hsiatl.data import (
     DimensionError,
     FormatError,
@@ -258,6 +259,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         unknown = sorted(set(loaded) - set(values))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+        hints = typing.get_type_hints(RunConfig)
+        for key, value in loaded.items():
+            expected = type_mismatch(hints[key], value)
+            if expected is not None:
+                raise UsageError(
+                    f"config key {key!r} must be {expected}, got {json.dumps(value)}"
+                )
         values.update(loaded)
     for name in values:
         override = getattr(args, name, None)
@@ -507,8 +515,10 @@ def cmd_ablate(args: argparse.Namespace, run: RunConfig) -> int:
                     target_fraction=run.target_fraction, seed=seed,
                 )
                 fine = report["fine_tuned"]
-                n_tune = int(
-                    round(target_labels.labeled_indices().size * run.target_fraction))
+                # the pixels run_transfer tuned on: make_split rounds per class
+                # and keeps at least one pixel of each
+                f = run.target_fraction
+                n_tune = make_split(target_labels, (f, 0.0, 1.0 - f), seed).train.size
                 rows_out.append({
                     "strategy": label, "budget": n_tune, "seed": seed,
                     "oa": fine["oa"], "aa": fine["aa"], "kappa": fine["kappa"],

@@ -615,7 +615,8 @@ def _cpu_count() -> int:
 
 
 def map_batches(fn, items: np.ndarray | PixelWindows, batch_size: int = 64) -> list:
-    """``fn`` applied to consecutive ``batch_size`` slices of ``items``.
+    """``fn(rows, items[rows])`` for consecutive slices ``rows`` of
+    ``batch_size`` items (the last one may be shorter).
 
     Batches run on a thread pool with one thread per available CPU (never
     more threads than batches; a single batch or CPU runs inline), in rounds
@@ -625,71 +626,37 @@ def map_batches(fn, items: np.ndarray | PixelWindows, batch_size: int = 64) -> l
     release the GIL. Batches see the caller's ``np.errstate``. Tapes are per
     thread and every batch starts with none active, so nothing lands on the
     caller's tape and each batch's result is independent of the thread
-    count. Results come back in batch order; the first failing batch's
-    exception is re-raised.
+    count. A pass that builds one output preallocates it and has each batch
+    write its own ``rows``. Results come back in batch order; the first
+    failing batch's exception is re-raised.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    starts = range(0, len(items), batch_size)
-    workers = min(_cpu_count(), len(starts))
+    n = len(items)
+    slices = [slice(start, min(start + batch_size, n)) for start in range(0, n, batch_size)]
+    workers = min(_cpu_count(), len(slices))
     if workers <= 1:
         with ad.no_tape():
-            return [fn(items[start : start + batch_size]) for start in starts]
+            return [fn(rows, items[rows]) for rows in slices]
 
-    def run_round(pool: ThreadPoolExecutor, round_starts: range) -> list:
+    def run_round(pool: ThreadPoolExecutor, round_slices: list[slice]) -> list:
         # Slicing here, while no worker runs, keeps each gather apart from
         # other threads' work; perfbench's tracer keeps one span stack per
         # process and misattributes spans that overlap across threads.
-        batches = [items[start : start + batch_size] for start in round_starts]
+        batches = [items[rows] for rows in round_slices]
         # each batch runs in a copy of the caller's context, which carries
         # numpy's floating-point error state (np.errstate) as inline runs do
         contexts = [contextvars.copy_context() for _ in batches]
-        return list(pool.map(lambda ctx, batch: ctx.run(fn, batch), contexts, batches))
+        return list(pool.map(
+            lambda ctx, rows, batch: ctx.run(fn, rows, batch), contexts, round_slices, batches
+        ))
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return [
             result
-            for first in range(0, len(starts), workers)
-            for result in run_round(pool, starts[first : first + workers])
+            for first in range(0, len(slices), workers)
+            for result in run_round(pool, slices[first : first + workers])
         ]
-
-
-def _lone_row_as_pair(fn):
-    """``fn`` over a batch, with a one-row batch run as a duplicated pair.
-
-    A one-row matrix product takes a different BLAS kernel, whose last bits
-    differ from the multi-row one; running a lone row as a pair keeps every
-    row's result independent of how the input was batched.
-    """
-
-    def run(batch: np.ndarray) -> np.ndarray:
-        if batch.shape[0] == 1:
-            return fn(np.repeat(batch, 2, axis=0))[:1]
-        return fn(batch)
-
-    return run
-
-
-def _map_into(out: np.ndarray, fn, items: np.ndarray | PixelWindows, batch_size: int = 64):
-    """``out``, with ``fn(items[a:b])`` written to its rows a:b for every
-    batch ``map_batches`` runs; a batch's result is dropped once written, so
-    no list of them is held and nothing is concatenated."""
-
-    class Rows:
-        # slices of ``items`` paired with their first row; ``map_batches``
-        # still cuts every batch on the calling thread
-        def __len__(self) -> int:
-            return len(items)
-
-        def __getitem__(self, rows: slice) -> tuple[int, np.ndarray]:
-            return rows.start, items[rows]
-
-    def write(first_and_batch: tuple[int, np.ndarray]) -> None:
-        first, batch = first_and_batch
-        out[first : first + len(batch)] = fn(batch)
-
-    map_batches(write, Rows(), batch_size)
-    return out
 
 
 def predict_probs(
@@ -706,21 +673,22 @@ def predict_probs(
     result is bitwise identical for any CPU count, array or lazy source.
     With ``from_block`` above 0, ``features`` are the tokens
     ``encode_prefix`` gives for that many blocks, and the result is bitwise
-    the one the windows would give. Raises NumericalError when a batch's
+    the one the windows would give. Raises NumericalError when the
     probabilities are not finite (numpy's floating-point warnings are off).
     """
+    out = np.empty((len(features), model.config.n_classes))
 
-    def probs(batch: np.ndarray) -> np.ndarray:
-        out = forward_batch(model, batch, from_block=from_block).data
-        if not np.isfinite(out).all():
-            raise NumericalError("the model's class probabilities are not finite")
-        return out
+    def write(rows: slice, batch: np.ndarray) -> None:
+        # the head's one-row matrix products take other BLAS kernels, whose
+        # last bits differ: a lone row runs as a duplicated pair
+        runs = np.repeat(batch, 2, axis=0) if len(batch) == 1 else batch
+        out[rows] = forward_batch(model, runs, from_block=from_block).data[: len(batch)]
 
     with np.errstate(all="ignore"):
-        chunks = map_batches(_lone_row_as_pair(probs), features, batch_size)
-    if not chunks:
-        return np.zeros((0, model.config.n_classes))
-    return np.concatenate(chunks, axis=0)
+        map_batches(write, features, batch_size)
+    if not np.isfinite(out).all():
+        raise NumericalError("the model's class probabilities are not finite")
+    return out
 
 
 def encode_prefix(
@@ -731,14 +699,20 @@ def encode_prefix(
 
     ``encode``, ``forward_batch``, ``predict_probs`` and ``train_model``
     continue from them with ``from_block=n_blocks``. Batches run as in
-    ``predict_probs``, so the tokens are bitwise the ones a full pass
-    computes; they take N_p * d_model * 8 bytes per window, written into
-    one array as each batch finishes.
+    ``predict_probs``; a row's tokens do not depend on the batch it ran in,
+    so they are bitwise the ones a full pass computes. They take
+    N_p * d_model * 8 bytes per window, written into one array as each batch
+    finishes.
     """
     config = dataclasses.replace(model.config, n_layers=n_blocks)
     prefix = dataclasses.replace(model, config=config)
     out = np.empty((len(features), config.n_tokens, config.d_model))
-    return _map_into(out, _lone_row_as_pair(lambda batch: encode(prefix, batch).data), features)
+
+    def write(rows: slice, batch: np.ndarray) -> None:
+        out[rows] = encode(prefix, batch).data
+
+    map_batches(write, features)
+    return out
 
 
 def _initial(rng, name: str, shape: tuple[int, ...]) -> Tensor:

@@ -134,43 +134,6 @@ def select_top(scores: np.ndarray, k: int) -> np.ndarray:
     return order[: min(k, scores.size)]
 
 
-def _rank_hybrid(
-    cube: HsiCube, pool: np.ndarray, cfg: QueryConfig, probs: np.ndarray
-) -> QueryResult:
-    """Shortlist ``pool`` by uncertainty of ``probs``, then rank it by diversity."""
-    informativeness = uncertainty_scores(probs)
-    n_shortlist = min(cfg.beta * cfg.query_size, pool.size)
-    shortlist = select_top(informativeness, n_shortlist)
-    diversity = neighborhood_diversity_batch(cube, pool[shortlist], cfg.n_neighborhood)
-    chosen = select_top(diversity, min(cfg.query_size, n_shortlist))
-    picked = shortlist[chosen]
-    return QueryResult(
-        selected=pool[picked],
-        informativeness=informativeness[picked],
-        diversity=diversity[chosen],
-    )
-
-
-def hybrid_query(
-    model: SstModel, cube: HsiCube, pool: np.ndarray, cfg: QueryConfig
-) -> QueryResult:
-    """Uncertainty shortlist, then diversity ranking.
-
-    Args:
-        pool: flattened candidate pixel indices, non-empty. Their windows are
-            gathered from ``cube`` batch by batch while they are scored.
-
-    Returns:
-        QueryResult with min(query_size, len(pool)) distinct pool pixels,
-        ordered by descending diversity within the uncertainty shortlist.
-    """
-    pool = np.asarray(pool)
-    if pool.size == 0:
-        raise ValueError("pool is empty")
-    windows = PixelWindows(cube, pool, model.config.window, model.config.subpatch)
-    return _rank_hybrid(cube, pool, cfg, predict_probs(model, windows))
-
-
 def query_pool(
     model: SstModel,
     cube: HsiCube,
@@ -178,12 +141,17 @@ def query_pool(
     pool: np.ndarray,
     cfg: QueryConfig,
     rng: np.random.Generator | None = None,
-    features: np.ndarray | None = None,
 ) -> QueryResult:
     """Dispatch one acquisition round for any configured strategy.
 
-    ``features``, if given, are the unfolded windows of the ``pool`` rows;
-    by default they are gathered from ``cube`` batch by batch while scored.
+    Args:
+        pool: flattened candidate pixel indices, non-empty. Their windows are
+            gathered from ``cube`` batch by batch while they are scored.
+
+    Returns:
+        QueryResult with min(query_size, len(pool)) distinct pool pixels. The
+        hybrid strategy orders them by descending diversity within the
+        uncertainty shortlist.
     """
     pool = np.asarray(pool)
     if pool.size == 0:
@@ -200,11 +168,16 @@ def query_pool(
         picked = select_top(diversity, take)
         return QueryResult(selected=pool[picked], informativeness=np.zeros(take),
                            diversity=diversity[picked])
-    if features is None:
-        features = PixelWindows(cube, pool, model.config.window, model.config.subpatch)
-    probs = predict_probs(model, features)
+    windows = PixelWindows(cube, pool, model.config.window, model.config.subpatch)
+    probs = predict_probs(model, windows)
     if cfg.strategy == "hybrid":
-        return _rank_hybrid(cube, pool, cfg, probs)
+        informativeness = uncertainty_scores(probs)
+        shortlist = select_top(informativeness, min(cfg.beta * cfg.query_size, pool.size))
+        diversity = neighborhood_diversity_batch(cube, pool[shortlist], cfg.n_neighborhood)
+        chosen = select_top(diversity, min(take, shortlist.size))
+        picked = shortlist[chosen]
+        return QueryResult(selected=pool[picked], informativeness=informativeness[picked],
+                           diversity=diversity[chosen])
     scorer = {
         "uncertainty": uncertainty_scores,
         "entropy": entropy_scores,

@@ -114,11 +114,9 @@ def train_model(
             # drawn for the whole batch, in serial order, before either half runs
             draws = dropout_draws(model.config, batch.size, rng, from_block)
 
-            def half_step(rows: np.ndarray) -> tuple[float, dict[str, ad.Tensor]]:
+            def half_step(half: slice, picked: np.ndarray) -> tuple[float, dict[str, ad.Tensor]]:
                 # each half is one contiguous range, so its masks are views
-                half = slice(rows[0], rows[0] + rows.size)
                 replica = model.replica()
-                picked = batch[half]
                 with Tape() as tape:
                     probs = forward_batch(
                         replica, features[picked], training=True,
@@ -126,7 +124,7 @@ def train_model(
                     )
                     # weighted by row share: the halves sum to the batch mean
                     loss = ad.scale(
-                        ad.cross_entropy(probs, targets[picked]), rows.size / batch.size
+                        ad.cross_entropy(probs, targets[picked]), picked.size / batch.size
                     )
                 value = float(loss.data)
                 if not np.isfinite(value):
@@ -135,8 +133,7 @@ def train_model(
                 return value, replica.parameters()
 
             optimizer.zero_grad()
-            rows = np.arange(batch.size)
-            halves = map_batches(half_step, rows, (batch.size + 1) // 2)
+            halves = map_batches(half_step, batch, (batch.size + 1) // 2)
             for name, p in params.items():
                 for _, grads in halves:
                     if grads[name].grad is not None:

@@ -76,7 +76,7 @@ def _row_ranges(n: int) -> list[tuple[int, int]]:
     """[start, end) ranges of at most _RANGE_ROWS rows that cover 0..n.
 
     A trailing lone row joins the range before it: a one-row product takes
-    a different BLAS kernel (see ``model._lone_row_as_pair``), whose last
+    a different BLAS kernel (see ``model.predict_probs``), whose last
     bits differ from the multi-row one the whole block uses.
     """
     starts = list(range(0, n, _RANGE_ROWS))
@@ -176,27 +176,28 @@ def mmd(x: np.ndarray, y: np.ndarray, cfg: MmdConfig | None = None) -> float:
     return max(value, 0.0)
 
 
-def _token_means(model: SstModel, features: np.ndarray | PixelWindows) -> list[np.ndarray]:
-    """Mean-over-tokens output of every encoder block, one [n, d] per block.
+def _token_means(model: SstModel, features: np.ndarray | PixelWindows) -> np.ndarray:
+    """Mean-over-tokens output of every encoder block, [L, n, d]: one
+    contiguous [n, d] block per layer.
 
     Windows are encoded in parallel batches (see ``map_batches``); a row's
     features do not depend on the batch it ran in. Raises NumericalError
-    when a block's means are not finite (numpy's floating-point warnings are
+    when the means are not finite (numpy's floating-point warnings are
     off).
     """
+    cfg = model.config
+    means = np.empty((cfg.n_layers, len(features), cfg.d_model))
 
-    def capture(batch: np.ndarray) -> list[np.ndarray]:
+    def capture(rows: slice, batch: np.ndarray) -> None:
         _, captured = encode(model, batch, capture=True)
-        means = [z.mean(axis=1) for z in captured]
-        if not all(np.isfinite(m).all() for m in means):
-            raise NumericalError("the encoder blocks' features are not finite")
-        return means
+        for block, z in zip(means, captured):
+            block[rows] = z.mean(axis=1)
 
     with np.errstate(all="ignore"):
-        chunks = map_batches(capture, features)
-    if not chunks:
-        return [np.zeros((0, model.config.d_model))] * model.config.n_layers
-    return [np.concatenate(per_block) for per_block in zip(*chunks)]
+        map_batches(capture, features)
+    if not np.isfinite(means).all():
+        raise NumericalError("the encoder blocks' features are not finite")
+    return means
 
 
 def freeze_plan(

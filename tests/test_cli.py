@@ -12,6 +12,7 @@ import pytest
 from conftest import rewrite_checkpoint
 
 from hsiatl import cli
+from hsiatl import transfer as transfer_module
 from hsiatl.data import load_labels, synth_cube
 
 
@@ -123,6 +124,38 @@ class TestConfigResolution:
         assert run(["synth", "--config", bad, "--classes", 3,
                     "--cube", tmp_path / "x.hsic",
                     "--labels", tmp_path / "x.hsil"]) == 1
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("epochs", "5", "int"),
+        ("rounds", "2", "int"),
+        ("query_size", None, "int"),
+        ("d_ff", "x", "int or null"),
+        ("epochs", 1.5, "int"),
+        ("seed", 1.5, "int"),
+        ("renormalize", 1, "bool"),
+        ("ratios", [0.1, 0.4], "[float, float, float]"),
+    ])
+    def test_config_value_of_wrong_type_is_one_line_usage_error(
+        self, workdir, tmp_path, key, value, expected
+    ):
+        cfg = json.loads((workdir / "cfg.json").read_text())
+        cfg[key] = value
+        (tmp_path / "bad.json").write_text(json.dumps(cfg))
+        done = run_process(["al", "--config", tmp_path / "bad.json",
+                            "--cube", workdir / "a.hsic", "--labels", workdir / "a.hsil",
+                            "--manifest", tmp_path / "new.split.json",
+                            "--out", tmp_path / "rounds.ndjson"])
+        assert_one_line(done, 1, "error: ")
+        assert f"'{key}' must be {expected}, got {json.dumps(value)}" in done.stderr
+
+    def test_config_values_that_fit_their_fields(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"dropout": 0, "lr": 1, "d_ff": None, "bandwidth": 2, "ratios": [0, 0.5, 1]}
+        ))
+        run = cli.resolve_config(cli.build_parser().parse_args(["synth", "--config", str(path)]))
+        assert (run.dropout, run.lr, run.d_ff, run.bandwidth) == (0, 1, None, 2)
+        assert run.ratios == (0, 0.5, 1)
 
     def test_no_command_prints_help(self, capsys):
         assert cli.main([]) == 1
@@ -282,6 +315,39 @@ class TestAblate:
             assert first is not source and second is not source and first is not second
             source_params = b"".join(p.data.tobytes() for p in source.parameters().values())
             assert first_params == second_params == source_params
+
+    def test_transfer_budget_is_the_tuned_pixel_count(self, tmp_path, monkeypatch, capsys):
+        # make_split rounds each class and keeps one pixel per class: 15 of
+        # the 144 target pixels are tuned at 0.10, not round(14.4)
+        cfg = {
+            "window": 4, "d_model": 8, "n_layers": 1, "n_heads": 2, "epochs": 1,
+            "batch_size": 16, "query_size": 2, "rounds": 1,
+            "ratios": [0.1, 0.4, 0.5], "sample_count": 16,
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        for stem in ("a", "b"):
+            assert run(["synth", "--classes", 3, "--size", "12x12x6", "--seed", 1,
+                        "--cube", tmp_path / f"{stem}.hsic",
+                        "--labels", tmp_path / f"{stem}.hsil"]) == 0
+        tuned = []
+        fine_tune = transfer_module.fine_tune
+
+        def spy(model, features, *args, **kwargs):
+            tuned.append(len(features))
+            return fine_tune(model, features, *args, **kwargs)
+
+        monkeypatch.setattr(transfer_module, "fine_tune", spy)
+        out = tmp_path / "ablate.csv"
+        assert run(["ablate", "--config", tmp_path / "cfg.json",
+                    "--cube", tmp_path / "a.hsic", "--labels", tmp_path / "a.hsil",
+                    "--target-cube", tmp_path / "b.hsic",
+                    "--target-labels", tmp_path / "b.hsil",
+                    "--seeds", "1", "--out", out]) == 0
+        capsys.readouterr()
+        with open(out, newline="") as fh:
+            budgets = [int(r["budget"]) for r in csv.DictReader(fh)
+                       if r["strategy"] in ("freezing", "no_freezing")]
+        assert budgets == tuned == [15, 15]
 
 
 class TestTransfer:

@@ -562,6 +562,32 @@ class TestSublayerNodes:
             if g is not None:
                 assert_close_to_oracle(g, g_ops, err_msg=name)
 
+    def test_dropped_share_keeps_the_op_graphs_signed_zeros(self):
+        # Column 0 is dropped in every row and its upstream gradient is
+        # negative, so the op graph hands the sublayer -0.0 there. numpy's
+        # sums and BLAS products start from +0.0, so no parameter gradient of
+        # a node can show that sign: the share is compared before any sum.
+        cfg = tiny_config(dropout=0.2)
+        rng = np.random.default_rng(35)
+        upstream = rng.normal(size=(3, cfg.n_tokens, cfg.d_model))
+        upstream[..., 0] = -np.abs(upstream[..., 0])
+        keep = rng.random(upstream.shape) >= cfg.dropout
+        keep[..., 0] = False
+
+        class KeepDraws:
+            def random(self, shape):
+                return np.where(keep, 1.0, 0.0)
+
+        x = Tensor(np.zeros(upstream.shape), requires_grad=True)
+        _, (expected,), _ = weighted_sum_grads(
+            lambda x: ad.dropout(x, cfg.dropout, True, KeepDraws()), [x], upstream
+        )
+        z = Tensor(np.zeros(upstream.shape), requires_grad=True)
+        share = model_module._dropout_residual_back(upstream, z, keep, cfg.dropout)
+        assert np.signbit(expected[..., 0]).all() and not expected[..., 0].any()
+        assert share.tobytes() == expected.tobytes()
+        assert z.grad.tobytes() == upstream.tobytes()
+
     def test_row_draws_replay_views_of_the_batch_masks(self):
         cfg = tiny_config(dropout=0.2)
         masks = dropout_draws(cfg, 5, np.random.default_rng(36))
@@ -783,7 +809,7 @@ class TestParallelEvaluation:
         for width in (1, 2):
             self.force_cpus(monkeypatch, width)
             with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-                map_batches(lambda batch: batch * batch, feats, batch_size=2)
+                map_batches(lambda rows, batch: batch * batch, feats, batch_size=2)
 
     def test_cpu_count_falls_back_without_affinity(self, monkeypatch):
         assert model_module._cpu_count() >= 1
@@ -887,7 +913,7 @@ class TestParallelEvaluation:
                 with self.lock:
                     self.live -= 1
 
-        def slow_sum(batch):
+        def slow_sum(rows, batch):
             time.sleep(0.002)
             return batch.sum()
 
@@ -956,14 +982,16 @@ class TestEncodeFromBlock:
         # cores and frequent switches would show a batch written to the
         # wrong rows or a write lost
         model, feats = TestParallelEvaluation.problem(n=321)  # a one-row last batch
+        passes = (lambda: encode_prefix(model, feats, 1), lambda: _token_means(model, feats))
         TestParallelEvaluation.force_cpus(monkeypatch, 1)
-        reference = encode_prefix(model, feats, 1)
+        references = [run() for run in passes]
         TestParallelEvaluation.force_cpus(monkeypatch, 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for _ in range(3):
-                assert encode_prefix(model, feats, 1).tobytes() == reference.tobytes()
+                for run, reference in zip(passes, references):
+                    assert run().tobytes() == reference.tobytes()
         finally:
             sys.setswitchinterval(interval)
 

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 from conftest import diversity_oracle, neighborhood_spectra
 
-from hsiatl.data import HsiCube, extract_windows_batch, synth_cube
-from hsiatl.model import SstConfig, init_model, unfold
+from hsiatl.data import HsiCube, synth_cube
+from hsiatl.model import SstConfig, init_model
 from hsiatl.queries import (
     QueryConfig,
     al_round,
     entropy_scores,
-    hybrid_query,
     margin_scores,
     neighborhood_diversity,
     neighborhood_diversity_batch,
@@ -209,7 +208,7 @@ class TestQueryStrategies:
 
     def test_hybrid_result_contract(self):
         cfg = QueryConfig(query_size=5, beta=3)
-        res = hybrid_query(self.model, self.cube, self.pool, cfg)
+        res = query_pool(self.model, self.cube, self.labels, self.pool, cfg)
         assert res.selected.size == 5
         assert np.unique(res.selected).size == 5
         assert np.isin(res.selected, self.pool).all()
@@ -217,36 +216,22 @@ class TestQueryStrategies:
 
     def test_hybrid_query_size_capped_by_pool(self):
         cfg = QueryConfig(query_size=500)
-        res = hybrid_query(self.model, self.cube, self.pool, cfg)
+        res = query_pool(self.model, self.cube, self.labels, self.pool, cfg)
         np.testing.assert_array_equal(np.sort(res.selected), np.sort(self.pool))
 
     def test_hybrid_with_huge_beta_equals_diversity_only(self):
         cfg = QueryConfig(query_size=6, beta=1000)
-        hybrid = hybrid_query(self.model, self.cube, self.pool, cfg)
+        hybrid = query_pool(self.model, self.cube, self.labels, self.pool, cfg)
         div_cfg = QueryConfig(query_size=6, strategy="diversity_only")
         alone = query_pool(self.model, self.cube, self.labels, self.pool, div_cfg)
         np.testing.assert_array_equal(hybrid.selected, alone.selected)
 
     def test_hybrid_with_unit_neighborhood_is_pure_uncertainty(self):
         cfg = QueryConfig(query_size=6, n_neighborhood=1, beta=5)
-        hybrid = hybrid_query(self.model, self.cube, self.pool, cfg)
+        hybrid = query_pool(self.model, self.cube, self.labels, self.pool, cfg)
         unc_cfg = QueryConfig(query_size=6, strategy="uncertainty")
         alone = query_pool(self.model, self.cube, self.labels, self.pool, unc_cfg)
         np.testing.assert_array_equal(hybrid.selected, alone.selected)
-
-    @pytest.mark.parametrize("strategy", ["hybrid", "uncertainty", "entropy", "margin"])
-    def test_given_windows_pick_what_gathered_ones_do(self, strategy):
-        cfg = QueryConfig(query_size=6, beta=2, strategy=strategy)
-        window, subpatch = self.model.config.window, self.model.config.subpatch
-        features = unfold(extract_windows_batch(self.cube, self.pool, window), subpatch)
-        given = query_pool(self.model, self.cube, self.labels, self.pool, cfg,
-                           features=features)
-        gathered = query_pool(self.model, self.cube, self.labels, self.pool, cfg)
-        for field in ("selected", "informativeness", "diversity"):
-            assert getattr(given, field).tobytes() == getattr(gathered, field).tobytes()
-        if strategy == "hybrid":
-            direct = hybrid_query(self.model, self.cube, self.pool, cfg)
-            assert direct.selected.tobytes() == gathered.selected.tobytes()
 
     def test_hybrid_finds_planted_boundary_pixel(self):
         # a model that is clueless everywhere ranks uniformly; plant a pixel
@@ -257,7 +242,7 @@ class TestQueryStrategies:
         model = trained_free_model(cube, 3)
         pool = np.arange(64)
         cfg = QueryConfig(query_size=1, beta=64)
-        res = hybrid_query(model, cube, pool, cfg)
+        res = query_pool(model, cube, None, pool, cfg)
         neighbors = {(3 + dr) * 8 + (3 + dc)
                      for dr in (-1, 0, 1) for dc in (-1, 0, 1)}
         assert res.selected[0] in neighbors
