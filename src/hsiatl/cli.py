@@ -23,6 +23,7 @@ import ctypes
 import dataclasses
 import functools
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -58,7 +59,7 @@ from hsiatl.training import (
     run_active_learning,
     train_model,
 )
-from hsiatl.transfer import MmdConfig, run_transfer
+from hsiatl.transfer import FineTuneError, MmdConfig, run_transfer
 
 
 class UsageError(Exception):
@@ -271,9 +272,20 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         override = getattr(args, name, None)
         if override is not None:
             values[name] = override
+        if _non_finite(values[name]):
+            raise UsageError(
+                f"config value {name!r} must be finite, got {json.dumps(values[name])}"
+            )
     if isinstance(values["ratios"], list):
         values["ratios"] = tuple(values["ratios"])
     return RunConfig(**values)
+
+
+def _non_finite(value) -> bool:
+    """Whether a config value is, or holds, NaN or an infinity (JSON's NaN,
+    Infinity and out-of-range numbers, and float flags, can give them)."""
+    items = value if isinstance(value, (list, tuple)) else [value]
+    return any(isinstance(v, float) and not math.isfinite(v) for v in items)
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -411,6 +423,8 @@ def cmd_transfer(args: argparse.Namespace, run: RunConfig) -> int:
             target_fraction=run.target_fraction,
             seed=run.seed,
         )
+    except FineTuneError as exc:
+        raise NumericalError(f"fine-tuning: {exc}") from None
     except NumericalError as exc:
         raise NumericalError(f"{args.source_ckpt}: {exc}") from None
     report["source"] = str(args.cube)

@@ -618,40 +618,43 @@ def map_batches(fn, items: np.ndarray | PixelWindows, batch_size: int = 64) -> l
     """``fn(rows, items[rows])`` for consecutive slices ``rows`` of
     ``batch_size`` items (the last one may be shorter).
 
-    Batches run on a thread pool with one thread per available CPU (never
-    more threads than batches; a single batch or CPU runs inline), in rounds
-    of one batch per thread: the calling thread slices a round's batches and
-    the pool runs ``fn`` on them, so no more slices (for a ``PixelWindows``,
-    gathered windows) exist at once than there are threads. numpy and BLAS
-    release the GIL. Batches see the caller's ``np.errstate``. Tapes are per
-    thread and every batch starts with none active, so nothing lands on the
-    caller's tape and each batch's result is independent of the thread
-    count. A pass that builds one output preallocates it and has each batch
-    write its own ``rows``. Results come back in batch order; the first
-    failing batch's exception is re-raised.
+    Batches run in rounds of one batch per available CPU (never more than
+    there are batches): the calling thread slices a round's batches, hands
+    all but the first to a pool of one thread fewer, and runs the first
+    itself, so no more slices (for a ``PixelWindows``, gathered windows)
+    exist at once than there are CPUs, and one CPU runs everything on the
+    calling thread. numpy and BLAS release the GIL. Batches see the caller's
+    ``np.errstate``. Tapes are per thread and every batch starts with none
+    active, so nothing lands on the caller's tape and each batch's result is
+    independent of the thread count. A pass that builds one output
+    preallocates it and has each batch write its own ``rows``. Results come
+    back in batch order; the first failing batch's exception, in batch
+    order, is re-raised once the round's other batches have finished.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = len(items)
     slices = [slice(start, min(start + batch_size, n)) for start in range(0, n, batch_size)]
-    workers = min(_cpu_count(), len(slices))
-    if workers <= 1:
-        with ad.no_tape():
-            return [fn(rows, items[rows]) for rows in slices]
+    workers = max(1, min(_cpu_count(), len(slices)))
 
     def run_round(pool: ThreadPoolExecutor, round_slices: list[slice]) -> list:
         # Slicing here, while no worker runs, keeps each gather apart from
         # other threads' work; perfbench's tracer keeps one span stack per
         # process and misattributes spans that overlap across threads.
         batches = [items[rows] for rows in round_slices]
-        # each batch runs in a copy of the caller's context, which carries
-        # numpy's floating-point error state (np.errstate) as inline runs do
-        contexts = [contextvars.copy_context() for _ in batches]
-        return list(pool.map(
-            lambda ctx, rows, batch: ctx.run(fn, rows, batch), contexts, round_slices, batches
-        ))
+        # each pool batch runs in a copy of the caller's context, which
+        # carries numpy's floating-point error state (np.errstate)
+        futures = [
+            pool.submit(contextvars.copy_context().run, fn, rows, batch)
+            for rows, batch in zip(round_slices[1:], batches[1:])
+        ]
+        with ad.no_tape():
+            first = fn(round_slices[0], batches[0])
+        return [first] + [future.result() for future in futures]
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # The pool starts its threads on first use, so one CPU starts none. Its
+    # exit waits for a round's other batches before an exception leaves.
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
         return [
             result
             for first in range(0, len(slices), workers)
@@ -659,36 +662,50 @@ def map_batches(fn, items: np.ndarray | PixelWindows, batch_size: int = 64) -> l
         ]
 
 
+def _prefix(model: SstModel, n_blocks: int) -> SstModel:
+    """The model cut after its embedding and first ``n_blocks`` blocks."""
+    return dataclasses.replace(model, config=dataclasses.replace(model.config, n_layers=n_blocks))
+
+
 def predict_probs(
-    model: SstModel,
+    models: SstModel | tuple[SstModel, ...],
     features: np.ndarray | PixelWindows,
     batch_size: int = 64,
     from_block: int = 0,
-) -> np.ndarray:
+):
     """Evaluation-mode probabilities [n, C] for unfolded windows.
 
     Batches of ``batch_size`` windows (gathered per batch from a
     ``PixelWindows``) run on one thread per available CPU (see
     ``map_batches``); there is no setting for the thread count, and the
     result is bitwise identical for any CPU count, array or lazy source.
-    With ``from_block`` above 0, ``features`` are the tokens
-    ``encode_prefix`` gives for that many blocks, and the result is bitwise
-    the one the windows would give. Raises NumericalError when the
+
+    ``models`` is one model or a tuple of models whose embedding and first
+    ``from_block`` encoder blocks are bitwise the same, as a model's are
+    before and after fine-tuning under a plan that freezes them. Each batch
+    runs those once, from the first model, then every model's later blocks
+    and head; a row's tokens do not depend on where a pass stops, so each
+    model's result is bitwise the one a pass of its own gives. A tuple
+    gives a tuple of arrays, one per model. Raises NumericalError when
     probabilities are not finite (numpy's floating-point warnings are off).
     """
-    out = np.empty((len(features), model.config.n_classes))
+    group = (models,) if isinstance(models, SstModel) else tuple(models)
+    outs = tuple(np.empty((len(features), model.config.n_classes)) for model in group)
+    prefix = _prefix(group[0], from_block) if from_block else None
 
     def write(rows: slice, batch: np.ndarray) -> None:
         # the head's one-row matrix products take other BLAS kernels, whose
         # last bits differ: a lone row runs as a duplicated pair
         runs = np.repeat(batch, 2, axis=0) if len(batch) == 1 else batch
-        out[rows] = forward_batch(model, runs, from_block=from_block).data[: len(batch)]
+        tokens = runs if prefix is None else encode(prefix, runs)
+        for model, out in zip(group, outs):
+            out[rows] = forward_batch(model, tokens, from_block=from_block).data[: len(batch)]
 
     with np.errstate(all="ignore"):
         map_batches(write, features, batch_size)
-    if not np.isfinite(out).all():
+    if not all(np.isfinite(out).all() for out in outs):
         raise NumericalError("the model's class probabilities are not finite")
-    return out
+    return outs[0] if isinstance(models, SstModel) else outs
 
 
 def encode_prefix(
@@ -697,16 +714,14 @@ def encode_prefix(
     """Evaluation-mode tokens [n, N_p, d_model] after the embedding and the
     first ``n_blocks`` encoder blocks.
 
-    ``encode``, ``forward_batch``, ``predict_probs`` and ``train_model``
-    continue from them with ``from_block=n_blocks``. Batches run as in
-    ``predict_probs``; a row's tokens do not depend on the batch it ran in,
-    so they are bitwise the ones a full pass computes. They take
-    N_p * d_model * 8 bytes per window, written into one array as each batch
-    finishes.
+    ``encode``, ``forward_batch`` and ``train_model`` continue from them
+    with ``from_block=n_blocks``. Batches run as in ``predict_probs``; a
+    row's tokens do not depend on the batch it ran in, so they are bitwise
+    the ones a full pass computes. They take N_p * d_model * 8 bytes per
+    window, written into one array as each batch finishes.
     """
-    config = dataclasses.replace(model.config, n_layers=n_blocks)
-    prefix = dataclasses.replace(model, config=config)
-    out = np.empty((len(features), config.n_tokens, config.d_model))
+    prefix = _prefix(model, n_blocks)
+    out = np.empty((len(features), model.config.n_tokens, model.config.d_model))
 
     def write(rows: slice, batch: np.ndarray) -> None:
         out[rows] = encode(prefix, batch).data

@@ -39,6 +39,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.decay < 0:
+            raise ValueError(f"decay must be >= 0, got {self.decay}")
 
 
 class WindowBank:
@@ -98,7 +100,7 @@ def train_model(
     ``encode_prefix`` gives for that many blocks; only the blocks from
     ``from_block`` on, the pool and the head run, so the earlier blocks and
     the embedding are not trained. Raises NumericalError on a non-finite
-    loss.
+    loss (numpy's floating-point warnings are off).
     """
     rng = np.random.default_rng(cfg.seed)
     params = model.parameters()
@@ -106,57 +108,69 @@ def train_model(
     optimizer = Adam(params, lr=cfg.lr, decay=cfg.decay)
     n = features.shape[0]
     history = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            # drawn for the whole batch, in serial order, before either half runs
-            draws = dropout_draws(model.config, batch.size, rng, from_block)
+    # a non-finite loss raises NumericalError, so numpy need not warn first
+    with np.errstate(all="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            total = 0.0
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                # drawn for the whole batch, in serial order, before either half runs
+                draws = dropout_draws(model.config, batch.size, rng, from_block)
 
-            def half_step(half: slice, picked: np.ndarray) -> tuple[float, dict[str, ad.Tensor]]:
-                # each half is one contiguous range, so its masks are views
-                replica = model.replica()
-                with Tape() as tape:
-                    probs = forward_batch(
-                        replica, features[picked], training=True,
-                        rng=RowDraws(draws, half), from_block=from_block,
-                    )
-                    # weighted by row share: the halves sum to the batch mean
-                    loss = ad.scale(
-                        ad.cross_entropy(probs, targets[picked]), picked.size / batch.size
-                    )
-                value = float(loss.data)
-                if not np.isfinite(value):
-                    raise NumericalError(f"loss became {value} at epoch {epoch}")
-                ad.backward(tape, loss)
-                return value, replica.parameters()
+                def half_step(
+                    half: slice, picked: np.ndarray
+                ) -> tuple[float, dict[str, ad.Tensor]]:
+                    # each half is one contiguous range, so its masks are views
+                    replica = model.replica()
+                    with Tape() as tape:
+                        probs = forward_batch(
+                            replica, features[picked], training=True,
+                            rng=RowDraws(draws, half), from_block=from_block,
+                        )
+                        # weighted by row share: the halves sum to the batch mean
+                        loss = ad.scale(
+                            ad.cross_entropy(probs, targets[picked]), picked.size / batch.size
+                        )
+                    value = float(loss.data)
+                    if not np.isfinite(value):
+                        raise NumericalError(f"loss became {value} at epoch {epoch}")
+                    ad.backward(tape, loss)
+                    return value, replica.parameters()
 
-            optimizer.zero_grad()
-            halves = map_batches(half_step, batch, (batch.size + 1) // 2)
-            for name, p in params.items():
-                for _, grads in halves:
-                    if grads[name].grad is not None:
-                        p.accumulate(grads[name].grad)
-            optimizer.step()
-            total += sum(value for value, _ in halves) * batch.size
-        history.append(total / n)
-        if log is not None:
-            log(epoch, history[-1])
+                optimizer.zero_grad()
+                halves = map_batches(half_step, batch, (batch.size + 1) // 2)
+                for name, p in params.items():
+                    for _, grads in halves:
+                        if grads[name].grad is not None:
+                            p.accumulate(grads[name].grad)
+                optimizer.step()
+                total += sum(value for value, _ in halves) * batch.size
+            history.append(total / n)
+            if log is not None:
+                log(epoch, history[-1])
     return history
 
 
 def evaluate(
-    model: SstModel,
+    models: SstModel | tuple[SstModel, ...],
     features: np.ndarray | PixelWindows,
     target_classes: np.ndarray,
     from_block: int = 0,
-) -> MetricsReport:
+):
     """Score evaluation-mode predictions; target classes are 1-based.
 
-    ``from_block`` is passed to ``predict_probs``.
+    ``models`` and ``from_block`` are passed to ``predict_probs``: a tuple of
+    models that share their first ``from_block`` blocks is scored in one
+    pass and gives a tuple of reports, one per model.
     """
-    probs = predict_probs(model, features, from_block=from_block)
+    probs = predict_probs(models, features, from_block=from_block)
+    if isinstance(models, SstModel):
+        return _score(models, probs, target_classes)
+    return tuple(_score(model, p, target_classes) for model, p in zip(models, probs))
+
+
+def _score(model: SstModel, probs: np.ndarray, target_classes: np.ndarray) -> MetricsReport:
     predicted = probs.argmax(axis=1) + 1
     matrix = confusion(predicted, np.asarray(target_classes), model.config.n_classes)
     return report(matrix)

@@ -6,7 +6,8 @@ indexing, window extraction, neighborhood diversity, single-window forward,
 patch embedding, token uncertainty and per-layer features; the op-level
 graphs of the attention and feed-forward sublayers (each with its dropout
 and residual add) that the model runs as single tape nodes; and the
-pooled-matrix median heuristic and discrepancy estimate.
+pooled-matrix median heuristic, the whole-array partition median, and the
+discrepancy estimate.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from hsiatl import autodiff as ad
 from hsiatl.autodiff import Tensor
 from hsiatl.model import encode, forward_batch, unfold
-from hsiatl.transfer import _pairwise_sq_dists
+from hsiatl.transfer import _pairwise_sq_dists, _pooled_pieces
 
 
 def numeric_gradient(fn, arrays: list[np.ndarray], step: float = 1e-5):
@@ -224,6 +225,28 @@ def pooled_sq_dists_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     as one whole block."""
     pooled = np.vstack([x, y])
     return _pairwise_sq_dists(pooled, pooled)[np.triu_indices(pooled.shape[0], k=1)]
+
+
+def pooled_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Every pooled pair's squared distance in one array, from the row
+    ranges ``median_bandwidth`` passes over (``_pooled_pieces``)."""
+    return np.concatenate(list(_pooled_pieces(x, y)))
+
+
+def median_partition_oracle(x: np.ndarray, y: np.ndarray) -> float:
+    """``median_bandwidth`` from the whole array of range-built pooled
+    distances: one partition at the lower middle rank (NaN last), then the
+    least value past it for the upper one; 1.0 if the median is 0 or NaN."""
+    values = pooled_sq_dists(x, y)
+    if values.size == 0:
+        return 1.0
+    mid = (values.size - 1) // 2
+    values.partition(mid)
+    middle = [values[mid]]
+    if values.size % 2 == 0:
+        middle.append(np.fmin.reduce(values[mid + 1 :]))
+    med = float(np.mean(np.sqrt(middle)))
+    return med if med > 0 else 1.0
 
 
 def median_bandwidth_oracle(x: np.ndarray, y: np.ndarray) -> float:

@@ -148,6 +148,32 @@ class TestConfigResolution:
         assert_one_line(done, 1, "error: ")
         assert f"'{key}' must be {expected}, got {json.dumps(value)}" in done.stderr
 
+    @pytest.mark.parametrize("command, fields, flags, expected", [
+        ("al", '"decay": -1', [], "decay must be >= 0, got -1"),
+        ("transfer", '"decay": -1', [], "decay must be >= 0, got -1"),
+        ("transfer", '"bandwidth": NaN', [], "'bandwidth' must be finite, got NaN"),
+        ("al", '"calibration": NaN', [], "'calibration' must be finite, got NaN"),
+        ("al", '"lr": Infinity', [], "'lr' must be finite, got Infinity"),
+        ("al", '"ratios": [0.1, -Infinity, 0.5]', [],
+         "'ratios' must be finite, got [0.1, -Infinity, 0.5]"),
+        ("transfer", '"rho": 0.5', ["--rho", "nan"], "'rho' must be finite, got NaN"),
+    ])
+    def test_nonfinite_or_negative_decay_is_one_line_usage_error(
+        self, workdir, tmp_path, command, fields, flags, expected
+    ):
+        # JSON's NaN and Infinity parse as floats; NaN passed every range
+        # check, and a negative decay divided by zero in the optimizer
+        (tmp_path / "bad.json").write_text("{" + fields + "}")
+        data = ["--cube", workdir / "a.hsic", "--labels", workdir / "a.hsil"]
+        if command == "al":
+            data += ["--manifest", tmp_path / "new.split.json"]
+        else:
+            data += ["--source-ckpt", workdir / "a.sstc", "--target-cube", workdir / "a.hsic",
+                     "--target-labels", workdir / "a.hsil", "--out", tmp_path / "t.json"]
+        done = run_process([command, "--config", tmp_path / "bad.json", *flags, *data])
+        assert_one_line(done, 1, "error: ")
+        assert expected in done.stderr
+
     def test_config_values_that_fit_their_fields(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(
@@ -486,6 +512,21 @@ class TestNumericalFailure:
                             "--out", tmp_path / "transfer.json"])
         assert_one_line(done, 3, f"numerical failure: {tmp_path / 'huge.sstc'}: ")
         assert "Warning" not in done.stderr
+
+
+    def test_fine_tuning_divergence_does_not_blame_the_checkpoint(self, workdir, tmp_path):
+        # every numerical failure in transfer used to be prefixed with the
+        # source checkpoint's path
+        cfg = json.loads((workdir / "cfg.json").read_text())
+        (tmp_path / "lr.json").write_text(json.dumps({**cfg, "lr": 1e300}))
+        done = run_process(["transfer", "--config", tmp_path / "lr.json",
+                            "--source-ckpt", workdir / "a.sstc",
+                            "--cube", workdir / "a.hsic", "--labels", workdir / "a.hsil",
+                            "--target-cube", workdir / "a.hsic",
+                            "--target-labels", workdir / "a.hsil",
+                            "--out", tmp_path / "transfer.json"])
+        assert_one_line(done, 3, "numerical failure: fine-tuning: loss became nan")
+        assert "a.sstc" not in done.stderr
 
 
 def write_cube(path, rows, cols, bands, nan_at=None):

@@ -2,6 +2,7 @@
 embedding oracle, raw-numpy attention, entropy formulas, and finite
 differences through whole encoder blocks and the full classifier."""
 
+import copy
 import dataclasses
 import os
 import sys
@@ -925,6 +926,62 @@ class TestParallelEvaluation:
             assert source.live == 0
             assert 1 <= source.most <= width, (width, source.most)
 
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_calling_thread_runs_the_first_batch_of_each_round(self, monkeypatch, width):
+        self.force_cpus(monkeypatch, width)
+        threads = {}
+
+        def record(rows, batch):
+            threads[rows.start // 8] = threading.get_ident()
+            time.sleep(0.001)
+            return int(batch.sum())
+
+        sums = map_batches(record, np.arange(80), batch_size=8)
+        assert sums == [sum(range(s, s + 8)) for s in range(0, 80, 8)]
+        caller = threading.get_ident()
+        ran_here = [i for i, thread in sorted(threads.items()) if thread == caller]
+        assert ran_here == list(range(0, 10, width))
+        assert len(set(threads.values()) - {caller}) <= width - 1
+
+    @pytest.mark.parametrize("failing, raised", [((1, 2), 1), ((0, 3), 0)])
+    def test_first_failing_batch_is_raised_once_its_round_is_done(
+        self, monkeypatch, failing, raised
+    ):
+        # batch 2 fails before batch 1 does, and batch 3 finishes last
+        self.force_cpus(monkeypatch, 4)
+        delays = {1: 0.02, 3: 0.05}
+        started, finished = set(), set()
+
+        def run(rows, batch):
+            started.add(rows.start)
+            time.sleep(delays.get(rows.start, 0.0))
+            finished.add(rows.start)
+            if rows.start in failing:
+                raise ValueError(rows.start)
+
+        with pytest.raises(ValueError) as err:
+            map_batches(run, np.arange(8), batch_size=1)
+        assert err.value.args == (raised,)
+        assert started == finished == {0, 1, 2, 3}  # the next round never began
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_batches_see_no_tape_and_the_callers_comes_back(self, monkeypatch, width):
+        self.force_cpus(monkeypatch, width)
+        seen = []
+
+        def run(rows, batch):
+            seen.append(ad._current_tape())
+            if rows.start == 0:
+                raise ValueError("the calling thread's batch fails")
+
+        with Tape() as tape:
+            with pytest.raises(ValueError):
+                map_batches(run, np.arange(8), batch_size=2)
+            assert ad._current_tape() is tape
+            map_batches(lambda rows, batch: seen.append(ad._current_tape()), np.arange(8), 2)
+            assert ad._current_tape() is tape
+        assert len(seen) >= 5 and all(t is None for t in seen)
+
     def test_window_gathers_stay_on_the_calling_thread(self, monkeypatch):
         # perfbench's tracer keeps one span stack per process, so a gather
         # on a worker would overlap other threads' spans
@@ -955,20 +1012,37 @@ class TestParallelEvaluation:
 class TestEncodeFromBlock:
     """Tokens cached after the first j blocks continue to the same bytes."""
 
+    @staticmethod
+    def tuned_copy(model, j: int, seed: int = 9):
+        """A copy of ``model`` whose blocks from ``j`` on, pool and head moved,
+        as fine-tuning under a plan that freezes the first j blocks leaves it."""
+        tuned = copy.deepcopy(model)
+        rng = np.random.default_rng(seed)
+        for name, tensor in tuned.parameters().items():
+            group = tuned.group_of(name)
+            if group == "head" or (group.startswith("enc") and int(group[3:]) >= j):
+                tensor.data += rng.normal(scale=0.05, size=tensor.shape)
+        return tuned
+
     @pytest.mark.parametrize("n", [65, 129])  # a one-row last batch of 64
     def test_cached_tokens_continue_to_the_full_pass(self, monkeypatch, n):
         model, feats = TestParallelEvaluation.problem(n=n)
         full, captured = encode(model, feats, capture=True)
-        for cpus in (1, 2):
+        blocks = range(1, model.config.n_layers + 1)
+        tuned = {j: self.tuned_copy(model, j) for j in blocks}
+        alone = {j: predict_probs(tuned[j], feats).tobytes() for j in blocks}
+        reference = predict_probs(model, feats).tobytes()
+        for cpus in (1, 2, 4):
             TestParallelEvaluation.force_cpus(monkeypatch, cpus)
-            for j in range(1, model.config.n_layers + 1):
+            for j in blocks:
                 tokens = encode_prefix(model, feats, j)
                 assert tokens.tobytes() == captured[j - 1].tobytes(), (cpus, j)
                 assert encode(model, tokens, from_block=j).data.tobytes() == full.data.tobytes()
-                for batch_size in (1, 3, 64):
-                    expected = predict_probs(model, feats, batch_size=batch_size)
-                    got = predict_probs(model, tokens, batch_size=batch_size, from_block=j)
-                    assert got.tobytes() == expected.tobytes(), (cpus, j, batch_size)
+                # models sharing the first j blocks: one pass runs those once
+                for batch_size in (3, 64):
+                    shared = predict_probs((model, tuned[j]), feats, batch_size, from_block=j)
+                    assert [p.tobytes() for p in shared] == [reference, alone[j]], (
+                        cpus, j, batch_size)
 
     def test_lazy_windows_give_the_same_tokens(self):
         model = init_model(SstConfig(bands=3, n_classes=3, window=4, d_model=8, n_heads=2), seed=2)
@@ -1024,7 +1098,7 @@ class TestEncodeFromBlock:
         with pytest.raises(DimensionError, match="entering block 1"):
             encode(model, feats, from_block=1)
         with pytest.raises(DimensionError):
-            predict_probs(model, feats, from_block=2)
+            forward_batch(model, feats, from_block=2)
 
     def test_dropout_draws_only_for_blocks_that_run(self):
         cfg = tiny_config(n_layers=3, dropout=0.2)

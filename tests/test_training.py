@@ -13,7 +13,7 @@ import pytest
 from hsiatl import autodiff as ad
 from hsiatl import model as model_module
 from hsiatl import training as training_module
-from hsiatl.autodiff import Tape
+from hsiatl.autodiff import Tape, Tensor
 from hsiatl.data import DimensionError, LabelMap, extract_windows_batch, make_split, synth_cube
 from hsiatl.model import SstConfig, encode_prefix, forward_batch, init_model, unfold
 from hsiatl.queries import QueryConfig
@@ -226,22 +226,27 @@ class TestTwoHalfStep:
         assert run()[0] == history
 
     def test_nonfinite_loss_in_worker_raises_numerical_error(self, monkeypatch):
+        # the calling thread runs the first half and stays finite; only the
+        # pool thread's half overflows, and numpy does not warn about it
         self.force_cpus(monkeypatch, 2)
-        threads = set()
+        threads = []
 
-        def spy(*args, **kwargs):
-            threads.add(threading.current_thread())
-            return forward_batch(*args, **kwargs)
+        def spy(model, *args, **kwargs):
+            threads.append(threading.current_thread())
+            if threading.current_thread() is not threading.main_thread():
+                huge = Tensor(np.full(model.params["embed.weight"].shape, 1e308))
+                model = dataclasses.replace(model, params={**model.params, "embed.weight": huge})
+            return forward_batch(model, *args, **kwargs)
 
         monkeypatch.setattr(training_module, "forward_batch", spy)
         _, _, _, model, bank = small_problem()
-        model.params["embed.weight"].data[...] = 1e308
         feats, targets = bank.take(bank.pixels[:30])
-        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="loss became nan at epoch 0"):
             train_model(
                 model, feats, targets, TrainConfig(epochs=1, batch_size=8, seed=0)
             )
-        assert threads and threading.main_thread() not in threads
+        assert len(threads) == len(set(threads)) == 2
+        assert threading.main_thread() in threads
         assert ad._current_tape() is None
 
     def test_one_step_holds_only_what_backward_reads(self, monkeypatch):

@@ -10,15 +10,19 @@ import pytest
 from conftest import (
     layer_features,
     median_bandwidth_oracle,
+    median_partition_oracle,
     mmd_oracle,
+    pooled_sq_dists,
     pooled_sq_dists_oracle,
 )
 
+from hsiatl import model as model_module
 from hsiatl import transfer as transfer_module
-from hsiatl.data import DimensionError, synth_cube
-from hsiatl.model import SstConfig, encode_prefix, init_model, unfold
-from hsiatl.training import TrainConfig, WindowBank, train_model
+from hsiatl.data import DimensionError, make_split, synth_cube
+from hsiatl.model import NumericalError, SstConfig, encode_prefix, init_model, unfold
+from hsiatl.training import TrainConfig, WindowBank, evaluate, train_model
 from hsiatl.transfer import (
+    FineTuneError,
     FreezePlan,
     MmdConfig,
     apply_freeze_plan,
@@ -129,7 +133,7 @@ class TestMmdAgainstPooledOracle:
         rng = np.random.default_rng(n * 7919 + m)
         x = rng.normal(size=(n, 56))
         y = rng.normal(size=(m, 56)) + 0.4
-        got = np.sort(transfer_module._pooled_sq_dists(x, y))
+        got = np.sort(pooled_sq_dists(x, y))
         assert got.tobytes() == np.sort(pooled_sq_dists_oracle(x, y)).tobytes()
 
     # Where a count is not a multiple of 8, only the median is compared. The
@@ -197,10 +201,11 @@ class TestMmdRowRanges:
         assert max(sizes) <= RANGE + 1
         assert n == 1 or min(sizes) >= 2
 
-    def test_one_call_holds_the_pooled_distances_and_one_block(self):
-        # 1024 rows per sample: 16 MiB of pooled squared distances, then one
-        # 8 MiB kernel block at a time; holding all three blocks at once
-        # (and a copy of their triangles) peaks at about 40 MiB
+    def test_one_call_holds_one_block_and_the_bracketed_values(self):
+        # 1024 rows per sample: one 8 MiB kernel block at a time, one row
+        # range's norm sums beside it, and the median's bracket keeps about
+        # a tenth of the 16 MiB of pooled squared distances; holding those
+        # whole peaked near 23 MiB, and all three blocks at once near 40 MiB
         rng = np.random.default_rng(3)
         x = rng.normal(size=(1024, 56))
         y = rng.normal(size=(1024, 56)) + 0.2
@@ -210,7 +215,115 @@ class TestMmdRowRanges:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 24 << 20, peak
+        assert peak < 12 << 20, peak
+
+
+def whole_block_sq_dists(a, b):
+    """``_pairwise_sq_dists`` as one expression over whole blocks."""
+    aa = (a * a).sum(axis=1)[:, None]
+    bb = (b * b).sum(axis=1)[None, :]
+    out = aa + bb - 2.0 * (a @ b.T)
+    return np.maximum(out, 0.0, out=out)
+
+
+class TestStreamedMedian:
+    """The bracketed median is bitwise the whole-array partition's."""
+
+    @staticmethod
+    def spy_passes(monkeypatch) -> list[int]:
+        passes = []
+        bracket = transfer_module._ranks_in_bracket
+
+        def spy(x, y, lo, hi):
+            below, inside = bracket(x, y, lo, hi)
+            passes.append(inside.size)
+            return below, inside
+
+        monkeypatch.setattr(transfer_module, "_ranks_in_bracket", spy)
+        return passes
+
+    @pytest.mark.parametrize("n, m", [
+        (300, 301),  # 45150 + 45150 + 90300 values: even
+        (300, 302),  # odd
+        (2, 2), (2, 3), (9, 17), (257, 40), (40, 513),
+    ])
+    def test_bitwise_equal_to_whole_array_partition(self, monkeypatch, n, m):
+        passes = self.spy_passes(monkeypatch)
+        rng = np.random.default_rng(n * 31 + m)
+        x = rng.normal(size=(n, 12))
+        y = rng.normal(size=(m, 12)) + 0.4
+        assert median_bandwidth(x, y) == median_partition_oracle(x, y)
+        assert len(passes) == 1
+        count = n * (n - 1) // 2 + m * (m - 1) // 2 + n * m
+        assert count < 10**4 or passes[0] < count / 3  # the bracket keeps a part
+
+    def test_ties(self):
+        # small integer rows: every distance is one of a few values
+        rng = np.random.default_rng(5)
+        for n, m in ((200, 201), (200, 202), (64, 65)):
+            x = rng.integers(0, 3, size=(n, 4)).astype(float)
+            y = rng.integers(0, 3, size=(m, 4)).astype(float)
+            assert median_bandwidth(x, y) == median_partition_oracle(x, y) != 1.0
+
+    @pytest.mark.parametrize("n, m", [(20, 21), (20, 22)])
+    def test_all_zeros_fall_back_to_unit_bandwidth(self, n, m):
+        x, y = np.zeros((n, 3)), np.zeros((m, 3))
+        assert median_bandwidth(x, y) == median_partition_oracle(x, y) == 1.0
+
+    @pytest.mark.parametrize("nan_rows, unit", [
+        ((3,), False),  # few NaN pairs: the median is finite
+        (tuple(range(0, 60, 2)), True),  # most pairs NaN: the median is NaN
+    ])
+    def test_nan_rows_rank_last(self, nan_rows, unit):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(60, 5))
+        y = rng.normal(size=(41, 5))
+        x[list(nan_rows)] = np.nan
+        with np.errstate(invalid="ignore"):
+            got = median_bandwidth(x, y)
+            assert got == median_partition_oracle(x, y)
+        assert (got == 1.0) == unit
+
+    def test_upper_middle_rank_nan(self):
+        # 6 values, x's first row NaN: ranks 0-2 finite, ranks 3-5 NaN, so the
+        # upper middle value is NaN and the bandwidth falls back to 1.0
+        x = np.array([[np.nan, 0.0], [0.0, 0.0]])
+        y = np.array([[1.0, 0.0], [0.0, 2.0]])
+        with np.errstate(invalid="ignore"):
+            assert median_bandwidth(x, y) == median_partition_oracle(x, y) == 1.0
+
+    @pytest.mark.parametrize("sampled_rows_are", ["far", "close"])
+    def test_bracket_widens_when_the_sample_misleads(self, monkeypatch, sampled_rows_are):
+        # the strided sample sees only rows 0, 8, 16, ...; far apart, they
+        # put the bracket above the middle ranks, bunched up, below them
+        passes = self.spy_passes(monkeypatch)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(400, 6))
+        y = rng.normal(size=(401, 6)) + 0.3
+        stride = transfer_module._SAMPLE_STRIDE
+        if sampled_rows_are == "far":
+            x[::stride] *= 50.0
+            y[::stride] *= 50.0
+        else:
+            x[::stride] = 0.0
+            y[::stride] = 0.0
+        assert median_bandwidth(x, y) == median_partition_oracle(x, y)
+        assert len(passes) > 1
+
+
+class TestPairwiseSqDists:
+    @pytest.mark.parametrize("n, m", [(7, 5), (300, 257), (513, 99), (1, 9), (9, 1)])
+    def test_bitwise_equal_to_whole_block_expression(self, n, m):
+        # counts that are not multiples of 8 take BLAS's edge kernels, and
+        # more than one 256-row range splits the subtraction
+        rng = np.random.default_rng(n + 1000 * m)
+        a = rng.normal(size=(n, 56))
+        b = rng.normal(size=(m, 56)) + 0.2
+        got = transfer_module._pairwise_sq_dists(a, b)
+        assert got.tobytes() == whole_block_sq_dists(a, b).tobytes()
+        # a sample against itself takes the symmetric product
+        got = transfer_module._pairwise_sq_dists(a, a)
+        assert got.tobytes() == whole_block_sq_dists(a, a).tobytes()
 
 
 def transfer_fixture(seed=42):
@@ -360,6 +473,27 @@ class TestRunTransfer:
         assert doc["zero_shot"] is not None
         assert 0.0 <= doc["fine_tuned"]["oa"] <= 1.0
 
+    def test_holds_no_test_token_array(self, monkeypatch):
+        # 1439 test windows of 16 tokens of width 56 would take 9.8 MiB of
+        # frozen-prefix tokens; the one scoring pass of both models builds
+        # none (holding them peaked near 15 MiB on one CPU)
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 1)
+        source_cube, source_labels = synth_cube(3, 12, 12, 8, noise=0.2, seed=0)
+        target_cube, target_labels = synth_cube(3, 40, 40, 8, noise=0.2, shift=1.0, seed=1)
+        cfg = SstConfig(bands=8, n_classes=3, n_layers=2, dropout=0.0)
+        tracemalloc.start()
+        try:
+            _, doc = run_transfer(
+                init_model(cfg, seed=0), source_cube, source_labels, target_cube, target_labels,
+                rho=1.0, mmd_cfg=MmdConfig(sample_count=16), train_cfg=TrainConfig(epochs=0),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert doc["frozen"] == [0, 1] and doc["zero_shot"] is not None
+        tokens = doc["fine_tuned"]["n_samples"] * cfg.n_tokens * cfg.d_model * 8
+        assert peak < tokens, (peak, tokens)
+
     def test_bad_fraction_rejected(self):
         cube, labels = synth_cube(3, 12, 12, 8, seed=0)
         cfg = SstConfig(bands=8, n_classes=3, window=4, subpatch=2,
@@ -392,6 +526,35 @@ class TestRunTransfer:
         with pytest.raises(DimensionError, match="label map is 10x10 but the cube is 12x12"):
             run_transfer(init_model(cfg, seed=0), *pairs["source"], *pairs["target"],
                          rho=0.5, mmd_cfg=MmdConfig(), train_cfg=TrainConfig(epochs=0))
+
+
+class TestFailureAttribution:
+    """A non-finite pass of the source model raises NumericalError; one of
+    fine-tuning or the tuned scores raises FineTuneError."""
+
+    @staticmethod
+    def transfer(model, lr=0.001):
+        cube, labels = synth_cube(3, 12, 12, 8, noise=0.2, seed=0)
+        return run_transfer(model, cube, labels, cube, labels, rho=0.5,
+                            mmd_cfg=MmdConfig(sample_count=16),
+                            train_cfg=TrainConfig(epochs=2, batch_size=8, lr=lr),
+                            target_fraction=0.2)
+
+    def test_diverging_fine_tuning(self):
+        _, _, model, _ = transfer_fixture()
+        with pytest.raises(FineTuneError, match="loss became nan"):
+            self.transfer(model, lr=1e300)
+
+    def test_source_whose_own_scores_fail(self):
+        # the encoder stays finite, so the freeze plan's capture passes; the
+        # head overflows, so fine-tuning fails first, then the source's own
+        # zero-shot scores do
+        _, _, model, _ = transfer_fixture()
+        for name in ("head.b1", "head.w2"):
+            model.params[name].data[...] = 1e300
+        with pytest.raises(NumericalError, match="class probabilities are not finite") as err:
+            self.transfer(model)
+        assert not isinstance(err.value, FineTuneError)
 
 
 def plan_of(frozen, n_layers=4):
@@ -454,9 +617,32 @@ class TestFrozenPrefix:
         frozen = json.loads(cached[0])["frozen"]
         prefix = transfer_module._frozen_prefix(plan_of(frozen))
         assert prefix > 0
-        assert calls == [prefix, prefix]  # test windows, then tuning windows
+        # tuning windows only: the test windows' prefix runs inside the one
+        # scoring pass of both models
+        assert calls == [prefix]
         monkeypatch.setattr(transfer_module, "_frozen_prefix", lambda plan: 0)
         assert transfer() == cached
+
+    def test_one_pass_scores_are_each_models_own(self):
+        # the zero-shot row is the source model's own evaluation and the
+        # tuned row the adapted model's, though one pass shares the prefix
+        source_cube, source_labels = synth_cube(3, 12, 12, 8, noise=0.2, seed=0)
+        target_cube, target_labels = synth_cube(3, 12, 12, 8, noise=0.2, shift=1.0, seed=1)
+        _, _, model, _ = transfer_fixture()
+        source = copy.deepcopy(model)
+        tuned, doc = run_transfer(
+            model, source_cube, source_labels, target_cube, target_labels, rho=0.5,
+            mmd_cfg=MmdConfig(sample_count=32),
+            train_cfg=TrainConfig(epochs=2, batch_size=8, seed=0),
+            target_fraction=0.2, seed=3,
+        )
+        assert transfer_module._frozen_prefix(plan_of(doc["frozen"])) > 0
+        split = make_split(target_labels, (0.2, 0.0, 0.8), seed=3)
+        bank = WindowBank(target_cube, target_labels, 4, 2)
+        windows, targets = bank.windows(split.test)
+        assert doc["zero_shot"] == evaluate(source, windows, targets + 1).as_dict()
+        assert doc["fine_tuned"] == evaluate(tuned, windows, targets + 1).as_dict()
+        assert doc["zero_shot"] != doc["fine_tuned"]
 
     def test_plan_leaving_layer_zero_trainable_caches_nothing(self, monkeypatch):
         _, _, model, bank = transfer_fixture()
