@@ -117,6 +117,13 @@ class Tape:
         with Tape() as tape:
             loss = cross_entropy(forward_batch(...), targets)
         backward(tape, loss)
+
+    A record's backward closure keeps its inputs, not the large
+    intermediates of its forward (``layer_norm`` and the model's sublayer
+    nodes add per-row statistics). It rebuilds those intermediates from the
+    inputs' ``data`` with the forward's own ops, so they are bitwise the
+    forward's. Nothing may therefore write into a recorded tensor's
+    ``data``, or an input's, between the forward and ``backward``.
     """
 
     def __init__(self):
@@ -393,7 +400,11 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    The tape node keeps each row's mean and 1/sigma, not the normalized
+    input; its backward rebuilds that from ``x``.
+    """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
@@ -401,15 +412,19 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
             f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}"
         )
     # in place where the op-by-op expression would allocate; same bits
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    mean = x.data.mean(axis=-1, keepdims=True)
+    out = x.data - mean
+    var = (out * out).mean(axis=-1, keepdims=True)
     var += eps
     inv = 1.0 / np.sqrt(var)
-    xhat *= inv
-    out = xhat * gain.data
+    out *= inv
+    out *= gain.data
     out += bias.data
 
     def bwd(g):
+        # x-hat, rebuilt by the forward's own two ops from the row statistics
+        xhat = x.data - mean
+        xhat *= inv
         if gain.requires_grad:
             gain.accumulate((g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:

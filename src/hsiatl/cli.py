@@ -368,11 +368,13 @@ def cmd_synth(args: argparse.Namespace, run: RunConfig) -> int:
 
 def cmd_train(args: argparse.Namespace, run: RunConfig) -> int:
     cube, labels = _load_dataset(args)
+    # the settings are checked before a manifest is written
+    model_cfg, train_cfg = run.model_config(cube.bands, labels.n_classes), run.train_config()
     manifest = _resolve_manifest(args, run, labels)
-    model = init_model(run.model_config(cube.bands, labels.n_classes), seed=run.seed)
+    model = init_model(model_cfg, seed=run.seed)
     bank = WindowBank(cube, labels, run.window, run.subpatch)
     features, targets = bank.take(manifest.train)
-    losses = train_model(model, features, targets, run.train_config())
+    losses = train_model(model, features, targets, train_cfg)
     report = evaluate_pixels(model, bank, manifest.test)
     print(_format_metrics("test", report))
     if args.checkpoint:
@@ -387,11 +389,15 @@ def cmd_train(args: argparse.Namespace, run: RunConfig) -> int:
 
 def cmd_al(args: argparse.Namespace, run: RunConfig) -> int:
     cube, labels = _load_dataset(args)
+    # the settings are checked before a manifest is written
+    model_cfg = run.model_config(cube.bands, labels.n_classes)
+    query_cfg, train_cfg = run.query_config(), run.train_config()
+    if run.rounds < 0:
+        raise UsageError(f"rounds must be >= 0, got {run.rounds}")
     manifest = _resolve_manifest(args, run, labels)
-    model = init_model(run.model_config(cube.bands, labels.n_classes), seed=run.seed)
+    model = init_model(model_cfg, seed=run.seed)
     records = run_active_learning(
-        model, cube, labels, manifest,
-        run.query_config(), run.rounds, run.train_config(),
+        model, cube, labels, manifest, query_cfg, run.rounds, train_cfg,
     )
     if args.out:
         with open(args.out, "a") as log:

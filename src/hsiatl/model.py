@@ -290,10 +290,11 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, calibration: float, ren
 
 def _attend_back(g, q, k, v, calibration: float, renormalize: bool):
     """Gradients (g_q, g_k, g_v) of ``_attend`` for its output gradient ``g``,
-    in closed form on the same keys-first layout.
+    in closed form on the same keys-first layout, and the output itself.
 
     s', e and the row statistics are rebuilt from q and k by the forward's
-    own ops, so they are bitwise the forward's. With P = e/Z, g_w = g v^T
+    own ops, so they and the output (e^T v) * b / Z are bitwise the
+    forward's. With P = e/Z, g_w = g v^T
     and r = sum(P g_w) over a row's keys, the shifted scores get
     P * (b (g_w - r) - slope * r * (s' - A/Z)): the softmax's and the
     entropy's terms in one expression. The row max cancels through the
@@ -304,6 +305,8 @@ def _attend_back(g, q, k, v, calibration: float, renormalize: bool):
     e = np.exp(shifted)
     product = np.empty_like(shifted)
     z, scale, entropy = _row_stats(shifted, e, calibration, renormalize, product)
+    out = np.matmul(np.moveaxis(e, 0, -1), v)
+    out *= scale[..., None]
     g_v = np.matmul(np.moveaxis(e, 0, -2), g * scale[..., None])
     g_s = np.empty_like(shifted)
     np.matmul(v, np.swapaxes(g, -1, -2), out=np.moveaxis(g_s, 0, -2))
@@ -323,7 +326,9 @@ def _attend_back(g, q, k, v, calibration: float, renormalize: bool):
         g_s -= product
     g_s += gamma
     g_s *= e
-    return np.matmul(np.moveaxis(g_s, 0, -1), k), np.matmul(np.moveaxis(g_s, 0, -2), q), g_v
+    del shifted, e, product  # held through the two products, they set a step's peak
+    g_q, g_k = np.matmul(np.moveaxis(g_s, 0, -1), k), np.matmul(np.moveaxis(g_s, 0, -2), q)
+    return g_q, g_k, g_v, out
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -348,7 +353,7 @@ def calibrated_attention(
     out = _attend(q.data, k.data, v.data, calibration, renormalize)
 
     def bwd(g):
-        grads = _attend_back(g, q.data, k.data, v.data, calibration, renormalize)
+        *grads, _ = _attend_back(g, q.data, k.data, v.data, calibration, renormalize)
         # the order the op graph reaches them in: v, then q, then k
         for t, g_t in ((v, grads[2]), (q, grads[0]), (k, grads[1])):
             if t.requires_grad:
@@ -400,25 +405,29 @@ def _self_attention(z: Tensor, layer: dict[str, Tensor], cfg: SstConfig, keep=No
     then ``_dropout_residual`` with the keep mask ``keep`` (None: no
     dropout).
 
-    Its backward keeps q, k, v, the merged heads and the mask
-    (``_attend_back`` rebuilds the scores and takes the gradients through
-    the heads in closed form), and ``z`` receives the residual's, then the
-    v, k and q contributions in that order, as in the op graph.
+    Its backward keeps only ``z`` and the mask: it reruns the three
+    projections, and ``_attend_back`` rebuilds the scores and the heads and
+    takes the gradients through them in closed form. ``z`` receives the
+    residual's, then the v, k and q contributions in that order, as in the
+    op graph.
     """
     b, n, d = z.shape
     split = (b, n, cfg.n_heads, d // cfg.n_heads)
     projections = (layer["attn_q"], layer["attn_k"], layer["attn_v"])
-    q, k, v = ((z.data @ w.data).reshape(split).transpose(0, 2, 1, 3) for w in projections)
-    heads = _attend(q, k, v, cfg.calibration, cfg.renormalize)
-    merged = heads.transpose(0, 2, 1, 3).reshape(b, n, d)
     w_out = layer["attn_out"]
+
+    def project() -> list[np.ndarray]:
+        return [(z.data @ w.data).reshape(split).transpose(0, 2, 1, 3) for w in projections]
+
+    def merge(heads: np.ndarray) -> np.ndarray:
+        return heads.transpose(0, 2, 1, 3).reshape(b, n, d)
 
     def bwd(g):
         g = _dropout_residual_back(g, z, keep, cfg.dropout)
-        if w_out.requires_grad:
-            w_out.accumulate(_weight_grad(merged, g))
         g_heads = (g @ w_out.data.T).reshape(split).transpose(0, 2, 1, 3)
-        grads = _attend_back(g_heads, q, k, v, cfg.calibration, cfg.renormalize)
+        *grads, heads = _attend_back(g_heads, *project(), cfg.calibration, cfg.renormalize)
+        if w_out.requires_grad:
+            w_out.accumulate(_weight_grad(merge(heads), g))
         for w, g_x in reversed(list(zip(projections, grads))):
             g_x = g_x.transpose(0, 2, 1, 3).reshape(b, n, d)
             if z.requires_grad:
@@ -426,24 +435,29 @@ def _self_attention(z: Tensor, layer: dict[str, Tensor], cfg: SstConfig, keep=No
             if w.requires_grad:
                 w.accumulate(_weight_grad(z.data, g_x))
 
-    out = _dropout_residual(merged @ w_out.data, z, keep, cfg.dropout)
+    heads = _attend(*project(), cfg.calibration, cfg.renormalize)
+    out = _dropout_residual(merge(heads) @ w_out.data, z, keep, cfg.dropout)
     return ad._record(Tensor._result(out), (z, *projections, w_out), bwd)
 
 
 def _feed_forward(z: Tensor, layer: dict[str, Tensor], cfg: SstConfig, keep=None) -> Tensor:
     """z + dropout(relu(z W1 + b1) W2 + b2) as one tape node that keeps only
-    the ReLU output and the keep mask ``keep`` (None: no dropout); its
-    backward is the chain rule of the seven ops it replaces, in their
-    order, so values and gradients are bitwise the op graph's."""
+    ``z`` and the keep mask ``keep`` (None: no dropout); its backward
+    reruns the ReLU output's three ops, then the chain rule of the seven ops
+    the node replaces, in their order, so values and gradients are bitwise
+    the op graph's."""
     w1, b1, w2, b2 = (layer[name] for name in ("ff_w1", "ff_b1", "ff_w2", "ff_b2"))
-    hidden = z.data @ w1.data
-    hidden += b1.data
-    np.maximum(hidden, 0.0, out=hidden)
+
+    def relu_hidden() -> np.ndarray:
+        hidden = z.data @ w1.data
+        hidden += b1.data
+        return np.maximum(hidden, 0.0, out=hidden)
 
     def bwd(g):
         g = _dropout_residual_back(g, z, keep, cfg.dropout)
         if b2.requires_grad:
             b2.accumulate(ad._unbroadcast(g, b2.shape))
+        hidden = relu_hidden()
         if w2.requires_grad:
             w2.accumulate(_weight_grad(hidden, g))
         # relu's mask: the output is positive exactly where its input was
@@ -455,7 +469,7 @@ def _feed_forward(z: Tensor, layer: dict[str, Tensor], cfg: SstConfig, keep=None
         if w1.requires_grad:
             w1.accumulate(_weight_grad(z.data, g_pre))
 
-    out = hidden @ w2.data
+    out = relu_hidden() @ w2.data
     out += b2.data
     out = _dropout_residual(out, z, keep, cfg.dropout)
     return ad._record(Tensor._result(out), (z, w1, b1, w2, b2), bwd)

@@ -5,7 +5,8 @@ per-pixel reference versions of library code that works on batches: mirror
 indexing, window extraction, neighborhood diversity, single-window forward,
 patch embedding, token uncertainty and per-layer features; the op-level
 graphs of the attention and feed-forward sublayers (each with its dropout
-and residual add) that the model runs as single tape nodes; and the
+and residual add) that the model runs as single tape nodes; a LayerNorm
+node that keeps its normalized input instead of rebuilding it; and the
 pooled-matrix median heuristic, the whole-array partition median, and the
 discrepancy estimate.
 """
@@ -177,6 +178,33 @@ def calibrated_attention_ops(q, k, v, calibration: float, renormalize: bool = Fa
     if renormalize:
         weights = ad.div(weights, ad.reduce_sum(weights, axis=-1, keepdims=True))
     return ad.matmul(weights, v)
+
+
+def layer_norm_oracle(x, gain, bias, eps: float = 1e-6) -> Tensor:
+    """``ad.layer_norm`` as a tape node that keeps the normalized input for
+    its backward instead of rebuilding it from the row statistics."""
+    x, gain, bias = ad._as_tensor(x), ad._as_tensor(gain), ad._as_tensor(bias)
+    d = x.data.shape[-1]
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    var += eps
+    inv = 1.0 / np.sqrt(var)
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
+
+    def bwd(g):
+        if gain.requires_grad:
+            gain.accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+        if bias.requires_grad:
+            bias.accumulate(g.reshape(-1, d).sum(axis=0))
+        if x.requires_grad:
+            gx_hat = g * gain.data
+            m1 = gx_hat.mean(axis=-1, keepdims=True)
+            m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+            x.accumulate(inv * (gx_hat - m1 - xhat * m2))
+
+    return ad._record(Tensor._result(out), (x, gain, bias), bwd)
 
 
 def self_attention_ops(z: Tensor, layer, cfg, training: bool = False, rng=None) -> Tensor:

@@ -3,7 +3,7 @@ central finite differences (step 1e-5, float64)."""
 
 import numpy as np
 import pytest
-from conftest import max_relative_error, numeric_gradient
+from conftest import layer_norm_oracle, max_relative_error, numeric_gradient
 
 from hsiatl import autodiff as ad
 from hsiatl.autodiff import GraphError, ShapeError, Tape, Tensor
@@ -151,6 +151,40 @@ class TestLayerNorm:
         expected = centered * (1.0 / np.sqrt(var + eps)) * gain + bias
         out = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias), eps).data
         assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("eps", [1e-6, 1.0])
+    @pytest.mark.parametrize("frozen", [(), ("gain", "bias"), ("x",)])
+    def test_rebuilt_backward_bitwise_equals_kept_normalized_input(self, eps, frozen):
+        # the node rebuilds x-hat from the row mean and 1/sigma; rows 0 and
+        # 5 are constant, so eps alone sets their scale
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(2, 6, 24)) * 3 + 1
+        x[:, 0] = 5.0
+        x[1, 5] = -2.5
+        values = [x, rng.normal(size=24), rng.normal(size=24)]
+        weight = Tensor(rng.normal(size=x.shape))
+        results = []
+        for fn in (ad.layer_norm, layer_norm_oracle):
+            tensors = [Tensor(v.copy(), requires_grad=name not in frozen)
+                       for name, v in zip(("x", "gain", "bias"), values)]
+            with Tape() as tape:
+                out = fn(*tensors, eps)
+                loss = ad.reduce_sum(ad.mul(out, weight))
+            ad.backward(tape, loss)
+            results.append([out.data] + [t.grad for t in tensors])
+        for got, expected in zip(*results):
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert got.tobytes() == expected.tobytes()
+
+    def test_node_holds_row_statistics_not_the_normalized_input(self):
+        # the closure keeps x and per-row arrays only: nothing of x's size
+        x = Tensor(np.random.default_rng(14).normal(size=(8, 16, 56)), requires_grad=True)
+        with Tape():
+            out = ad.layer_norm(x, Tensor(np.ones(56)), Tensor(np.zeros(56)))
+        held = [c.cell_contents for c in out._backward.__closure__]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert arrays and all(a.shape == (8, 16, 1) for a in arrays)
 
     def test_gain_bias_shape_checked(self):
         with pytest.raises(ShapeError):

@@ -174,6 +174,37 @@ class TestConfigResolution:
         assert_one_line(done, 1, "error: ")
         assert expected in done.stderr
 
+    @pytest.mark.parametrize("command, fields, expected", [
+        ("al", '"decay": -1', "decay must be >= 0, got -1"),
+        ("al", '"batch_size": 0', "batch_size must be >= 1"),
+        ("al", '"beta": 0', "beta must be >= 1"),
+        ("al", '"window": 7', "window must be even and >= 2, got 7"),
+        ("al", '"rounds": -1', "rounds must be >= 0, got -1"),
+        ("train", '"decay": -1', "decay must be >= 0, got -1"),
+        ("train", '"batch_size": 0', "batch_size must be >= 1"),
+        ("train", '"window": 7', "window must be even and >= 2, got 7"),
+    ])
+    def test_bad_setting_writes_no_manifest(self, workdir, tmp_path, command, fields, expected):
+        (tmp_path / "bad.json").write_text("{" + fields + "}")
+        manifest = tmp_path / "new.split.json"
+        done = run_process([command, "--config", tmp_path / "bad.json",
+                            "--cube", workdir / "a.hsic", "--labels", workdir / "a.hsil",
+                            "--manifest", manifest])
+        assert_one_line(done, 1, "error: ")
+        assert expected in done.stderr
+        assert "manifest" not in done.stdout
+        assert not manifest.exists()
+
+    def test_setting_a_subcommand_ignores_is_left_alone(self, workdir, tmp_path):
+        # transfer takes the model's settings from its source checkpoint
+        cfg = json.loads((workdir / "cfg.json").read_text())
+        (tmp_path / "cfg.json").write_text(json.dumps({**cfg, "window": 7}))
+        code = run(["transfer", "--config", tmp_path / "cfg.json",
+                    "--cube", workdir / "a.hsic", "--labels", workdir / "a.hsil",
+                    "--source-ckpt", workdir / "a.sstc", "--target-cube", workdir / "a.hsic",
+                    "--target-labels", workdir / "a.hsil"])
+        assert code == 0
+
     def test_config_values_that_fit_their_fields(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(

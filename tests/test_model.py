@@ -563,6 +563,43 @@ class TestSublayerNodes:
             if g is not None:
                 assert_close_to_oracle(g, g_ops, err_msg=name)
 
+    @pytest.mark.parametrize("calibration, renormalize", SUBLAYER_CASES)
+    def test_backward_rebuilds_the_forward_heads_bitwise(self, calibration, renormalize):
+        rng = np.random.default_rng(37)
+        z = rng.normal(size=(5, 16, 56))
+        # contiguous arrays, and head-split views as _self_attention passes
+        split = [(z @ rng.normal(size=(56, 56))).reshape(5, 16, 8, 7).transpose(0, 2, 1, 3)
+                 for _ in range(3)]
+        for q, k, v in ([rng.normal(size=(3, 6, 4)) for _ in range(3)], split):
+            heads = model_module._attend(q, k, v, calibration, renormalize)
+            g = rng.normal(size=heads.shape)
+            *_, rebuilt = model_module._attend_back(g, q, k, v, calibration, renormalize)
+            assert rebuilt.tobytes() == heads.tobytes()
+
+    @pytest.mark.parametrize("node", [model_module._self_attention, model_module._feed_forward])
+    def test_nodes_hold_their_input_and_bool_mask_only(self, node):
+        # every float array the backward needs is rebuilt from z
+        cfg = tiny_config()
+        rng = np.random.default_rng(38)
+        z = Tensor(rng.normal(size=(3, cfg.n_tokens, cfg.d_model)), requires_grad=True)
+        keep = rng.random(z.shape) >= cfg.dropout
+        with Tape():
+            out = node(z, init_model(cfg, seed=39).block(0), cfg, keep)
+
+        def held(value, seen):
+            if id(value) in seen:
+                return []
+            seen.add(id(value))
+            if isinstance(value, np.ndarray):
+                return [value]
+            if isinstance(value, (tuple, list)):
+                return [a for item in value for a in held(item, seen)]
+            cells = getattr(value, "__closure__", None) or ()
+            return [a for cell in cells for a in held(cell.cell_contents, seen)]
+
+        arrays = held(out._backward, set())
+        assert len(arrays) == 1 and arrays[0] is keep
+
     def test_dropped_share_keeps_the_op_graphs_signed_zeros(self):
         # Column 0 is dropped in every row and its upstream gradient is
         # negative, so the op graph hands the sublayer -0.0 there. numpy's
