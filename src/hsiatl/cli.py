@@ -66,78 +66,28 @@ class UsageError(Exception):
     """Bad flags or flag values; maps to exit code 1."""
 
 
-@dataclasses.dataclass
-class RunConfig:
-    """Union of the tunables every subcommand draws from.
+def _build(run, cls, **given):
+    """The component config ``cls`` from the run's values of its fields;
+    ``given`` supplies the data's ``bands`` and ``n_classes`` or overrides a
+    run value. Fields the run lacks keep their defaults."""
+    values = {f.name: getattr(run, f.name) for f in dataclasses.fields(cls) if hasattr(run, f.name)}
+    return cls(**{**values, **given})
 
-    Field names double as the keys accepted in the --config JSON file.
-    Flags override file values, which override these defaults.
-    """
 
-    window: int = 8
-    subpatch: int = 2
-    d_model: int = 56
-    n_layers: int = 4
-    n_heads: int = 8
-    d_ff: int | None = None
-    dropout: float = 0.1
-    calibration: float = 0.5
-    renormalize: bool = False
-    strategy: str = "hybrid"
-    query_size: int = 16
-    n_neighborhood: int = 3
-    beta: int = 5
-    rounds: int = 6
-    epochs: int = 50
-    batch_size: int = 56
-    lr: float = 0.001
-    decay: float = 1e-6
-    kernel: str = "rbf"
-    bandwidth: float | None = None
-    sample_count: int = 256
-    rho: float = 0.5
-    target_fraction: float = 0.10
-    ratios: tuple[float, float, float] = (0.01, 0.49, 0.50)
-    seed: int = 0
-
-    def model_config(self, bands: int, n_classes: int) -> SstConfig:
-        return SstConfig(
-            bands=bands,
-            n_classes=n_classes,
-            window=self.window,
-            subpatch=self.subpatch,
-            d_model=self.d_model,
-            n_layers=self.n_layers,
-            n_heads=self.n_heads,
-            d_ff=self.d_ff,
-            dropout=self.dropout,
-            calibration=self.calibration,
-            renormalize=self.renormalize,
-        )
-
-    def query_config(self, strategy: str | None = None) -> QueryConfig:
-        return QueryConfig(
-            query_size=self.query_size,
-            n_neighborhood=self.n_neighborhood,
-            beta=self.beta,
-            strategy=strategy or self.strategy,
-        )
-
-    def train_config(self, seed: int | None = None) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            decay=self.decay,
-            seed=self.seed if seed is None else seed,
-        )
-
-    def mmd_config(self) -> MmdConfig:
-        return MmdConfig(
-            kernel=self.kernel,
-            bandwidth=self.bandwidth,
-            sample_count=self.sample_count,
-        )
+# Every tunable a subcommand draws from: the fields, types and defaults of the
+# model, query, training and MMD configs (bands and n_classes come from the
+# data; ln_eps is not a setting), then the run's own. Field names double as
+# the --config keys; flags override file values, which override defaults.
+# ``run.build(TrainConfig, seed=seed)`` projects a run onto one component.
+RunConfig = dataclasses.make_dataclass("RunConfig", [
+    *((f.name, typing.get_type_hints(cls)[f.name], f.default)
+      for cls in (SstConfig, QueryConfig, TrainConfig, MmdConfig)
+      for f in dataclasses.fields(cls) if f.name not in {"bands", "n_classes", "ln_eps"}),
+    ("rounds", int, 6),
+    ("rho", float, 0.5),
+    ("target_fraction", float, 0.10),
+    ("ratios", tuple[float, float, float], (0.01, 0.49, 0.50)),
+], namespace={"build": _build, "__module__": __name__})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -368,11 +318,12 @@ def cmd_synth(args: argparse.Namespace, run: RunConfig) -> int:
 
 def cmd_train(args: argparse.Namespace, run: RunConfig) -> int:
     cube, labels = _load_dataset(args)
-    # the settings are checked before a manifest is written
-    model_cfg, train_cfg = run.model_config(cube.bands, labels.n_classes), run.train_config()
+    # the settings, and the window against the cube, are checked before a manifest is written
+    model_cfg = run.build(SstConfig, bands=cube.bands, n_classes=labels.n_classes)
+    train_cfg = run.build(TrainConfig)
+    bank = WindowBank(cube, labels, run.window, run.subpatch)
     manifest = _resolve_manifest(args, run, labels)
     model = init_model(model_cfg, seed=run.seed)
-    bank = WindowBank(cube, labels, run.window, run.subpatch)
     features, targets = bank.take(manifest.train)
     losses = train_model(model, features, targets, train_cfg)
     report = evaluate_pixels(model, bank, manifest.test)
@@ -389,15 +340,16 @@ def cmd_train(args: argparse.Namespace, run: RunConfig) -> int:
 
 def cmd_al(args: argparse.Namespace, run: RunConfig) -> int:
     cube, labels = _load_dataset(args)
-    # the settings are checked before a manifest is written
-    model_cfg = run.model_config(cube.bands, labels.n_classes)
-    query_cfg, train_cfg = run.query_config(), run.train_config()
+    # the settings, and the window against the cube, are checked before a manifest is written
+    model_cfg = run.build(SstConfig, bands=cube.bands, n_classes=labels.n_classes)
+    query_cfg, train_cfg = run.build(QueryConfig), run.build(TrainConfig)
     if run.rounds < 0:
         raise UsageError(f"rounds must be >= 0, got {run.rounds}")
+    bank = WindowBank(cube, labels, run.window, run.subpatch)
     manifest = _resolve_manifest(args, run, labels)
     model = init_model(model_cfg, seed=run.seed)
     records = run_active_learning(
-        model, cube, labels, manifest, query_cfg, run.rounds, train_cfg,
+        model, cube, labels, manifest, query_cfg, run.rounds, train_cfg, bank=bank,
     )
     if args.out:
         with open(args.out, "a") as log:
@@ -424,8 +376,8 @@ def cmd_transfer(args: argparse.Namespace, run: RunConfig) -> int:
         model, report = run_transfer(
             model, cube, labels, target_cube, target_labels,
             rho=run.rho,
-            mmd_cfg=run.mmd_config(),
-            train_cfg=run.train_config(),
+            mmd_cfg=run.build(MmdConfig),
+            train_cfg=run.build(TrainConfig),
             target_fraction=run.target_fraction,
             seed=run.seed,
         )
@@ -500,13 +452,12 @@ def cmd_ablate(args: argparse.Namespace, run: RunConfig) -> int:
         target_cube, target_labels = _load_pair(args.target_cube, args.target_labels)
     rows_out: list[dict] = []
     budget = run.rounds * run.query_size
+    model_cfg = run.build(SstConfig, bands=cube.bands, n_classes=labels.n_classes)
     for seed in args.seeds:
         manifest = make_split(labels, run.ratios, seed)
+        train_cfg = run.build(TrainConfig, seed=seed)
         for label, strategy, calibration in _ablation_rows(run):
-            cfg = dataclasses.replace(
-                run.model_config(cube.bands, labels.n_classes),
-                calibration=calibration,
-            )
+            cfg = dataclasses.replace(model_cfg, calibration=calibration)
             model = init_model(cfg, seed=seed)
             if label == "no_al":
                 rounds, sizes = 1, [budget]
@@ -514,8 +465,8 @@ def cmd_ablate(args: argparse.Namespace, run: RunConfig) -> int:
                 rounds, sizes = run.rounds, None
             records = run_active_learning(
                 model, cube, labels, manifest,
-                run.query_config(strategy), rounds,
-                run.train_config(seed), bank=bank, round_query_sizes=sizes,
+                run.build(QueryConfig, strategy=strategy), rounds,
+                train_cfg, bank=bank, round_query_sizes=sizes,
             )
             last = records[-1]
             rows_out.append({
@@ -524,14 +475,13 @@ def cmd_ablate(args: argparse.Namespace, run: RunConfig) -> int:
             })
         if want_transfer:
             # one source model per seed; each arm adapts its own copy
-            source = init_model(run.model_config(cube.bands, labels.n_classes), seed=seed)
+            source = init_model(model_cfg, seed=seed)
             features, targets = bank.take(manifest.train)
-            train_model(source, features, targets, run.train_config(seed))
+            train_model(source, features, targets, train_cfg)
             for label, rho in (("freezing", run.rho), ("no_freezing", 0.0)):
                 _, report = run_transfer(
                     copy.deepcopy(source), cube, labels, target_cube, target_labels,
-                    rho=rho, mmd_cfg=run.mmd_config(),
-                    train_cfg=run.train_config(seed),
+                    rho=rho, mmd_cfg=run.build(MmdConfig), train_cfg=train_cfg,
                     target_fraction=run.target_fraction, seed=seed,
                 )
                 fine = report["fine_tuned"]

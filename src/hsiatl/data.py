@@ -376,6 +376,8 @@ def synth_cube(
         raise ValueError("more classes than pixels")
     if noise < 0:
         raise ValueError("noise sigma must be non-negative")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     sites_flat = rng.choice(rows * cols, size=n_classes, replace=False)
     site_rc = np.stack(divmod(sites_flat, cols), axis=1).astype(np.float64)

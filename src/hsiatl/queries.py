@@ -20,7 +20,7 @@ STRATEGIES = ("hybrid", "random", "uncertainty", "entropy", "margin", "diversity
 
 @dataclass
 class QueryConfig:
-    query_size: int
+    query_size: int = 16
     n_neighborhood: int = 3
     beta: int = 5
     strategy: str = "hybrid"

@@ -39,8 +39,12 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.decay < 0:
             raise ValueError(f"decay must be >= 0, got {self.decay}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class WindowBank:

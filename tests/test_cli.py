@@ -41,6 +41,32 @@ def workdir(tmp_path_factory):
     return root
 
 
+# run-config lines printed before RunConfig took its fields from the component
+# configs; the line must stay byte for byte the same
+DEFAULT_RUN_CONFIG_LINE = (
+    'run-config {"bandwidth": null, "batch_size": 56, "beta": 5, "calibration": 0.5, '
+    '"d_ff": null, "d_model": 56, "decay": 1e-06, "dropout": 0.1, "epochs": 50, '
+    '"kernel": "rbf", "lr": 0.001, "n_heads": 8, "n_layers": 4, "n_neighborhood": 3, '
+    '"query_size": 16, "ratios": [0.01, 0.49, 0.5], "renormalize": false, "rho": 0.5, '
+    '"rounds": 6, "sample_count": 256, "seed": 0, "strategy": "hybrid", "subpatch": 2, '
+    '"target_fraction": 0.1, "window": 8}'
+)
+GOLDEN_CONFIG = {
+    "window": 2, "subpatch": 1, "d_model": 4, "n_heads": 2, "n_layers": 1, "d_ff": 8,
+    "dropout": 0, "calibration": 0.25, "renormalize": True, "epochs": 1, "batch_size": 4,
+    "lr": 0.01, "decay": 0, "kernel": "linear", "bandwidth": 2, "sample_count": 8,
+    "target_fraction": 0.2, "ratios": [0.25, 0.25, 0.5],
+}
+FILE_AND_FLAGS_RUN_CONFIG_LINE = (
+    'run-config {"bandwidth": 2, "batch_size": 4, "beta": 2, "calibration": 0.25, '
+    '"d_ff": 8, "d_model": 4, "decay": 0, "dropout": 0, "epochs": 1, "kernel": "linear", '
+    '"lr": 0.01, "n_heads": 2, "n_layers": 1, "n_neighborhood": 5, "query_size": 2, '
+    '"ratios": [0.25, 0.25, 0.5], "renormalize": true, "rho": 0.5, "rounds": 1, '
+    '"sample_count": 8, "seed": 4, "strategy": "margin", "subpatch": 1, '
+    '"target_fraction": 0.2, "window": 2}'
+)
+
+
 def run(argv):
     return cli.main([str(a) for a in argv])
 
@@ -183,6 +209,12 @@ class TestConfigResolution:
         ("train", '"decay": -1', "decay must be >= 0, got -1"),
         ("train", '"batch_size": 0', "batch_size must be >= 1"),
         ("train", '"window": 7', "window must be even and >= 2, got 7"),
+        ("al", '"lr": 0', "lr must be > 0, got 0"),
+        ("al", '"lr": -1', "lr must be > 0, got -1"),
+        ("train", '"lr": 0', "lr must be > 0, got 0"),
+        ("train", '"lr": -1', "lr must be > 0, got -1"),
+        ("al", '"window": 64', "window 64 exceeds cube extent (20, 20)"),
+        ("train", '"window": 64', "window 64 exceeds cube extent (20, 20)"),
     ])
     def test_bad_setting_writes_no_manifest(self, workdir, tmp_path, command, fields, expected):
         (tmp_path / "bad.json").write_text("{" + fields + "}")
@@ -204,6 +236,61 @@ class TestConfigResolution:
                     "--source-ckpt", workdir / "a.sstc", "--target-cube", workdir / "a.hsic",
                     "--target-labels", workdir / "a.hsil"])
         assert code == 0
+
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    @pytest.mark.parametrize("command", ["synth", "train", "al", "transfer"])
+    def test_negative_seed_is_one_line_usage_error(self, workdir, tmp_path, command, source):
+        # numpy's own message named nothing: "expected non-negative integer"
+        (tmp_path / "seed.json").write_text('{"seed": -1}')
+        setting = ["--config", tmp_path / "seed.json"] if source == "file" else ["--seed", -1]
+        if command == "synth":
+            data = ["--size", "8x8x4", "--cube", tmp_path / "x.hsic", "--labels", tmp_path / "x.hsil"]
+        else:
+            data = ["--cube", workdir / "a.hsic", "--labels", workdir / "a.hsil"]
+        if command == "transfer":
+            data += ["--source-ckpt", workdir / "a.sstc", "--target-cube", workdir / "a.hsic",
+                     "--target-labels", workdir / "a.hsil"]
+        outputs = ["--manifest", tmp_path / "new.split.json",
+                   "--checkpoint", tmp_path / "new.sstc", "--out", tmp_path / "out.json"]
+        done = run_process([command, *setting, *data, *outputs])
+        assert_one_line(done, 1, "error: ")
+        assert "seed must be >= 0, got -1" in done.stderr
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "seed.json"]
+
+    def test_eval_ignores_a_negative_seed(self, workdir):
+        assert run(["eval", "--seed", -1, "--cube", workdir / "a.hsic",
+                    "--labels", workdir / "a.hsil", "--checkpoint", workdir / "a.sstc"]) == 0
+
+    @pytest.mark.parametrize("key", ["ln_eps", "bands", "n_classes"])
+    def test_component_fields_that_are_not_settings_are_unknown_keys(self, tmp_path, capsys, key):
+        # bands and n_classes come from the data; ln_eps is fixed
+        (tmp_path / "cfg.json").write_text(json.dumps({key: 2}))
+        code = run(["synth", "--config", tmp_path / "cfg.json",
+                    "--cube", tmp_path / "x.hsic", "--labels", tmp_path / "x.hsil"])
+        assert code == 1
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "x.hsic").exists()
+
+    def test_run_config_line_for_defaults(self, tmp_path, capsys):
+        code = run(["synth", "--size", "4x4x4", "--classes", 2,
+                    "--cube", tmp_path / "x.hsic", "--labels", tmp_path / "x.hsil"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0] == DEFAULT_RUN_CONFIG_LINE
+
+    def test_run_config_line_for_a_file_and_flags(self, tmp_path, capsys):
+        data = ["--cube", tmp_path / "y.hsic", "--labels", tmp_path / "y.hsil"]
+        assert run(["synth", "--size", "8x8x4", "--classes", 2, *data]) == 0
+        (tmp_path / "cfg.json").write_text(json.dumps(GOLDEN_CONFIG))
+        capsys.readouterr()
+        code = run(["al", "--config", tmp_path / "cfg.json", "--seed", 4, "--strategy", "margin",
+                    "--query-size", 2, "--rounds", 1, "--beta", 2, "--neighborhood", 5,
+                    *data, "--manifest", tmp_path / "y.split.json"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0] == FILE_AND_FLAGS_RUN_CONFIG_LINE
+
+    def test_defaults_the_benchmark_reads(self):
+        defaults = cli.RunConfig()
+        assert (defaults.ratios, defaults.seed, defaults.n_layers) == ((0.01, 0.49, 0.50), 0, 4)
 
     def test_config_values_that_fit_their_fields(self, tmp_path):
         path = tmp_path / "cfg.json"

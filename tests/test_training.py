@@ -75,6 +75,18 @@ class TestWindowBank:
             WindowBank(cube, other, 4, 2)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("lr", 0, "lr must be > 0, got 0"),
+        ("lr", -1.0, "lr must be > 0, got -1.0"),
+        ("lr", float("nan"), "lr must be > 0, got nan"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+    ])
+    def test_rejects_before_any_training(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
+
+
 class TestTrainModel:
     def test_loss_decreases(self):
         _, _, _, model, bank = small_problem()
