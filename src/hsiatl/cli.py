@@ -24,6 +24,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 import typing
 from pathlib import Path
@@ -120,9 +121,13 @@ def _parse_ratios(value: str) -> tuple[float, float, float]:
 
 def _parse_seeds(value: str) -> list[int]:
     try:
-        return [int(p) for p in value.split(",") if p != ""]
+        seeds = [int(p) for p in value.split(",") if p != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad seed list {value!r}") from exc
+    for seed in seeds:
+        if seed < 0:
+            raise argparse.ArgumentTypeError(f"seeds must be >= 0, got {seed}")
+    return seeds
 
 
 def _add_shared(p: argparse.ArgumentParser) -> None:
@@ -324,7 +329,7 @@ def cmd_train(args: argparse.Namespace, run: RunConfig) -> int:
     bank = WindowBank(cube, labels, run.window, run.subpatch)
     manifest = _resolve_manifest(args, run, labels)
     model = init_model(model_cfg, seed=run.seed)
-    features, targets = bank.take(manifest.train)
+    features, targets = bank.windows(manifest.train)
     losses = train_model(model, features, targets, train_cfg)
     report = evaluate_pixels(model, bank, manifest.test)
     print(_format_metrics("test", report))
@@ -476,7 +481,7 @@ def cmd_ablate(args: argparse.Namespace, run: RunConfig) -> int:
         if want_transfer:
             # one source model per seed; each arm adapts its own copy
             source = init_model(model_cfg, seed=seed)
-            features, targets = bank.take(manifest.train)
+            features, targets = bank.windows(manifest.train)
             train_model(source, features, targets, train_cfg)
             for label, rho in (("freezing", run.rho), ("no_freezing", 0.0)):
                 _, report = run_transfer(
@@ -538,6 +543,20 @@ def _keep_freed_pages() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_pages()
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()  # a closed pipe fails here, not in the exit's flush
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: point stdout at devnull, as Python's docs
+        # show for SIGPIPE, so the interpreter's last flush cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _dispatch(argv: list[str] | None) -> int:
+    """Parse, resolve the settings and run the subcommand; returns the exit
+    code of every failure but a closed stdout."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

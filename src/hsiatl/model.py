@@ -220,8 +220,9 @@ class PixelWindows:
     ``len()`` is the pixel count; ``windows[a:b]`` (or an index array) is
     ``unfold(extract_windows_batch(cube, pixels[a:b], window), subpatch)``,
     cut from one ``window_pad`` copy of the cube made once (or ``padded``).
-    ``predict_probs`` takes it in place of an array, so only the batches
-    being scored are ever unfolded.
+    ``predict_probs``, ``encode_prefix`` and ``train_model`` take it in place
+    of an array, so only the batches being run are ever unfolded; ``shape``
+    is the shape the whole array would have.
     """
 
     def __init__(self, cube: HsiCube, pixels, window: int, subpatch: int, padded=None):
@@ -231,6 +232,11 @@ class PixelWindows:
 
     def __len__(self) -> int:
         return self.pixels.size
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        grid = self.window // self.subpatch
+        return len(self), grid * grid, self.subpatch * self.subpatch * self.cube.bands
 
     def __getitem__(self, rows) -> np.ndarray:
         windows = extract_windows_batch(self.cube, self.pixels[rows], self.window, self.padded)
@@ -250,7 +256,7 @@ def _shifted_scores(q: np.ndarray, k: np.ndarray, lead: tuple[int, ...]) -> np.n
 def _row_stats(shifted, e, calibration: float, renormalize: bool, scratch: np.ndarray):
     """Z = sum(e), the row factor b / Z and, when the boost is on, A/Z and
     calibration / ln N_k (else None), with e = exp(s'); ``scratch`` (which
-    may be ``e`` itself) receives e s'."""
+    may be ``shifted`` itself) receives e s'."""
     z = np.add.reduce(e, axis=0)
     if renormalize or calibration == 0:
         return z, 1.0 / z, None
@@ -266,24 +272,29 @@ def _row_stats(shifted, e, calibration: float, renormalize: bool, scratch: np.nd
     return z, boost / z, (mean, slope)
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, calibration: float, renormalize: bool):
+def _attend(project, calibration: float, renormalize: bool):
     """Self-calibrated attention on arrays [..., N, d_k], with the scores
-    held keys first.
+    held keys first; ``project(i)`` gives q, k and v for i = 0, 1 and 2.
 
     The shifted scores s' live as [N_k, ..., N_q] (see ``_shifted_scores``),
     so every reduction over a row's keys works on whole [..., N_q] slabs.
     With e = exp(s'), Z = sum(e) and A = sum(e s') over the keys, a row's
     entropy is H = log Z - A/Z (no log of any weight), its boost is
     b = 1 + calibration * H / ln N_k, and the output is (e^T v) * b / Z.
-    Renormalized rows lose their boost, so they take b = 1. Nothing is kept
-    for the backward: ``_attend_back`` rebuilds s' and the row statistics
-    from q and k.
+    Renormalized rows lose their boost, so they take b = 1. Each input is
+    asked for when it is used and dropped after: q and k once s' exists, s'
+    (whose buffer takes e s') before v is made, so no more than e and one
+    other score-sized array are alive at once. Nothing is kept for the
+    backward: ``_attend_back`` rebuilds s' and the row statistics from q
+    and k.
     """
-    lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
-    shifted = _shifted_scores(q, k, lead)
+    q, k = project(0), project(1)
+    shifted = _shifted_scores(q, k, np.broadcast_shapes(q.shape[:-2], k.shape[:-2]))
+    del q, k
     e = np.exp(shifted)
-    out = np.matmul(np.moveaxis(e, 0, -1), v)
-    _, scale, _ = _row_stats(shifted, e, calibration, renormalize, e)
+    _, scale, _ = _row_stats(shifted, e, calibration, renormalize, shifted)
+    del shifted
+    out = np.matmul(np.moveaxis(e, 0, -1), project(2))
     out *= scale[..., None]
     return out
 
@@ -350,7 +361,7 @@ def calibrated_attention(
     if calibration < 0:
         raise ValueError(f"calibration must be >= 0, got {calibration}")
     q, k, v = (ad._as_tensor(t) for t in (q, k, v))
-    out = _attend(q.data, k.data, v.data, calibration, renormalize)
+    out = _attend((q.data, k.data, v.data).__getitem__, calibration, renormalize)
 
     def bwd(g):
         *grads, _ = _attend_back(g, q.data, k.data, v.data, calibration, renormalize)
@@ -416,8 +427,8 @@ def _self_attention(z: Tensor, layer: dict[str, Tensor], cfg: SstConfig, keep=No
     projections = (layer["attn_q"], layer["attn_k"], layer["attn_v"])
     w_out = layer["attn_out"]
 
-    def project() -> list[np.ndarray]:
-        return [(z.data @ w.data).reshape(split).transpose(0, 2, 1, 3) for w in projections]
+    def project(i: int) -> np.ndarray:
+        return (z.data @ projections[i].data).reshape(split).transpose(0, 2, 1, 3)
 
     def merge(heads: np.ndarray) -> np.ndarray:
         return heads.transpose(0, 2, 1, 3).reshape(b, n, d)
@@ -425,7 +436,9 @@ def _self_attention(z: Tensor, layer: dict[str, Tensor], cfg: SstConfig, keep=No
     def bwd(g):
         g = _dropout_residual_back(g, z, keep, cfg.dropout)
         g_heads = (g @ w_out.data.T).reshape(split).transpose(0, 2, 1, 3)
-        *grads, heads = _attend_back(g_heads, *project(), cfg.calibration, cfg.renormalize)
+        *grads, heads = _attend_back(
+            g_heads, *map(project, range(3)), cfg.calibration, cfg.renormalize
+        )
         if w_out.requires_grad:
             w_out.accumulate(_weight_grad(merge(heads), g))
         for w, g_x in reversed(list(zip(projections, grads))):
@@ -435,7 +448,7 @@ def _self_attention(z: Tensor, layer: dict[str, Tensor], cfg: SstConfig, keep=No
             if w.requires_grad:
                 w.accumulate(_weight_grad(z.data, g_x))
 
-    heads = _attend(*project(), cfg.calibration, cfg.renormalize)
+    heads = _attend(project, cfg.calibration, cfg.renormalize)
     out = _dropout_residual(merge(heads) @ w_out.data, z, keep, cfg.dropout)
     return ad._record(Tensor._result(out), (z, *projections, w_out), bwd)
 

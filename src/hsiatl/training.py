@@ -52,9 +52,9 @@ class WindowBank:
 
     The bank keeps one mirror-padded copy of the cube (``window_pad``) and
     the targets; no window exists until asked for. ``windows`` gives a lazy
-    ``PixelWindows`` over some labeled pixels, which evaluation and pool
-    scoring unfold batch by batch, and ``take`` gathers them all at once for
-    training. Raises DimensionError when the label map and the cube differ
+    ``PixelWindows`` over some labeled pixels, which training, evaluation
+    and pool scoring unfold batch by batch, and ``take`` gathers them all
+    at once. Raises DimensionError when the label map and the cube differ
     in extent.
     """
 
@@ -86,7 +86,7 @@ class WindowBank:
 
 def train_model(
     model: SstModel,
-    features: np.ndarray,
+    features: np.ndarray | PixelWindows,
     targets: np.ndarray,
     cfg: TrainConfig,
     log=None,
@@ -95,22 +95,56 @@ def train_model(
     """Train in place; returns the mean loss per epoch.
 
     Shuffling and dropout draw from one generator seeded by cfg.seed, so the
-    run is fully deterministic. Each minibatch runs as two fixed halves, rows
-    [0, ceil(b/2)) and the rest, on the CPU pool of ``map_batches``: each
-    half does forward and backward on its own parameter replica and tape,
-    and the two gradients are added in half order before one optimizer step.
-    The split never depends on the CPU count, so neither does the result.
-    With ``from_block`` above 0, ``features`` are the tokens
-    ``encode_prefix`` gives for that many blocks; only the blocks from
-    ``from_block`` on, the pool and the head run, so the earlier blocks and
-    the embedding are not trained. Raises NumericalError on a non-finite
-    loss (numpy's floating-point warnings are off).
+    run is fully deterministic. Each minibatch is gathered once from
+    ``features`` (an array, or a ``PixelWindows`` that unfolds only that
+    minibatch's windows) on the calling thread, then runs as two fixed
+    halves, rows [0, ceil(b/2)) and the rest, on the CPU pool of
+    ``map_batches``: each half does forward and backward on its own
+    parameter replica and tape, and the two gradients are added in half
+    order before one optimizer step. The split never depends on the CPU
+    count, so neither does the result. With ``from_block`` above 0,
+    ``features`` are the tokens ``encode_prefix`` gives for that many
+    blocks; only the blocks from ``from_block`` on, the pool and the head
+    run, so the earlier blocks and the embedding are not trained. Raises
+    NumericalError on a non-finite loss (numpy's floating-point warnings
+    are off).
     """
     rng = np.random.default_rng(cfg.seed)
     params = model.parameters()
     model.apply_freeze()
     optimizer = Adam(params, lr=cfg.lr, decay=cfg.decay)
-    n = features.shape[0]
+    n = len(features)
+
+    def step(batch: np.ndarray, epoch: int) -> float:
+        """One optimizer step on the rows ``batch``; returns their loss sum."""
+        # drawn for the whole batch, in serial order, before either half runs
+        draws = dropout_draws(model.config, batch.size, rng, from_block)
+        windows, labels = features[batch], targets[batch]
+
+        def half_step(half: slice, x: np.ndarray) -> tuple[float, dict[str, ad.Tensor]]:
+            # each half is one contiguous range, so its windows and masks are views
+            replica = model.replica()
+            with Tape() as tape:
+                probs = forward_batch(
+                    replica, x, training=True, rng=RowDraws(draws, half), from_block=from_block
+                )
+                # weighted by row share: the halves sum to the batch mean
+                loss = ad.scale(ad.cross_entropy(probs, labels[half]), len(x) / batch.size)
+            value = float(loss.data)
+            if not np.isfinite(value):
+                raise NumericalError(f"loss became {value} at epoch {epoch}")
+            ad.backward(tape, loss)
+            return value, replica.parameters()
+
+        optimizer.zero_grad()
+        halves = map_batches(half_step, windows, (batch.size + 1) // 2)
+        for name, p in params.items():
+            for _, grads in halves:
+                if grads[name].grad is not None:
+                    p.accumulate(grads[name].grad)
+        optimizer.step()
+        return sum(value for value, _ in halves) * batch.size
+
     history = []
     # a non-finite loss raises NumericalError, so numpy need not warn first
     with np.errstate(all="ignore"):
@@ -118,38 +152,7 @@ def train_model(
             order = rng.permutation(n)
             total = 0.0
             for start in range(0, n, cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
-                # drawn for the whole batch, in serial order, before either half runs
-                draws = dropout_draws(model.config, batch.size, rng, from_block)
-
-                def half_step(
-                    half: slice, picked: np.ndarray
-                ) -> tuple[float, dict[str, ad.Tensor]]:
-                    # each half is one contiguous range, so its masks are views
-                    replica = model.replica()
-                    with Tape() as tape:
-                        probs = forward_batch(
-                            replica, features[picked], training=True,
-                            rng=RowDraws(draws, half), from_block=from_block,
-                        )
-                        # weighted by row share: the halves sum to the batch mean
-                        loss = ad.scale(
-                            ad.cross_entropy(probs, targets[picked]), picked.size / batch.size
-                        )
-                    value = float(loss.data)
-                    if not np.isfinite(value):
-                        raise NumericalError(f"loss became {value} at epoch {epoch}")
-                    ad.backward(tape, loss)
-                    return value, replica.parameters()
-
-                optimizer.zero_grad()
-                halves = map_batches(half_step, batch, (batch.size + 1) // 2)
-                for name, p in params.items():
-                    for _, grads in halves:
-                        if grads[name].grad is not None:
-                            p.accumulate(grads[name].grad)
-                optimizer.step()
-                total += sum(value for value, _ in halves) * batch.size
+                total += step(order[start : start + cfg.batch_size], epoch)
             history.append(total / n)
             if log is not None:
                 log(epoch, history[-1])
@@ -220,7 +223,7 @@ def run_active_learning(
 
     def fit_and_score(round_idx: int, queried: np.ndarray) -> None:
         start = time.perf_counter()
-        features, targets = bank.take(train)
+        features, targets = bank.windows(train)
         cfg = dataclasses.replace(train_cfg, seed=train_cfg.seed + round_idx)
         train_model(model, features, targets, cfg)
         scores = evaluate_pixels(model, bank, manifest.test)

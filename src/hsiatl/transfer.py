@@ -307,7 +307,7 @@ def _frozen_prefix(plan: FreezePlan) -> int:
 
 def fine_tune(
     model: SstModel,
-    features: np.ndarray,
+    features: np.ndarray | PixelWindows,
     target_classes: np.ndarray,
     plan: FreezePlan,
     cfg: TrainConfig,
@@ -404,7 +404,7 @@ def run_transfer(
     )
     bank = WindowBank(target_cube, target_labels, window, subpatch)
     test_windows, test_targets = bank.windows(split.test)
-    tune_features, tune_targets = bank.take(split.train)
+    tune_features, tune_targets = bank.windows(split.train)
     # zero-shot scores need the source model as it was before fine-tuning
     zero_shot = target_labels.n_classes == model.config.n_classes
     models = (copy.deepcopy(model), model) if zero_shot else (model,)

@@ -3,6 +3,7 @@
 import csv
 import ctypes
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -120,6 +121,22 @@ class TestSynth:
 
     def test_missing_output_paths_is_usage_error(self):
         assert run(["synth", "--classes", 3]) == 1
+
+    def test_closed_stdout_exits_1_without_traceback(self, tmp_path):
+        # as `hsiatl synth ... | head -0`: the reader is gone before any line
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = Path(cli.__file__).resolve().parents[1]
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "hsiatl.cli", "synth", "--size", "4x4x4",
+                 "--classes", "2", "--cube", tmp_path / "x.hsic", "--labels", tmp_path / "x.hsil"],
+                cwd=src, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == ""
 
 
 class TestConfigResolution:
@@ -412,6 +429,16 @@ class TestAblate:
         for row in rows:
             assert 0.0 <= float(row["oa"]) <= 100.0
 
+
+    @pytest.mark.parametrize("seeds", ["-1", "0,-2"])
+    def test_negative_seed_is_one_line_usage_error(self, workdir, capsys, seeds):
+        # numpy's own message named neither the flag nor the value
+        code = run(["ablate", "--config", workdir / "cfg.json", "--cube", workdir / "a.hsic",
+                    "--labels", workdir / "a.hsil", "--seeds", seeds])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --seeds: ") and err.count("\n") == 1, err
+        assert f"seeds must be >= 0, got {seeds.split(',')[-1]}" in err
 
     def test_transfer_arms_share_one_source_model_per_seed(self, tmp_path, monkeypatch, capsys):
         cfg = {

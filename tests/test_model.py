@@ -571,10 +571,26 @@ class TestSublayerNodes:
         split = [(z @ rng.normal(size=(56, 56))).reshape(5, 16, 8, 7).transpose(0, 2, 1, 3)
                  for _ in range(3)]
         for q, k, v in ([rng.normal(size=(3, 6, 4)) for _ in range(3)], split):
-            heads = model_module._attend(q, k, v, calibration, renormalize)
+            heads = model_module._attend((q, k, v).__getitem__, calibration, renormalize)
             g = rng.normal(size=heads.shape)
             *_, rebuilt = model_module._attend_back(g, q, k, v, calibration, renormalize)
             assert rebuilt.tobytes() == heads.tobytes()
+
+    def test_eval_attention_holds_two_score_arrays_at_most(self):
+        # q and k go once the scores exist and the scores' buffer before v is
+        # made: one default-config batch of 64 peaks near 2.3 MiB above its
+        # input; holding q, k and v beside two score arrays took 4.0 MiB
+        cfg = SstConfig(bands=16, n_classes=4)
+        block = init_model(cfg, seed=0).block(0)
+        z = Tensor(np.random.default_rng(0).normal(size=(64, cfg.n_tokens, cfg.d_model)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            model_module._self_attention(z, block, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 << 20, peak
 
     @pytest.mark.parametrize("node", [model_module._self_attention, model_module._feed_forward])
     def test_nodes_hold_their_input_and_bool_mask_only(self, node):

@@ -6,6 +6,7 @@ import gc
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -62,6 +63,7 @@ class TestWindowBank:
         windows, targets = bank.windows(pixels)
         feats, taken_targets = bank.take(pixels)
         assert len(windows) == 4
+        assert windows.shape == feats.shape
         assert windows[:].tobytes() == feats.tobytes()
         assert windows[1:3].tobytes() == feats[1:3].tobytes()
         np.testing.assert_array_equal(targets, taken_targets)
@@ -300,6 +302,59 @@ class TestTwoHalfStep:
             assert ad._current_tape() is outer
         assert len(outer) == 0
         assert ad._current_tape() is None
+
+
+class TestLazyTrainingInput:
+    """``train_model`` on a ``PixelWindows`` gathers one minibatch at a time."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_windows_train_bitwise_like_the_array(self, monkeypatch, cpus):
+        # 43 rows in batches of 7, with dropout: halves of 4 and 3 rows, then a lone row
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: cpus)
+        _, _, cfg, _, bank = small_problem()
+        assert cfg.dropout > 0
+        pixels = bank.pixels[5:48]
+        results = []
+        for features, targets in (bank.take(pixels), bank.windows(pixels)):
+            model = init_model(cfg, seed=6)
+            history = train_model(
+                model, features, targets, TrainConfig(epochs=2, batch_size=7, seed=3)
+            )
+            results.append((history, [p.data.tobytes() for p in model.parameters().values()]))
+        assert results[1] == results[0]
+
+    def test_one_minibatch_gathered_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 2)
+        _, _, cfg, model, bank = small_problem()
+        feats, targets = bank.take(bank.pixels[:40])
+
+        class CountingSource:
+            """``feats`` gathered on demand; counts the gathers alive at once."""
+
+            def __init__(self):
+                self.sizes, self.live, self.most = [], 0, 0
+                self.lock = threading.Lock()
+
+            def __len__(self):
+                return len(feats)
+
+            def __getitem__(self, rows):
+                batch = feats[rows]
+                with self.lock:
+                    self.sizes.append(len(batch))
+                    self.live += 1
+                    self.most = max(self.most, self.live)
+                weakref.finalize(batch, self.release)
+                return batch
+
+            def release(self):
+                with self.lock:
+                    self.live -= 1
+
+        source = CountingSource()
+        train_model(model, source, targets, TrainConfig(epochs=2, batch_size=16, seed=1))
+        assert source.sizes == [16, 16, 8] * 2
+        assert source.most == 1 and source.live == 0
 
 
 class TestEvaluate:
