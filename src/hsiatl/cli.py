@@ -429,23 +429,15 @@ def cmd_eval(args: argparse.Namespace, run: RunConfig) -> int:
     return 0
 
 
-def _ablation_rows(run: RunConfig) -> list[tuple[str, str, float]]:
-    """(row label, query strategy, attention calibration) per ablation arm.
-
-    no_al spends the whole budget in one random draw (no iterative
-    refinement); no_diversity ranks by uncertainty alone; lambda0 disables
-    the entropy calibration while keeping the hybrid query.
-    """
-    return [
-        ("random", "random", run.calibration),
-        ("entropy", "entropy", run.calibration),
-        ("margin", "margin", run.calibration),
-        ("diversity_only", "diversity_only", run.calibration),
-        ("hybrid", "hybrid", run.calibration),
-        ("no_al", "random", run.calibration),
-        ("no_diversity", "uncertainty", run.calibration),
-        ("lambda0", "hybrid", 0.0),
-    ]
+# (row label, query strategy) per ablation arm: no_al spends the whole budget
+# in one random draw (no iterative refinement); no_diversity ranks by
+# uncertainty alone; lambda0 disables the entropy calibration while keeping
+# the hybrid query.
+ABLATION_ARMS = (
+    ("random", "random"), ("entropy", "entropy"), ("margin", "margin"),
+    ("diversity_only", "diversity_only"), ("hybrid", "hybrid"),
+    ("no_al", "random"), ("no_diversity", "uncertainty"), ("lambda0", "hybrid"),
+)
 
 
 def cmd_ablate(args: argparse.Namespace, run: RunConfig) -> int:
@@ -461,7 +453,8 @@ def cmd_ablate(args: argparse.Namespace, run: RunConfig) -> int:
     for seed in args.seeds:
         manifest = make_split(labels, run.ratios, seed)
         train_cfg = run.build(TrainConfig, seed=seed)
-        for label, strategy, calibration in _ablation_rows(run):
+        for label, strategy in ABLATION_ARMS:
+            calibration = 0.0 if label == "lambda0" else run.calibration
             cfg = dataclasses.replace(model_cfg, calibration=calibration)
             model = init_model(cfg, seed=seed)
             if label == "no_al":

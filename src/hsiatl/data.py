@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,18 +49,33 @@ class SplitError(FormatError):
 
 @dataclass
 class HsiCube:
-    """A (rows, cols, bands) reflectance cube, float64, all values finite."""
+    """A (rows, cols, bands) reflectance cube, float64, all values finite;
+    it owns the one mirror-padded copy of itself that windows and
+    neighbourhoods are cut from (``padded``)."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
+        self.data = self._buffer = np.asarray(self.data, dtype=np.float64)
+        self._halo = 0
         if self.data.ndim != 3:
             raise ValueError(f"cube must be 3-D, got shape {self.data.shape}")
         if min(self.data.shape) < 1:
             raise ValueError(f"cube dimensions must be positive: {self.data.shape}")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("cube values must be finite")
+
+    def padded(self, half: int) -> np.ndarray:
+        """``mirror_pad(data, half)`` as a view of one buffer, padded by the
+        widest halo asked for so far, whose interior is ``data``: a wider
+        reflection holds every narrower one at an offset, so only a wider
+        ask, or a ``data`` rebound to another array, pads again."""
+        if half > self._halo or not np.may_share_memory(self.data, self._buffer):
+            self._buffer = mirror_pad(self.data, half)
+            self._halo = half
+            self.data = self._buffer[half : half + self.rows, half : half + self.cols]
+        skip = self._halo - half
+        return self._buffer[skip : skip + self.rows + 2 * half, skip : skip + self.cols + 2 * half]
 
     @property
     def rows(self) -> int:
@@ -122,70 +138,61 @@ class SplitManifest:
 
 
 def save_cube(cube: HsiCube, path: str | Path) -> None:
-    rows, cols, bands = cube.data.shape
-    header = np.array([rows, cols, bands], dtype="<u4").tobytes()
-    payload = np.ascontiguousarray(cube.data, dtype="<f4").tobytes()
-    Path(path).write_bytes(CUBE_MAGIC + header + payload)
+    header = np.array(cube.data.shape, dtype="<u4").tobytes()
+    Path(path).write_bytes(CUBE_MAGIC + header + cube.data.astype("<f4").tobytes())
 
 
 def load_cube(path: str | Path) -> HsiCube:
-    raw = Path(path).read_bytes()
-    if len(raw) < 4:
-        raise TruncatedPayloadError(f"{path}: file shorter than magic")
-    if raw[:4] != CUBE_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {raw[:4]!r}")
-    if len(raw) < 16:
-        raise TruncatedPayloadError(f"{path}: header incomplete")
-    rows, cols, bands = (int(v) for v in np.frombuffer(raw[4:16], dtype="<u4"))
-    if min(rows, cols, bands) < 1 or rows * cols * bands > MAX_ELEMENTS:
-        raise DimensionError(f"{path}: unreasonable dimensions {(rows, cols, bands)}")
-    expected = 16 + rows * cols * bands * 4
-    if len(raw) < expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload has {len(raw) - 16} bytes, need {expected - 16}"
-        )
-    if len(raw) > expected:
-        raise FormatError(f"{path}: {len(raw) - expected} trailing bytes")
-    values = np.frombuffer(raw[16:], dtype="<f4").reshape(rows, cols, bands)
-    # a signalling NaN raises numpy's invalid-cast warning; HsiCube rejects it
-    with np.errstate(invalid="ignore"):
-        values = values.astype(np.float64)
-    try:
-        return HsiCube(values)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return _load(path, CUBE_MAGIC, 3, "<f4", np.float64, HsiCube)
 
 
 def save_labels(label_map: LabelMap, path: str | Path) -> None:
     if label_map.labels.max(initial=0) > np.iinfo(np.uint16).max:
         raise ValueError("label ids exceed uint16 range")
-    rows, cols = label_map.labels.shape
-    header = np.array([rows, cols], dtype="<u4").tobytes()
-    payload = np.ascontiguousarray(label_map.labels, dtype="<u2").tobytes()
-    Path(path).write_bytes(LABEL_MAGIC + header + payload)
+    header = np.array(label_map.labels.shape, dtype="<u4").tobytes()
+    Path(path).write_bytes(LABEL_MAGIC + header + label_map.labels.astype("<u2").tobytes())
 
 
 def load_labels(path: str | Path) -> LabelMap:
-    raw = Path(path).read_bytes()
-    if len(raw) < 4:
-        raise TruncatedPayloadError(f"{path}: file shorter than magic")
-    if raw[:4] != LABEL_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {raw[:4]!r}")
-    if len(raw) < 12:
-        raise TruncatedPayloadError(f"{path}: header incomplete")
-    rows, cols = (int(v) for v in np.frombuffer(raw[4:12], dtype="<u4"))
-    if min(rows, cols) < 1 or rows * cols > MAX_ELEMENTS:
-        raise DimensionError(f"{path}: unreasonable dimensions {(rows, cols)}")
-    expected = 12 + rows * cols * 2
-    if len(raw) < expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload has {len(raw) - 12} bytes, need {expected - 12}"
-        )
-    if len(raw) > expected:
-        raise FormatError(f"{path}: {len(raw) - expected} trailing bytes")
-    values = np.frombuffer(raw[12:], dtype="<u2").reshape(rows, cols)
+    return _load(path, LABEL_MAGIC, 2, "<u2", np.int64, LabelMap)
+
+
+def _load(path, magic: bytes, n_dims: int, dtype: str, out_dtype, build):
+    """``build`` of the values of a cube or label file: ``magic``, ``n_dims``
+    uint32 sizes, then their product of ``dtype`` values. The values are
+    converted into one ``out_dtype`` array 1 MiB of file at a time, so the
+    file's bytes are never held beside it."""
+    with open(path, "rb") as fh:
+        head = fh.read(4 + 4 * n_dims)
+        if len(head) < 4:
+            raise TruncatedPayloadError(f"{path}: file shorter than magic")
+        if head[:4] != magic:
+            raise BadMagicError(f"{path}: bad magic {head[:4]!r}")
+        if len(head) < 4 + 4 * n_dims:
+            raise TruncatedPayloadError(f"{path}: header incomplete")
+        dims = tuple(int(v) for v in np.frombuffer(head[4:], dtype="<u4"))
+        if min(dims) < 1 or math.prod(dims) > MAX_ELEMENTS:
+            raise DimensionError(f"{path}: unreasonable dimensions {dims}")
+        item = np.dtype(dtype).itemsize
+        size, expected = os.fstat(fh.fileno()).st_size - len(head), math.prod(dims) * item
+        if size < expected:
+            raise TruncatedPayloadError(f"{path}: payload has {size} bytes, need {expected}")
+        if size > expected:
+            raise FormatError(f"{path}: {size - expected} trailing bytes")
+        values = np.empty(dims, dtype=out_dtype)
+        flat, step = values.reshape(-1), (1 << 20) // item
+        # a signalling NaN raises numpy's invalid-cast warning; HsiCube rejects it
+        with np.errstate(invalid="ignore"):
+            for start in range(0, flat.size, step):
+                part = flat[start : start + step]
+                chunk = fh.read(item * part.size)
+                if len(chunk) < item * part.size:  # the file shrank while it was read
+                    raise TruncatedPayloadError(
+                        f"{path}: payload has {item * start + len(chunk)} bytes, need {expected}"
+                    )
+                part[...] = np.frombuffer(chunk, dtype=dtype)
     try:
-        return LabelMap(values.astype(np.int64))
+        return build(values)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -197,45 +204,32 @@ def mirror_pad(data: np.ndarray, half: int) -> np.ndarray:
 
 
 def window_pad(cube: HsiCube, window: int) -> np.ndarray:
-    """The mirror-padded copy of the cube that ``window``-wide windows are cut
-    from (``mirror_pad`` by W/2); rejects an odd window or one wider than the
-    cube."""
-    rows, cols, _ = cube.data.shape
+    """The cube mirror-padded by W/2 that ``window``-wide windows are cut
+    from, as a view of ``cube.padded``; rejects an odd window or one wider
+    than the cube."""
     if window % 2 != 0 or window < 2:
         raise ValueError(f"window size must be even and >= 2, got {window}")
-    if window > min(rows, cols):
-        raise ValueError(f"window {window} exceeds cube extent {(rows, cols)}")
-    return mirror_pad(cube.data, window // 2)
+    if window > min(cube.rows, cube.cols):
+        raise ValueError(f"window {window} exceeds cube extent {(cube.rows, cube.cols)}")
+    return cube.padded(window // 2)
 
 
-def extract_windows_batch(
-    cube: HsiCube,
-    pixel_indices: np.ndarray,
-    window: int,
-    padded: np.ndarray | None = None,
-) -> np.ndarray:
+def extract_windows_batch(cube: HsiCube, pixel_indices: np.ndarray, window: int) -> np.ndarray:
     """Windows for many flattened pixel indices at once: [n, W, W, bands].
 
     The center pixel lands at position (W/2, W/2); rows span the half-open
     range [r - W/2, r + W/2) and likewise for columns. Out-of-bounds samples
-    come from one mirror-padded copy of the cube: ``padded``, the
-    ``window_pad(cube, window)`` a caller keeps to cut many batches from, or
-    else one made here. All windows come from one fancy index over a window
-    view of that copy.
+    come from the cube's mirror-padded buffer (``window_pad``), and all
+    windows come from one fancy index over a window view of it.
     """
     rows, cols, _ = cube.data.shape
-    if padded is None:
-        padded = window_pad(cube, window)
+    padded = window_pad(cube, window)
     pixel_indices = np.asarray(pixel_indices, dtype=np.int64).ravel()
     if pixel_indices.size and not 0 <= pixel_indices.min() <= pixel_indices.max() < rows * cols:
         raise ValueError(f"pixel indices must lie in [0, {rows * cols})")
     # views[r, c] is padded[r : r + W, c : c + W], the window centered on (r, c)
-    views = np.moveaxis(
-        np.lib.stride_tricks.sliding_window_view(padded, (window, window), axis=(0, 1)),
-        2, -1,
-    )
-    r, c = np.divmod(pixel_indices, cols)
-    return views[r, c]
+    views = np.lib.stride_tricks.sliding_window_view(padded, (window, window), axis=(0, 1))
+    return np.moveaxis(views, 2, -1)[np.divmod(pixel_indices, cols)]
 
 
 def check_extent(cube: HsiCube, labels: LabelMap) -> None:

@@ -31,6 +31,11 @@ from hsiatl.autodiff import Tensor
 from hsiatl.data import DimensionError, HsiCube, extract_windows_batch, window_pad
 
 
+# the most scalars a model may hold: 1 GiB of float64 weights, which training
+# holds four times over (gradients, Adam's moments); the default at 16 bands has 0.17M
+MAX_PARAMETERS = 2**27
+
+
 @dataclass
 class SstConfig:
     """Model hyperparameters.
@@ -77,12 +82,20 @@ class SstConfig:
             raise ValueError(
                 f"subpatch {self.subpatch} must divide window {self.window}"
             )
-        if self.d_model < 1 or self.d_model % self.n_heads != 0:
+        for name in ("d_model", "n_layers", "n_heads", "d_ff"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.d_model % self.n_heads != 0:
+            raise ValueError(f"d_model {self.d_model} must be divisible by n_heads {self.n_heads}")
+        # the scalar count of param_spec, by arithmetic on the fields
+        d, f, c = self.d_model, self.d_ff, self.n_classes
+        block = 4 * d * d + 2 * d * f + f + 5 * d
+        count = (self.token_dim + 3 * d + 2 + c) * d + c + self.n_layers * block
+        if count > MAX_PARAMETERS:
             raise ValueError(
-                f"d_model {self.d_model} must be divisible by n_heads {self.n_heads}"
-            )
-        if self.n_layers < 1 or self.n_heads < 1 or self.d_ff < 1:
-            raise ValueError("layer/head/ff counts must be positive")
+                f"bands {self.bands}, subpatch {self.subpatch}, d_model {d}, n_layers "
+                f"{self.n_layers}, d_ff {f} and n_classes {c} give {count} parameters, "
+                f"more than {MAX_PARAMETERS}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.calibration < 0:
@@ -219,16 +232,16 @@ class PixelWindows:
 
     ``len()`` is the pixel count; ``windows[a:b]`` (or an index array) is
     ``unfold(extract_windows_batch(cube, pixels[a:b], window), subpatch)``,
-    cut from one ``window_pad`` copy of the cube made once (or ``padded``).
+    cut from the cube's one mirror-padded buffer (``HsiCube.padded``).
     ``predict_probs``, ``encode_prefix`` and ``train_model`` take it in place
     of an array, so only the batches being run are ever unfolded; ``shape``
     is the shape the whole array would have.
     """
 
-    def __init__(self, cube: HsiCube, pixels, window: int, subpatch: int, padded=None):
+    def __init__(self, cube: HsiCube, pixels, window: int, subpatch: int):
+        window_pad(cube, window)  # checks the window; pads now, so gathers only read
         self.cube, self.pixels = cube, np.asarray(pixels)
         self.window, self.subpatch = window, subpatch
-        self.padded = window_pad(cube, window) if padded is None else padded
 
     def __len__(self) -> int:
         return self.pixels.size
@@ -239,7 +252,7 @@ class PixelWindows:
         return len(self), grid * grid, self.subpatch * self.subpatch * self.cube.bands
 
     def __getitem__(self, rows) -> np.ndarray:
-        windows = extract_windows_batch(self.cube, self.pixels[rows], self.window, self.padded)
+        windows = extract_windows_batch(self.cube, self.pixels[rows], self.window)
         return unfold(windows, self.subpatch)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hsiatl.data import HsiCube, LabelMap, mirror_pad
+from hsiatl.data import HsiCube, LabelMap
 from hsiatl.model import PixelWindows, SstModel, predict_probs
 
 STRATEGIES = ("hybrid", "random", "uncertainty", "entropy", "margin", "diversity_only")
@@ -89,7 +89,7 @@ def margin_scores(probs: np.ndarray) -> np.ndarray:
 
 def neighborhood_diversity_batch(cube: HsiCube, pixels: np.ndarray, n: int) -> np.ndarray:
     """Mean pairwise Euclidean distance among the n*n spectra around each
-    flattened pixel index, mirror-padded at the borders (see ``mirror_pad``).
+    flattened pixel index, mirror-padded at the borders (``HsiCube.padded``).
 
     Averages over all ordered pairs j != k, so a window of m = n*n spectra
     divides by m * (m - 1). n = 1 gives 0 by definition; so does any window
@@ -104,7 +104,7 @@ def neighborhood_diversity_batch(cube: HsiCube, pixels: np.ndarray, n: int) -> n
     out = np.zeros(pixels.size)
     if n == 1:
         return out
-    padded = mirror_pad(cube.data, n // 2)
+    padded = cube.padded(n // 2)
     m = n * n
     for i, flat in enumerate(pixels):
         r, c = divmod(int(flat), cols)

@@ -50,12 +50,12 @@ class TrainConfig:
 class WindowBank:
     """Windows and 0-based targets of every labeled pixel, gathered on demand.
 
-    The bank keeps one mirror-padded copy of the cube (``window_pad``) and
-    the targets; no window exists until asked for. ``windows`` gives a lazy
-    ``PixelWindows`` over some labeled pixels, which training, evaluation
-    and pool scoring unfold batch by batch, and ``take`` gathers them all
-    at once. Raises DimensionError when the label map and the cube differ
-    in extent.
+    The bank keeps the cube, which holds its one mirror-padded copy
+    (``HsiCube.padded``), and the targets; no window exists until asked
+    for. ``windows`` gives a lazy ``PixelWindows`` over some labeled
+    pixels, which training, evaluation and pool scoring unfold batch by
+    batch, and ``take`` gathers them all at once. Raises DimensionError
+    when the label map and the cube differ in extent.
     """
 
     def __init__(self, cube: HsiCube, labels: LabelMap, window: int, subpatch: int):
@@ -63,8 +63,8 @@ class WindowBank:
         self.pixels = labels.labeled_indices()
         if self.pixels.size == 0:
             raise ValueError("label map has no labeled pixels")
+        window_pad(cube, window)  # checks the window; pads now, so gathers only read
         self.cube, self.window, self.subpatch = cube, window, subpatch
-        self.padded = window_pad(cube, window)
         self.targets = labels.labels.ravel()[self.pixels].astype(np.int64) - 1
         self._row = np.full(labels.labels.size, -1, dtype=np.int64)
         self._row[self.pixels] = np.arange(self.pixels.size)
@@ -75,7 +75,7 @@ class WindowBank:
         rows = self._row[pixel_indices]
         if (rows < 0).any():
             raise ValueError("requested pixels that are not labeled")
-        windows = PixelWindows(self.cube, pixel_indices, self.window, self.subpatch, self.padded)
+        windows = PixelWindows(self.cube, pixel_indices, self.window, self.subpatch)
         return windows, self.targets[rows]
 
     def take(self, pixel_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -115,17 +115,22 @@ class TestErrorPaths:
         with pytest.raises(FormatError, match="'freeze' must name the groups"):
             load_model(tmp_path / "bad.sstc")
 
-    def test_shape_checked_before_the_model_is_built(self, tmp_path):
-        # a header that claims a huge model must fail on its first parameter
+    @pytest.mark.parametrize("d_model, error", [
+        # a header that claims a wider model fails on its first parameter
+        (64, r"parameter embed.weight has shape \[20, 8\], expected \[20, 64\]"),
+        # one that claims a huge model fails on its config, before any table
+        (2**40, r"invalid config: .*d_model 1099511627776.* more than 134217728"),
+    ], ids=["wider", "huge"])
+    def test_shape_checked_before_the_model_is_built(self, tmp_path, d_model, error):
         save_model(sample_model(), tmp_path / "model.sstc")
 
-        def huge(header):
-            header["config"]["d_model"] = 2**40
+        def wider(header):
+            header["config"]["d_model"] = d_model
             header["config"]["n_heads"] = 1
             return header
 
-        rewrite_checkpoint(tmp_path / "model.sstc", tmp_path / "bad.sstc", huge)
-        with pytest.raises(FormatError, match=r"parameter embed.weight has shape \[20, 8\]"):
+        rewrite_checkpoint(tmp_path / "model.sstc", tmp_path / "bad.sstc", wider)
+        with pytest.raises(FormatError, match=error):
             load_model(tmp_path / "bad.sstc")
 
     def test_huge_window_loads_without_a_positional_table(self, tmp_path):

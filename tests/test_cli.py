@@ -629,6 +629,40 @@ class TestMalformedCheckpoint:
         assert "parameter head.b2 is listed twice" in done.stderr
 
 
+class TestModelSizeBounds:
+    """A head count of zero, or a model too big to hold, is rejected from its
+    config before any arithmetic or allocation, in a fresh process."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_heads", 0, "n_heads must be >= 1, got 0"),
+        ("d_ff", 10**12, "d_ff 1000000000000 and n_classes 3 give"),
+        ("n_layers", 10**12, "n_layers 1000000000000, d_ff 32 and n_classes 3 give"),
+    ], ids=["n_heads", "d_ff", "n_layers"])
+    def test_train_setting(self, workdir, tmp_path, field, value, message):
+        config = json.loads((workdir / "cfg.json").read_text())
+        (tmp_path / "cfg.json").write_text(json.dumps({**config, field: value}))
+        done = run_process(["train", "--config", tmp_path / "cfg.json",
+                            "--cube", workdir / "a.hsic", "--labels", workdir / "a.hsil",
+                            "--manifest", tmp_path / "split.json",
+                            "--checkpoint", tmp_path / "model.sstc"])
+        assert_one_line(done, 1, "error:")
+        assert message in done.stderr
+        assert not (tmp_path / "split.json").exists() and not (tmp_path / "model.sstc").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_heads", 0, "n_heads must be >= 1, got 0"),
+        ("n_layers", 10**9, "n_layers 1000000000, d_ff 32 and n_classes 3 give"),
+    ], ids=["n_heads", "n_layers"])
+    def test_checkpoint_header(self, workdir, tmp_path, field, value, message):
+        bad = tmp_path / "bad.sstc"
+        rewrite_checkpoint(workdir / "a.sstc", bad, edit_header=with_config(**{field: value}))
+        done = run_process(["eval", "--checkpoint", bad, "--cube", workdir / "a.hsic",
+                            "--labels", workdir / "a.hsil",
+                            "--manifest", workdir / "a.split.json"])
+        assert_one_line(done, 2, "data error:")
+        assert "invalid config: " in done.stderr and message in done.stderr
+
+
 class TestNumericalFailure:
     def test_huge_finite_parameters_exit_3(self, workdir, tmp_path):
         # the loader accepts any finite values; evaluation used to print

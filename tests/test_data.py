@@ -2,7 +2,9 @@
 against a brute-force mirror oracle, split arithmetic, and the synthetic
 generator against its closed-form prototypes."""
 
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +98,55 @@ class TestCubeFormat:
         path = tmp_path / "fat.hsic"
         path.write_bytes(build_cube_bytes(1, 1, 1, [1.0]) + b"\x00")
         with pytest.raises(FormatError):
+            load_cube(path)
+
+    def test_format_errors_keep_their_messages(self, tmp_path):
+        path = tmp_path / "cube.hsic"
+        full = build_cube_bytes(2, 2, 2, np.zeros(8))
+        for raw, error, message in [
+            (full[:-3], TruncatedPayloadError, "payload has 29 bytes, need 32"),
+            (full + b"\x00\x00", FormatError, "2 trailing bytes"),
+            (full[:10], TruncatedPayloadError, "header incomplete"),
+            (full[:3], TruncatedPayloadError, "file shorter than magic"),
+            (build_cube_bytes(2, 2, 2, [0, 0, 0, np.nan, 0, 0, 0, 0]), FormatError,
+             "cube values must be finite"),
+        ]:
+            path.write_bytes(raw)
+            with pytest.raises(error, match=message):
+                load_cube(path)
+
+    def test_payload_over_many_reads(self, tmp_path):
+        # 3 MiB of float32, so the payload is converted in several chunks
+        values = np.random.default_rng(6).normal(size=(32, 64, 384)).astype("<f4")
+        path = tmp_path / "big.hsic"
+        path.write_bytes(build_cube_bytes(32, 64, 384, values))
+        assert load_cube(path).data.tobytes() == values.astype(np.float64).tobytes()
+        values[-1, -1, -1] = np.inf  # in the last chunk
+        path.write_bytes(build_cube_bytes(32, 64, 384, values))
+        with pytest.raises(FormatError, match="must be finite"):
+            load_cube(path)
+
+    def test_file_bytes_are_not_held_beside_the_cube(self, tmp_path):
+        path = tmp_path / "big.hsic"
+        path.write_bytes(build_cube_bytes(64, 64, 256, np.ones(64 * 64 * 256)))
+        tracemalloc.start()
+        try:
+            cube = load_cube(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 8 MiB cube, one 1 MiB read and the finite check's 1 MiB mask;
+        # reading the whole 4 MiB file first would peak above 12 MiB
+        assert peak < cube.data.nbytes + (5 << 19), peak
+
+    def test_short_read_mid_payload(self, tmp_path, monkeypatch):
+        # the file loses its tail after its size was taken
+        path = tmp_path / "shrinking.hsic"
+        path.write_bytes(build_cube_bytes(32, 64, 384, np.zeros(32 * 64 * 384)))
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[: 16 + (3 << 19)])
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((0,) * 6 + (size,) + (0,) * 3))
+        with pytest.raises(TruncatedPayloadError, match=f"payload has {3 << 19} bytes, need"):
             load_cube(path)
 
     def test_roundtrip_byte_exact(self, tmp_path):
@@ -194,6 +245,44 @@ class TestMirrorPad:
         assert mirror_pad(np.zeros((3, 4, 5)), 2).shape == (7, 8, 5)
 
 
+class TestPaddedBuffer:
+    @pytest.mark.parametrize("order", [1, -1], ids=["rising", "falling"])
+    @pytest.mark.parametrize("shape", [(1, 1, 2), (2, 3, 2), (5, 4, 3), (7, 7, 1)])
+    def test_every_halo_is_the_mirror_pad_of_the_original(self, shape, order):
+        original = np.random.default_rng(3).normal(size=shape)
+        cube = HsiCube(original.copy())
+        # past the extent, so some halos reflect more than once
+        for half in range(0, 3 * max(shape) + 2)[::order]:
+            padded = cube.padded(half)
+            assert padded.tobytes() == mirror_pad(original, half).tobytes(), half
+            assert cube.data.tobytes() == original.tobytes(), half
+            assert np.shares_memory(padded, cube.data)
+
+    def test_narrower_halo_makes_no_copy(self, monkeypatch):
+        cube = HsiCube(np.random.default_rng(4).normal(size=(6, 7, 3)))
+        widest = cube.padded(3)
+        monkeypatch.setattr(np, "pad", None)  # any further padding fails
+        for half in (0, 1, 2, 3):
+            assert np.shares_memory(cube.padded(half), widest)
+        assert np.shares_memory(window_pad(cube, 4), widest)
+
+    def test_rebound_data_is_padded_afresh(self):
+        cube = HsiCube(np.random.default_rng(6).normal(size=(6, 7, 3)))
+        window_pad(cube, 4)
+        cube.data = np.arange(6 * 7 * 3.0).reshape(6, 7, 3)
+        for half in (0, 1, 2):
+            assert cube.padded(half).tobytes() == mirror_pad(cube.data, half).tobytes()
+        assert extract_windows_batch(cube, [8], 2).tobytes() == cube.data[0:2, 0:2].tobytes()
+
+    def test_wider_halo_makes_data_its_interior(self):
+        data = np.random.default_rng(5).normal(size=(6, 7, 3))
+        cube = HsiCube(data)
+        assert cube.data is data
+        padded = cube.padded(2)
+        assert not np.shares_memory(cube.data, data)
+        assert np.shares_memory(cube.data, padded)
+
+
 class TestExtractWindow:
     def make_fixture(self):
         rng = np.random.default_rng(42)
@@ -253,13 +342,6 @@ class TestExtractWindow:
                         single = extract_window(cube, divmod(int(flat), cols), window)
                         assert batch[flat].tobytes() == single.tobytes(), (
                             rows, cols, window, flat)
-
-    def test_kept_padded_copy_gives_the_same_windows(self):
-        cube = self.make_fixture()
-        indices = np.array([0, 6, 20, 41, 13])
-        padded = window_pad(cube, 4)
-        kept = extract_windows_batch(cube, indices, 4, padded)
-        assert kept.tobytes() == extract_windows_batch(cube, indices, 4).tobytes()
 
     @pytest.mark.parametrize("flat", [-1, 42])
     def test_pixel_outside_cube_rejected(self, flat):

@@ -46,6 +46,7 @@ from hsiatl.model import (
     forward_batch,
     init_model,
     map_batches,
+    param_spec,
     positional_encoding,
     predict_probs,
     reset_head,
@@ -88,6 +89,20 @@ class TestConfig:
     def test_heads_must_divide_width(self):
         with pytest.raises(ValueError):
             SstConfig(bands=8, n_classes=2, d_model=54, n_heads=8)
+
+    @pytest.mark.parametrize("field", ["d_model", "n_layers", "n_heads", "d_ff"])
+    def test_counts_must_be_positive(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+            SstConfig(bands=8, n_classes=2, **{field: 0})
+
+    def test_parameter_bound_counts_every_parameter(self, monkeypatch):
+        fields = dict(bands=7, n_classes=5, window=4, d_model=12, n_layers=3, n_heads=3, d_ff=10)
+        count = sum(int(np.prod(shape)) for shape in param_spec(SstConfig(**fields)).values())
+        monkeypatch.setattr(model_module, "MAX_PARAMETERS", count)
+        SstConfig(**fields)
+        monkeypatch.setattr(model_module, "MAX_PARAMETERS", count - 1)
+        with pytest.raises(ValueError, match=f"give {count} parameters, more than {count - 1}"):
+            SstConfig(**fields)
 
     def test_subpatch_must_divide_window(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from conftest import diversity_oracle, neighborhood_spectra
 
 from hsiatl.data import HsiCube, synth_cube
-from hsiatl.model import SstConfig, init_model
+from hsiatl.model import PixelWindows, SstConfig, init_model
 from hsiatl.queries import (
     QueryConfig,
     al_round,
@@ -18,6 +18,7 @@ from hsiatl.queries import (
     select_top,
     uncertainty_scores,
 )
+from hsiatl.training import WindowBank
 
 
 class TestScores:
@@ -268,6 +269,26 @@ class TestQueryStrategies:
             res = query_pool(self.model, self.cube, self.labels, self.pool, cfg)
             assert res.selected.size == 4
             assert (np.diff(res.informativeness) <= 1e-12).all()
+
+    def test_windows_and_neighbourhoods_are_views_of_the_cube(self, monkeypatch):
+        views, padded = [], self.cube.padded
+        monkeypatch.setattr(self.cube, "padded",
+                            lambda half: views.append(padded(half)) or views[-1])
+        wide = PixelWindows(self.cube, self.pool, 4, 2)
+        narrow = PixelWindows(self.cube, self.pool[::2], 2, 1)
+        assert wide[:7].shape[0] == 7 and narrow[3:].shape[0] == narrow.pixels.size - 3
+        neighborhood_diversity_batch(self.cube, self.pool, 3)
+        assert len(views) == 5  # two builds, two gathers, one diversity pass
+        assert all(np.shares_memory(view, self.cube.data) for view in views)
+
+    def test_query_after_a_window_bank_pads_nothing(self, monkeypatch):
+        WindowBank(self.cube, self.labels, self.model.config.window, self.model.config.subpatch)
+        pads, pad = [], np.pad
+        monkeypatch.setattr(np, "pad", lambda *args, **kw: pads.append(1) or pad(*args, **kw))
+        for strategy in ("hybrid", "diversity_only", "margin"):
+            query_pool(self.model, self.cube, self.labels, self.pool,
+                       QueryConfig(query_size=4, strategy=strategy))
+        assert pads == []
 
     def test_empty_pool_rejected(self):
         cfg = QueryConfig(query_size=1)
