@@ -4,7 +4,7 @@ uncertainty/diversity active learning, and distribution-guided transfer.
 The package is organized around small, testable layers:
 
 - ``autodiff``   float64 tensors with tape-based reverse-mode differentiation
-- ``optim``      Adam with inverse-time learning-rate decay and freeze support
+- ``optim``      Adam with inverse-time learning-rate decay over one parameter vector
 - ``data``       cube/label binary formats, window extraction, splits, synthesis
 - ``model``      the transformer classifier and its forward operations
 - ``metrics``    confusion-matrix scores (overall/average accuracy, kappa)

@@ -167,8 +167,9 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Reverse sweep: accumulate gradients of ``loss`` into ``Tensor.grad``.
 
     ``loss`` must be a scalar recorded on ``tape``. Gradients add into the
-    leaf tensors that participated, parameters included; reset ``grad`` to
-    ``None`` between steps. The sweep frees the graph as it goes: each
+    ``grad`` of each leaf tensor that participated, in place (a replica's
+    parameters view its zeroed gradient vector), or into a new array where
+    ``grad`` is None. The sweep frees the graph as it goes: each
     record drops its backward closure (and with it the activations that
     closure holds) and, except for ``loss``, its gradient once that has
     been passed on. ``tape.records`` keeps every entry, but a swept tape

@@ -15,57 +15,82 @@ Save then load then save reproduces the file byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
+import os
 import struct
 import typing
 from pathlib import Path
 
 import numpy as np
 
-from hsiatl.autodiff import Tensor
 from hsiatl.data import BadMagicError, FormatError, TruncatedPayloadError
-from hsiatl.model import SstConfig, SstModel, param_spec
+from hsiatl.model import SstConfig, SstModel, _views, param_spec
 
 CHECKPOINT_MAGIC = b"SSTC"
 VERSION = 1
 
 
 def save_model(model: SstModel, path: str | Path) -> None:
-    params = model.parameters()
     header = {
         "version": VERSION,
         "config": dataclasses.asdict(model.config),
         "freeze": model.freeze,
         "dtype": "<f8",
         "params": [
-            {"name": name, "shape": list(t.data.shape)} for name, t in params.items()
+            {"name": name, "shape": list(t.data.shape)} for name, t in model.params.items()
         ],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = b"".join(
-        np.ascontiguousarray(t.data, dtype="<f8").tobytes() for t in params.values()
-    )
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(payload)
+        fh.write(model.vector.astype("<f8", copy=False))
 
 
 def load_model(path: str | Path) -> SstModel:
-    raw = Path(path).read_bytes()
-    if len(raw) < 4:
-        raise TruncatedPayloadError(f"{path}: file shorter than magic")
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {raw[:4]!r}")
-    if len(raw) < 8:
-        raise TruncatedPayloadError(f"{path}: header length missing")
-    header_len = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
-    if len(raw) < 8 + header_len:
-        raise TruncatedPayloadError(f"{path}: header incomplete")
+    """An SSTC file's model: its payload is read into the model's vector last."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if len(head) < 4:
+            raise TruncatedPayloadError(f"{path}: file shorter than magic")
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise BadMagicError(f"{path}: bad magic {head[:4]!r}")
+        if len(head) < 8:
+            raise TruncatedPayloadError(f"{path}: header length missing")
+        header_len = struct.unpack("<I", head[4:])[0]
+        size -= 8 + header_len
+        if size < 0:  # checked first, so a huge length is never read
+            raise TruncatedPayloadError(f"{path}: header incomplete")
+        config, freeze, listed = _header(path, fh.read(header_len))
+        expected = 8 * config.n_parameters
+        if size < expected:
+            ends = itertools.accumulate(8 * math.prod(shape) for shape in listed.values())
+            name = next(name for name, end in zip(listed, ends) if end > size)
+            raise TruncatedPayloadError(f"{path}: payload ends inside {name}")
+        if size > expected:
+            raise FormatError(f"{path}: {size - expected} trailing bytes")
+        payload = np.empty(config.n_parameters, dtype="<f8")
+        if fh.readinto(payload) < expected:  # the file shrank while it was read
+            raise TruncatedPayloadError(f"{path}: payload ended early")
+    payload = payload.astype(np.float64, copy=False)
+    spec = param_spec(config)
+    if list(listed) != list(spec):  # listed in another order: gather checkpoint order
+        by_name = dict(_views(payload, listed))
+        payload = np.concatenate([by_name[name].ravel() for name in spec])
+    if not np.isfinite(payload).all():
+        name = next(name for name, t in _views(payload, spec) if not np.isfinite(t).all())
+        raise FormatError(f"{path}: parameter {name} has non-finite values")
+    return SstModel(config, payload, freeze)
+
+
+def _header(path, blob: bytes) -> tuple[SstConfig, dict, dict[str, tuple[int, ...]]]:
+    """The config, freeze flags and listed {name: shape} of a checked header."""
     try:
-        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
+        header = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):
@@ -83,42 +108,29 @@ def load_model(path: str | Path) -> SstModel:
     if not isinstance(entries, list):
         raise FormatError(f"{path}: header field 'params' must be a list, got {entries!r}")
     spec = param_spec(config)
-    offset = 8 + header_len
-    values: dict[str, np.ndarray] = {}
+    listed: dict[str, tuple[int, ...]] = {}
     for entry in entries:
         name, shape = _param_entry(path, entry)
         expected = spec.get(name)
         if expected is None:
             raise FormatError(f"{path}: unknown parameter {name!r}")
-        if name in values:
+        if name in listed:
             raise FormatError(f"{path}: parameter {name} is listed twice")
         if shape != expected:
             raise FormatError(
                 f"{path}: parameter {name} has shape {list(shape)}, expected {list(expected)}"
             )
-        nbytes = 8 * math.prod(shape)
-        if offset + nbytes > len(raw):
-            raise TruncatedPayloadError(f"{path}: payload ends inside {name}")
-        arr = np.frombuffer(raw[offset : offset + nbytes], dtype="<f8").reshape(shape)
-        if not np.isfinite(arr).all():
-            raise FormatError(f"{path}: parameter {name} has non-finite values")
-        values[name] = arr.astype(np.float64)
-        offset += nbytes
-    if offset != len(raw):
-        raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
-    missing = [name for name in spec if name not in values]
+        listed[name] = shape
+    missing = [name for name in spec if name not in listed]
     if missing:
         raise FormatError(f"{path}: checkpoint missing parameter {missing[0]}")
-    params = {name: Tensor(values[name], requires_grad=True) for name in spec}
-    model = SstModel(config, params, dict(freeze))
-    groups = {model.group_of(name) for name in model.parameters()}
+    groups = {name.split(".")[0] for name in spec} - {"pool"}
     if set(freeze) != groups:
         raise FormatError(
             f"{path}: header field 'freeze' must name the groups {sorted(groups)}, "
             f"got {sorted(freeze)}"
         )
-    model.apply_freeze()
-    return model
+    return config, dict(freeze), listed
 
 
 def type_mismatch(hint, value) -> str | None:

@@ -17,8 +17,10 @@ plain scaled dot-product attention bitwise. One kernel (``_attend`` and
 from __future__ import annotations
 
 import contextvars
+import copy
 import dataclasses
 import functools
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -31,8 +33,8 @@ from hsiatl.autodiff import Tensor
 from hsiatl.data import DimensionError, HsiCube, extract_windows_batch, window_pad
 
 
-# the most scalars a model may hold: 1 GiB of float64 weights, which training
-# holds four times over (gradients, Adam's moments); the default at 16 bands has 0.17M
+# the most scalars a model may hold: 1 GiB of float64 weights, which training holds
+# 7 times over (gradients, Adam's moments and scratch); the default at 16 bands has 0.17M
 MAX_PARAMETERS = 2**27
 
 
@@ -87,15 +89,11 @@ class SstConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} must be divisible by n_heads {self.n_heads}")
-        # the scalar count of param_spec, by arithmetic on the fields
-        d, f, c = self.d_model, self.d_ff, self.n_classes
-        block = 4 * d * d + 2 * d * f + f + 5 * d
-        count = (self.token_dim + 3 * d + 2 + c) * d + c + self.n_layers * block
-        if count > MAX_PARAMETERS:
+        if self.n_parameters > MAX_PARAMETERS:
             raise ValueError(
-                f"bands {self.bands}, subpatch {self.subpatch}, d_model {d}, n_layers "
-                f"{self.n_layers}, d_ff {f} and n_classes {c} give {count} parameters, "
-                f"more than {MAX_PARAMETERS}")
+                f"bands {self.bands}, subpatch {self.subpatch}, d_model {self.d_model}, "
+                f"n_layers {self.n_layers}, d_ff {self.d_ff} and n_classes {self.n_classes} "
+                f"give {self.n_parameters} parameters, more than {MAX_PARAMETERS}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.calibration < 0:
@@ -110,6 +108,13 @@ class SstConfig:
     @property
     def token_dim(self) -> int:
         return self.subpatch * self.subpatch * self.bands
+
+    @property
+    def n_parameters(self) -> int:
+        """The scalar count of ``param_spec``, by arithmetic on the fields."""
+        d, f, c = self.d_model, self.d_ff, self.n_classes
+        block = 4 * d * d + 2 * d * f + f + 5 * d
+        return (self.token_dim + 3 * d + 2 + c) * d + c + self.n_layers * block
 
 
 class NumericalError(RuntimeError):
@@ -135,16 +140,11 @@ def param_spec(cfg: SstConfig) -> dict[str, tuple[int, ...]]:
     return spec
 
 
-def _twin(t: Tensor) -> Tensor:
-    """A tensor over the same ``data`` with the same flag and no gradient."""
-    out = Tensor._result(t.data)
-    out.requires_grad = t.requires_grad
-    return out
-
-
-@dataclass
+@dataclass(eq=False)
 class SstModel:
-    """Parameters, in ``param_spec`` order, plus per-group freeze flags.
+    """Every parameter in one float64 vector, in ``param_spec`` (checkpoint)
+    order; ``params`` holds tensors over its views and ``grad``, if given,
+    their gradients' views. A deepcopy copies the vector, not each view.
 
     Freeze groups are "embed", "enc0".."enc{L-1}", and "head"; the head group
     also covers the cross-attention pooling parameters, since both adapt to
@@ -153,13 +153,24 @@ class SstModel:
     """
 
     config: SstConfig
-    params: dict[str, Tensor]
+    vector: np.ndarray
     freeze: dict[str, bool] = field(default_factory=dict)
+    grad: np.ndarray | None = None
+    params: dict[str, Tensor] = field(init=False)
 
     def __post_init__(self):
         if not self.freeze:
             self.freeze = {"embed": False, "head": False}
             self.freeze.update({f"enc{i}": False for i in range(self.config.n_layers)})
+        spec = param_spec(self.config)
+        self.params = {name: Tensor._result(data) for name, data in _views(self.vector, spec)}
+        if self.grad is not None:
+            for tensor, (_, grad) in zip(self.params.values(), _views(self.grad, spec)):
+                tensor.grad = grad
+        self.apply_freeze()
+
+    def __deepcopy__(self, memo) -> "SstModel":
+        return SstModel(copy.copy(self.config), self.vector.copy(), dict(self.freeze))
 
     def parameters(self) -> dict[str, Tensor]:
         """Stable name -> tensor mapping; the order defines checkpoints."""
@@ -170,13 +181,9 @@ class SstModel:
         return {name: self.params[f"enc{i}.{name}"] for name in BLOCK_PARAMS}
 
     def replica(self) -> "SstModel":
-        """The same model over new parameter tensors with their own ``grad``.
-
-        Each replica tensor shares its ``data`` array with the original and
-        keeps its ``requires_grad`` flag, so in-place updates to the original
-        show through while gradients accumulate apart.
-        """
-        return dataclasses.replace(self, params={n: _twin(t) for n, t in self.params.items()})
+        """The same model over the same vector, with new tensors whose
+        gradients accumulate apart, into a zeroed ``grad`` vector of its own."""
+        return dataclasses.replace(self, grad=np.zeros_like(self.vector))
 
     def group_of(self, param_name: str) -> str:
         prefix = param_name.split(".", 1)[0]
@@ -185,6 +192,16 @@ class SstModel:
     def apply_freeze(self) -> None:
         for name, tensor in self.parameters().items():
             tensor.requires_grad = not self.freeze[self.group_of(name)]
+
+
+def _views(vector: np.ndarray, spec: dict[str, tuple[int, ...]]) -> list:
+    """(name, view) for consecutive stretches of ``vector`` with the shapes
+    of ``spec``, in its order; raises ValueError unless they cover it."""
+    sizes = [math.prod(shape) for shape in spec.values()]
+    if vector.shape != (sum(sizes),):
+        raise ValueError(f"{sum(sizes)} parameters cannot view an array of shape {vector.shape}")
+    return [(name, vector[end - size : end].reshape(shape))
+            for (name, shape), size, end in zip(spec.items(), sizes, itertools.accumulate(sizes))]
 
 
 def positional_encoding(n_positions: int, d_model: int) -> np.ndarray:
@@ -392,16 +409,15 @@ def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
-def _keep_mask(shape: tuple[int, ...], cfg: SstConfig, training: bool, rng) -> np.ndarray | None:
-    """One sublayer's dropout keep mask, ``uniform >= rate`` as ``ad.dropout``
-    draws it (replayed by a ``RowDraws``), or None when no dropout runs."""
+def _keep_mask(shape: tuple[int, ...], cfg: SstConfig, training: bool, masks) -> np.ndarray | None:
+    """One sublayer's dropout keep mask: the next of the iterator ``masks``
+    (``dropout_draws`` masks, or their rows), or None when none runs."""
     if not training or cfg.dropout == 0:
         return None
-    if rng is None:
-        raise ValueError("training-mode dropout needs an rng for determinism")
-    if isinstance(rng, RowDraws):
-        return rng.keep_mask(shape)
-    return rng.random(shape) >= cfg.dropout
+    mask = None if masks is None else next(masks, None)
+    if mask is None or mask.shape != shape:
+        raise ValueError(f"training-mode dropout needs a keep mask of shape {shape}")
+    return mask
 
 
 def _dropout_residual(out: np.ndarray, z: Tensor, keep, rate: float) -> np.ndarray:
@@ -506,15 +522,15 @@ def encoder_block(
     layer: dict[str, Tensor],
     cfg: SstConfig,
     training: bool = False,
-    rng=None,
+    masks=None,
 ) -> Tensor:
     """The attention and feed-forward sublayers, each with its dropout and
     residual add as one tape node (see ``_dropout_residual``), each closed
-    by LayerNorm. Training draws the attention sublayer's keep mask from
-    ``rng``, then the feed-forward one's."""
-    z = _self_attention(z, layer, cfg, _keep_mask(z.shape, cfg, training, rng))
+    by LayerNorm. Training takes the attention sublayer's keep mask from the
+    iterator ``masks``, then the feed-forward one's."""
+    z = _self_attention(z, layer, cfg, _keep_mask(z.shape, cfg, training, masks))
     z = ad.layer_norm(z, layer["ln1_gain"], layer["ln1_bias"], cfg.ln_eps)
-    z = _feed_forward(z, layer, cfg, _keep_mask(z.shape, cfg, training, rng))
+    z = _feed_forward(z, layer, cfg, _keep_mask(z.shape, cfg, training, masks))
     return ad.layer_norm(z, layer["ln2_gain"], layer["ln2_bias"], cfg.ln_eps)
 
 
@@ -523,37 +539,15 @@ def dropout_draws(cfg: SstConfig, batch: int, rng, from_block: int = 0) -> list[
     draws: ``uniform >= cfg.dropout`` as bool arrays [batch, N_p, d_model],
     1 byte a value.
 
-    The uniforms come from ``rng`` in the order ``encoder_block`` draws them
-    (per block that runs, from ``from_block`` on: attention, then
-    feed-forward), so the generator advances as that pass would advance it.
-    There are none when dropout is 0.
+    They come from ``rng`` in the order ``encoder_block`` takes them (per
+    block that runs, from ``from_block`` on: attention, then feed-forward);
+    a pass over some rows of the batch takes those rows of each mask. There
+    are none when dropout is 0.
     """
     if cfg.dropout == 0:
         return []
     shape = (batch, cfg.n_tokens, cfg.d_model)
     return [rng.random(shape) >= cfg.dropout for _ in range(2 * (cfg.n_layers - from_block))]
-
-
-class RowDraws:
-    """Generator stand-in that replays whole-batch dropout masks for some rows.
-
-    Passed as ``rng`` to a training ``forward_batch`` over the contiguous
-    rows ``rows`` (a slice) of a batch, its k-th ``keep_mask`` call returns
-    those rows of the k-th ``dropout_draws`` mask, so each row is kept or
-    dropped as in the whole-batch pass. The rows are a view: no mask is
-    copied, and a sublayer node holds only its own rows' mask.
-    """
-
-    def __init__(self, masks: list[np.ndarray], rows: slice):
-        self._masks = iter(masks)
-        self._rows = rows
-
-    def keep_mask(self, shape: tuple[int, ...]) -> np.ndarray:
-        mask = next(self._masks, None)
-        part = None if mask is None else mask[self._rows]
-        if part is None or part.shape != tuple(shape):
-            raise RuntimeError(f"no pre-drawn dropout mask of shape {shape}")
-        return part
 
 
 def cross_attention_pool(z: Tensor, model: SstModel) -> Tensor:
@@ -582,7 +576,7 @@ def encode(
     model: SstModel,
     features: np.ndarray | Tensor,
     training: bool = False,
-    rng=None,
+    masks=None,
     capture: bool = False,
     from_block: int = 0,
 ):
@@ -592,6 +586,8 @@ def encode(
         features: [B, N_p, p*p*bands] unfolded windows (see ``unfold``), or
             with ``from_block`` above 0 the [B, N_p, d_model] tokens that
             ``encode_prefix`` gives for that many blocks.
+        masks: in training with dropout, an iterator over the blocks' keep
+            masks (see ``dropout_draws``).
         capture: also return the outputs of the blocks that ran as plain
             arrays.
         from_block: the first encoder block to run; the embedding and the
@@ -622,7 +618,7 @@ def encode(
         z = x
     captured = []
     for i in range(from_block, cfg.n_layers):
-        z = encoder_block(z, model.block(i), cfg, training, rng)
+        z = encoder_block(z, model.block(i), cfg, training, masks)
         if capture:
             captured.append(z.data)
     if capture:
@@ -634,7 +630,7 @@ def forward_batch(
     model: SstModel,
     features: np.ndarray | Tensor,
     training: bool = False,
-    rng=None,
+    masks=None,
     from_block: int = 0,
 ) -> Tensor:
     """Unfolded windows [B, N_p, p*p*bands] -> class probabilities [B, C].
@@ -642,7 +638,7 @@ def forward_batch(
     With ``from_block`` above 0 the input is tokens entering that block (see
     ``encode``).
     """
-    z = encode(model, features, training, rng, from_block=from_block)
+    z = encode(model, features, training, masks, from_block=from_block)
     return classify(cross_attention_pool(z, model), model)
 
 
@@ -703,8 +699,10 @@ def map_batches(fn, items: np.ndarray | PixelWindows, batch_size: int = 64) -> l
 
 
 def _prefix(model: SstModel, n_blocks: int) -> SstModel:
-    """The model cut after its embedding and first ``n_blocks`` blocks."""
-    return dataclasses.replace(model, config=dataclasses.replace(model.config, n_layers=n_blocks))
+    """The model cut after its embedding and first ``n_blocks`` blocks (a copy)."""
+    config = dataclasses.replace(model.config, n_layers=n_blocks)
+    return SstModel(config, np.concatenate([model.params[name].data.ravel()
+                                            for name in param_spec(config)]))
 
 
 def predict_probs(
@@ -770,38 +768,38 @@ def encode_prefix(
     return out
 
 
-def _initial(rng, name: str, shape: tuple[int, ...]) -> Tensor:
-    """A fresh parameter: ones for LayerNorm gains, zeros for biases and the
-    class query, else uniform(+/- sqrt(1/fan_in)) with fan_in = shape[0]."""
+def _initialize(rng, name: str, data: np.ndarray) -> None:
+    """Fill a fresh parameter: ones for LayerNorm gains, zeros for biases and
+    the class query, else uniform(+/- sqrt(1/fan_in)) with fan_in = shape[0]."""
     if name.endswith("_gain"):
-        data = np.ones(shape)
-    elif len(shape) == 1 or name == "pool.class_query":
-        data = np.zeros(shape)
+        data[...] = 1.0
+    elif data.ndim == 1 or name == "pool.class_query":
+        data[...] = 0.0
     else:
-        bound = math.sqrt(1.0 / shape[0])
-        data = rng.uniform(-bound, bound, size=shape)
-    return Tensor(data, requires_grad=True)
+        bound = math.sqrt(1.0 / data.shape[0])
+        data[...] = rng.uniform(-bound, bound, size=data.shape)
 
 
 def init_model(config: SstConfig, seed: int = 0) -> SstModel:
-    """Fresh model (see ``_initial``), deterministic for a fixed seed. Every
+    """Fresh model (see ``_initialize``), deterministic for a fixed seed; every
     encoder block draws its weights before the embedding, pool and head do."""
     rng = np.random.default_rng(seed)
-    spec = param_spec(config)
+    model = SstModel(config, np.empty(config.n_parameters))
     # sorting is stable, so only the encoder blocks move ahead
-    drawn = {n: _initial(rng, n, spec[n]) for n in sorted(spec, key=lambda n: n[:3] != "enc")}
-    return SstModel(config, {name: drawn[name] for name in spec})
+    for name in sorted(model.params, key=lambda n: n[:3] != "enc"):
+        _initialize(rng, name, model.params[name].data)
+    return model
 
 
 def reset_head(model: SstModel, n_classes: int, seed: int = 0) -> None:
-    """Re-initialize the output projection for a new class count.
-
-    Only the final projection (head.w2, head.b2) is replaced; the rest of the
-    head keeps its learned values.
-    """
+    """Re-initialize the output projection for a new class count, in a new
+    vector: only head.w2 and head.b2 (its tail) are replaced; the rest of the
+    head keeps its learned values."""
     rng = np.random.default_rng(seed)
-    model.config = dataclasses.replace(model.config, n_classes=n_classes)
-    spec = param_spec(model.config)
+    config = dataclasses.replace(model.config, n_classes=n_classes)
+    kept = model.vector[: config.n_parameters - (config.d_model + 1) * n_classes]
+    fresh = SstModel(config, np.concatenate((kept, np.empty(config.n_parameters - kept.size))),
+                     model.freeze)
     for name in ("head.w2", "head.b2"):
-        model.params[name] = _initial(rng, name, spec[name])
-    model.apply_freeze()
+        _initialize(rng, name, fresh.params[name].data)
+    model.config, model.vector, model.params = fresh.config, fresh.vector, fresh.params

@@ -15,7 +15,6 @@ from hsiatl.metrics import MetricsReport, confusion, report
 from hsiatl.model import (  # NumericalError is re-exported
     NumericalError,
     PixelWindows,
-    RowDraws,
     SstModel,
     dropout_draws,
     forward_batch,
@@ -100,19 +99,19 @@ def train_model(
     minibatch's windows) on the calling thread, then runs as two fixed
     halves, rows [0, ceil(b/2)) and the rest, on the CPU pool of
     ``map_batches``: each half does forward and backward on its own
-    parameter replica and tape, and the two gradients are added in half
-    order before one optimizer step. The split never depends on the CPU
-    count, so neither does the result. With ``from_block`` above 0,
-    ``features`` are the tokens ``encode_prefix`` gives for that many
-    blocks; only the blocks from ``from_block`` on, the pool and the head
-    run, so the earlier blocks and the embedding are not trained. Raises
-    NumericalError on a non-finite loss (numpy's floating-point warnings
-    are off).
+    parameter replica and tape, with those rows of the batch's dropout
+    masks, and the second half's gradient vector is added to the first's
+    before one optimizer step of the whole parameter vector. The split
+    never depends on the CPU count, so neither does the result. With
+    ``from_block`` above 0, ``features`` are the tokens ``encode_prefix``
+    gives for that many blocks; only the blocks from ``from_block`` on, the
+    pool and the head run, so the earlier blocks and the embedding get no
+    gradient and step by exactly 0. Raises NumericalError on a non-finite
+    loss (numpy's floating-point warnings are off).
     """
     rng = np.random.default_rng(cfg.seed)
-    params = model.parameters()
     model.apply_freeze()
-    optimizer = Adam(params, lr=cfg.lr, decay=cfg.decay)
+    optimizer = Adam(model.vector, lr=cfg.lr, decay=cfg.decay)
     n = len(features)
 
     def step(batch: np.ndarray, epoch: int) -> float:
@@ -121,27 +120,24 @@ def train_model(
         draws = dropout_draws(model.config, batch.size, rng, from_block)
         windows, labels = features[batch], targets[batch]
 
-        def half_step(half: slice, x: np.ndarray) -> tuple[float, dict[str, ad.Tensor]]:
+        def half_step(half: slice, x: np.ndarray) -> tuple[float, np.ndarray]:
             # each half is one contiguous range, so its windows and masks are views
             replica = model.replica()
             with Tape() as tape:
-                probs = forward_batch(
-                    replica, x, training=True, rng=RowDraws(draws, half), from_block=from_block
-                )
+                probs = forward_batch(replica, x, True, (m[half] for m in draws), from_block)
                 # weighted by row share: the halves sum to the batch mean
                 loss = ad.scale(ad.cross_entropy(probs, labels[half]), len(x) / batch.size)
             value = float(loss.data)
             if not np.isfinite(value):
                 raise NumericalError(f"loss became {value} at epoch {epoch}")
             ad.backward(tape, loss)
-            return value, replica.parameters()
+            return value, replica.grad
 
         optimizer.zero_grad()
         halves = map_batches(half_step, windows, (batch.size + 1) // 2)
-        for name, p in params.items():
-            for _, grads in halves:
-                if grads[name].grad is not None:
-                    p.accumulate(grads[name].grad)
+        optimizer.grad = halves[0][1]
+        for _, grad in halves[1:]:
+            optimizer.grad += grad
         optimizer.step()
         return sum(value for value, _ in halves) * batch.size
 

@@ -1,6 +1,8 @@
 """Checkpoint byte-exactness and error paths."""
 
 import hashlib
+import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -61,6 +63,20 @@ class TestRoundTrip:
         digest = hashlib.sha256((tmp_path / "init.sstc").read_bytes()).hexdigest()
         assert digest == "3a4012771ce6efd4684996e450943effb54e535a562428ad5c92d9ea1b8d6f94"
 
+    def test_parameters_listed_in_another_order(self, tmp_path):
+        # the payload follows the header's order, whatever that order is
+        model = sample_model()
+        save_model(model, tmp_path / "model.sstc")
+        raw = (tmp_path / "model.sstc").read_bytes()
+        header = json.loads(raw[8 : 8 + int.from_bytes(raw[4:8], "little")])
+        header["params"].reverse()
+        blob = json.dumps(header).encode("utf-8")
+        payload = b"".join(model.params[e["name"]].data.tobytes() for e in header["params"])
+        path = tmp_path / "reversed.sstc"
+        path.write_bytes(raw[:4] + len(blob).to_bytes(4, "little") + blob + payload)
+        for name, p in load_model(path).parameters().items():
+            assert p.data.tobytes() == model.params[name].data.tobytes(), name
+
     def test_predictions_identical_after_reload(self, tmp_path):
         model = sample_model(seed=3)
         path = tmp_path / "model.sstc"
@@ -86,7 +102,10 @@ class TestErrorPaths:
         save_model(model, path)
         clipped = tmp_path / "clipped.sstc"
         clipped.write_bytes(path.read_bytes()[:-10])
-        with pytest.raises(TruncatedPayloadError):
+        with pytest.raises(TruncatedPayloadError, match="payload ends inside head.b2"):
+            load_model(clipped)
+        clipped.write_bytes(path.read_bytes()[:-40])  # head.b2 holds 32 bytes
+        with pytest.raises(TruncatedPayloadError, match="payload ends inside head.w2"):
             load_model(clipped)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -95,8 +114,22 @@ class TestErrorPaths:
         save_model(model, path)
         fat = tmp_path / "fat.sstc"
         fat.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=": 1 trailing bytes"):
             load_model(fat)
+
+    def test_length_checked_before_the_payload_is_read(self, tmp_path):
+        # 64 MiB of zeros after a valid checkpoint fail on the file's length
+        path = tmp_path / "model.sstc"
+        save_model(sample_model(), path)
+        os.truncate(path, path.stat().st_size + (64 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=f": {64 << 20} trailing bytes"):
+                load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_garbage_header_rejected(self, tmp_path):
         path = tmp_path / "garbage.sstc"

@@ -28,11 +28,11 @@ from conftest import (
 from hsiatl import autodiff as ad
 from hsiatl import model as model_module
 from hsiatl.autodiff import Tape, Tensor
+from hsiatl.checkpoint import load_model, save_model
 from hsiatl.data import DimensionError, HsiCube, extract_windows_batch
 from hsiatl.model import (
     BLOCK_PARAMS,
     PixelWindows,
-    RowDraws,
     SstConfig,
     SstModel,
     attention,
@@ -508,12 +508,15 @@ class TestSublayerNodes:
         weight = rng.normal(size=z_val.shape)
         names = ["z", *BLOCK_PARAMS]
         results = []
-        for fn in (encoder_block, encoder_block_ops):
+        # the op graph draws its masks from the generator as dropout_draws does
+        draws = {encoder_block: lambda: iter(dropout_draws(cfg, 3, np.random.default_rng(27))),
+                 encoder_block_ops: lambda: np.random.default_rng(27)}
+        for fn, draw in draws.items():
             z = Tensor(z_val.copy(), requires_grad="z" not in frozen)
             for name in names[1:]:
                 layer[name].requires_grad = name not in frozen
             tensors = [z] + [layer[name] for name in names[1:]]
-            block = lambda z, *_: fn(z, layer, cfg, True, np.random.default_rng(27))
+            block = lambda z, *_: fn(z, layer, cfg, True, draw())
             results.append(weighted_sum_grads(block, tensors, weight))
         (out, grads, n_records), (out_ops, grads_ops, _) = results
         assert n_records == 4  # two sublayer nodes, two LayerNorms
@@ -534,7 +537,8 @@ class TestSublayerNodes:
         z_val = rng.normal(size=(3, cfg.n_tokens, cfg.d_model))
         weight = rng.normal(size=z_val.shape)
         draw = lambda: np.random.default_rng(34)
-        keep = model_module._keep_mask(z_val.shape, cfg, training, draw())
+        keep = model_module._keep_mask(z_val.shape, cfg, training,
+                                       iter(dropout_draws(cfg, 3, draw())))
         runs = (lambda z: node(z, layer, cfg, keep),
                 lambda z: ops(z, layer, cfg, training, draw()))
         results = []
@@ -657,18 +661,22 @@ class TestSublayerNodes:
         assert share.tobytes() == expected.tobytes()
         assert z.grad.tobytes() == upstream.tobytes()
 
-    def test_row_draws_replay_views_of_the_batch_masks(self):
+    def test_keep_masks_are_row_views_taken_in_order(self):
         cfg = tiny_config(dropout=0.2)
         masks = dropout_draws(cfg, 5, np.random.default_rng(36))
         shape = (2, cfg.n_tokens, cfg.d_model)
-        draws = RowDraws(masks, slice(3, 5))
+        rows = (mask[3:5] for mask in masks)
+        assert model_module._keep_mask(shape, cfg, False, rows) is None
         for mask in masks:
-            part = draws.keep_mask(shape)
+            part = model_module._keep_mask(shape, cfg, True, rows)
             assert part.base is mask and np.array_equal(part, mask[3:5])
-        with pytest.raises(RuntimeError, match="no pre-drawn dropout mask"):
-            draws.keep_mask(shape)
-        with pytest.raises(RuntimeError, match="no pre-drawn dropout mask"):
-            RowDraws(masks, slice(0, 3)).keep_mask(shape)
+        # used up, absent, or of other rows: training with dropout raises
+        for wrong in (rows, None, (mask[0:3] for mask in masks)):
+            with pytest.raises(ValueError, match="needs a keep mask of shape"):
+                model_module._keep_mask(shape, cfg, True, wrong)
+        feats = np.zeros((2, cfg.n_tokens, cfg.token_dim))
+        with pytest.raises(ValueError, match="needs a keep mask"):
+            forward_batch(init_model(cfg), feats, training=True)
 
 
 class TestPoolAndHead:
@@ -837,6 +845,46 @@ class TestHeadReset:
         np.testing.assert_array_equal(model.params["head.w1"].data, w1_before)
         probs = forward(model, np.zeros((4, 4, 3)))
         assert probs.shape == (5,)
+
+
+class TestParameterVector:
+    """Every tensor of a model is a view of the model's one vector."""
+
+    @staticmethod
+    def assert_views(model: SstModel) -> None:
+        arrays = [t.data for t in model.params.values()]
+        assert all(np.shares_memory(data, model.vector) for data in arrays)
+        assert sum(data.size for data in arrays) == model.vector.size == model.config.n_parameters
+        assert np.concatenate([data.ravel() for data in arrays]).tobytes() == model.vector.tobytes()
+
+    def test_every_way_to_make_a_model_gives_views(self, tmp_path):
+        model = init_model(tiny_config(n_layers=2), seed=3)
+        self.assert_views(model)
+        save_model(model, tmp_path / "model.sstc")
+        self.assert_views(load_model(tmp_path / "model.sstc"))
+        self.assert_views(model_module._prefix(model, 1))
+
+        replica = model.replica()
+        self.assert_views(replica)
+        assert replica.vector is model.vector
+        assert all(np.shares_memory(t.grad, replica.grad) for t in replica.params.values())
+        assert not replica.grad.any() and not np.shares_memory(replica.grad, model.vector)
+
+        copied = copy.deepcopy(model)
+        self.assert_views(copied)
+        assert copied.vector.tobytes() == model.vector.tobytes()
+        assert not np.shares_memory(copied.vector, model.vector)
+        assert copied.freeze == model.freeze and copied.freeze is not model.freeze
+
+        before = model.vector
+        reset_head(model, 5, seed=1)
+        self.assert_views(model)
+        assert not np.shares_memory(model.vector, before)
+
+    def test_a_vector_of_another_size_is_rejected(self):
+        cfg = tiny_config()
+        with pytest.raises(ValueError, match=f"{cfg.n_parameters} parameters cannot view"):
+            SstModel(cfg, np.zeros(cfg.n_parameters + 1))
 
 
 class TestParallelEvaluation:
@@ -1141,8 +1189,7 @@ class TestEncodeFromBlock:
     def test_tokens_fill_one_array_without_a_second_copy(self, monkeypatch, cpus):
         model, feats = TestParallelEvaluation.problem(n=2048)
         TestParallelEvaluation.force_cpus(monkeypatch, cpus)
-        prefix = dataclasses.replace(
-            model, config=dataclasses.replace(model.config, n_layers=1))
+        prefix = model_module._prefix(model, 1)
         tracemalloc.start()
         try:
             encode(prefix, feats[:64])

@@ -1,6 +1,7 @@
 """Training-loop determinism, freeze behavior, failure modes, and the
 active-learning driver's bookkeeping."""
 
+import copy
 import dataclasses
 import gc
 import sys
@@ -14,9 +15,19 @@ import pytest
 from hsiatl import autodiff as ad
 from hsiatl import model as model_module
 from hsiatl import training as training_module
-from hsiatl.autodiff import Tape, Tensor
+from hsiatl.autodiff import Tape
 from hsiatl.data import DimensionError, LabelMap, extract_windows_batch, make_split, synth_cube
-from hsiatl.model import SstConfig, encode_prefix, forward_batch, init_model, unfold
+from hsiatl.model import (
+    SstConfig,
+    _views,
+    dropout_draws,
+    encode_prefix,
+    forward_batch,
+    init_model,
+    param_spec,
+    unfold,
+)
+from hsiatl.optim import Adam
 from hsiatl.queries import QueryConfig
 from hsiatl.training import (
     NumericalError,
@@ -187,27 +198,36 @@ class TestTwoHalfStep:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("dropout", [0.1, 0.0])
-    def test_first_step_matches_one_whole_batch_pass(self, dropout):
+    def test_first_step_matches_one_whole_batch_pass(self, monkeypatch, dropout):
         _, _, cfg, _, bank = small_problem()
         cfg = dataclasses.replace(cfg, dropout=dropout)
         feats, targets = bank.take(bank.pixels[:24])
-        serial = init_model(cfg, seed=5)
+        serial = init_model(cfg, seed=5).replica()
         rng = np.random.default_rng(9)
         batch = rng.permutation(24)
+        masks = iter(dropout_draws(cfg, 24, rng))
         with Tape() as tape:
-            probs = forward_batch(serial, feats[batch], training=True, rng=rng)
+            probs = forward_batch(serial, feats[batch], True, masks)
             loss = ad.cross_entropy(probs, targets[batch])
         ad.backward(tape, loss)
 
+        # the one step reads the summed gradient of the two halves
+        stepped, step = [], Adam.step
+
+        def spy(opt):
+            stepped.append(opt.grad.copy())
+            step(opt)
+
+        monkeypatch.setattr(Adam, "step", spy)
         halved = init_model(cfg, seed=5)
         history = train_model(
             halved, feats, targets, TrainConfig(epochs=1, batch_size=24, seed=9)
         )
         assert history[0] == pytest.approx(float(loss.data), rel=1e-15, abs=0.0)
-        # after its one step, grad holds the summed gradient of the two halves
-        for name, p in halved.parameters().items():
-            reference = serial.parameters()[name].grad
-            assert np.abs(p.grad - reference).max() <= 1e-12 * np.abs(reference).max(), name
+        assert len(stepped) == 1
+        for name, grad in _views(stepped[0], param_spec(cfg)):
+            reference = serial.params[name].grad
+            assert np.abs(grad - reference).max() <= 1e-12 * np.abs(reference).max(), name
 
     def test_final_batch_of_one_row(self):
         _, _, _, model, bank = small_problem()
@@ -239,6 +259,22 @@ class TestTwoHalfStep:
             assert moved == (model.group_of(name) not in ("embed", "enc0")), name
         assert run()[0] == history
 
+    def test_from_block_keeps_the_bytes_of_trainable_earlier_entries(self):
+        # the embedding and block 0 stay trainable but no loss reaches them:
+        # zero gradient and moments, so their entries step by exactly 0
+        _, _, cfg, _, bank = small_problem()
+        cfg = dataclasses.replace(cfg, n_layers=2)
+        feats, targets = bank.take(bank.pixels[:30])
+        model = init_model(cfg, seed=4)
+        tokens = encode_prefix(model, feats, 1)
+        before = {n: p.data.tobytes() for n, p in model.parameters().items()}
+        train_model(model, tokens, targets, TrainConfig(epochs=2, batch_size=8, seed=1),
+                    from_block=1)
+        for name, p in model.parameters().items():
+            assert p.requires_grad, name
+            kept = p.data.tobytes() == before[name]
+            assert kept == (model.group_of(name) in ("embed", "enc0")), name
+
     def test_nonfinite_loss_in_worker_raises_numerical_error(self, monkeypatch):
         # the calling thread runs the first half and stays finite; only the
         # pool thread's half overflows, and numpy does not warn about it
@@ -248,8 +284,8 @@ class TestTwoHalfStep:
         def spy(model, *args, **kwargs):
             threads.append(threading.current_thread())
             if threading.current_thread() is not threading.main_thread():
-                huge = Tensor(np.full(model.params["embed.weight"].shape, 1e308))
-                model = dataclasses.replace(model, params={**model.params, "embed.weight": huge})
+                model = copy.deepcopy(model)
+                model.params["embed.weight"].data[...] = 1e308
             return forward_batch(model, *args, **kwargs)
 
         monkeypatch.setattr(training_module, "forward_batch", spy)
