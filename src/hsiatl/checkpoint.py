@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hsiatl.data import BadMagicError, FormatError, TruncatedPayloadError
+from hsiatl.data import BadMagicError, FormatError, TruncatedPayloadError, type_mismatch
 from hsiatl.model import SstConfig, SstModel, _views, param_spec
 
 CHECKPOINT_MAGIC = b"SSTC"
@@ -131,22 +131,6 @@ def _header(path, blob: bytes) -> tuple[SstConfig, dict, dict[str, tuple[int, ..
             f"got {sorted(freeze)}"
         )
     return config, dict(freeze), listed
-
-
-def type_mismatch(hint, value) -> str | None:
-    """What a field annotated ``hint`` expects, as text, when the JSON value
-    ``value`` does not fit it, else None: a bool is not an int, an int fits
-    a float, null fits only an optional field, and a fixed-length tuple is a
-    list of as many fitting values."""
-    kinds = typing.get_args(hint) or (hint,)
-    if typing.get_origin(hint) is tuple:
-        fits = isinstance(value, list) and len(value) == len(kinds)
-        fits = fits and not any(map(type_mismatch, kinds, value))
-        return None if fits else "[" + ", ".join(k.__name__ for k in kinds) + "]"
-    numbers = kinds + (int,) if float in kinds else kinds
-    if isinstance(value, bool) == (bool in kinds) and isinstance(value, numbers):
-        return None
-    return " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
 
 
 def _config(path, raw) -> SstConfig:

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hsiatl.checkpoint import load_model, save_model, type_mismatch
+from hsiatl.checkpoint import load_model, save_model
 from hsiatl.data import (
     DimensionError,
     FormatError,
@@ -47,11 +47,12 @@ from hsiatl.data import (
     save_labels,
     save_manifest,
     synth_cube,
+    type_mismatch,
     validate_split,
 )
 from hsiatl.metrics import MetricsReport
 from hsiatl.model import SstConfig, SstModel, init_model
-from hsiatl.queries import STRATEGIES, QueryConfig
+from hsiatl.queries import STRATEGIES, QueryConfig, check_neighborhood
 from hsiatl.training import (
     NumericalError,
     TrainConfig,
@@ -271,10 +272,18 @@ def _resolve_manifest(
         manifest = load_manifest(path)
         validate_split(manifest, labels, path)
         return manifest
-    manifest = make_split(labels, run.ratios, run.seed)
+    manifest = _split(labels, run.ratios, run.seed)
     save_manifest(manifest, path)
     print(f"manifest {path} train {manifest.train.size} "
           f"pool {manifest.pool.size} test {manifest.test.size}")
+    return manifest
+
+
+def _split(labels: LabelMap, ratios: tuple[float, float, float], seed: int) -> SplitManifest:
+    """``make_split``, rejecting ratios that leave no pixel to test on."""
+    manifest = make_split(labels, ratios, seed)
+    if manifest.test.size == 0:
+        raise UsageError(f"ratios {json.dumps(list(ratios))} leave no test pixel")
     return manifest
 
 
@@ -351,6 +360,7 @@ def cmd_al(args: argparse.Namespace, run: RunConfig) -> int:
     if run.rounds < 0:
         raise UsageError(f"rounds must be >= 0, got {run.rounds}")
     bank = WindowBank(cube, labels, run.window, run.subpatch)
+    check_neighborhood(cube, run.n_neighborhood)
     manifest = _resolve_manifest(args, run, labels)
     model = init_model(model_cfg, seed=run.seed)
     records = run_active_learning(
@@ -443,15 +453,17 @@ ABLATION_ARMS = (
 def cmd_ablate(args: argparse.Namespace, run: RunConfig) -> int:
     cube, labels = _load_dataset(args)
     bank = WindowBank(cube, labels, run.window, run.subpatch)
+    check_neighborhood(cube, run.n_neighborhood)
     want_transfer = bool(args.target_cube or args.target_labels)
     if want_transfer:
         _require(args, "target_cube", "target_labels")
         target_cube, target_labels = _load_pair(args.target_cube, args.target_labels)
+        mmd_cfg = run.build(MmdConfig)
     rows_out: list[dict] = []
     budget = run.rounds * run.query_size
     model_cfg = run.build(SstConfig, bands=cube.bands, n_classes=labels.n_classes)
-    for seed in args.seeds:
-        manifest = make_split(labels, run.ratios, seed)
+    manifests = [_split(labels, run.ratios, seed) for seed in args.seeds]
+    for seed, manifest in zip(args.seeds, manifests):
         train_cfg = run.build(TrainConfig, seed=seed)
         for label, strategy in ABLATION_ARMS:
             calibration = 0.0 if label == "lambda0" else run.calibration
@@ -479,7 +491,7 @@ def cmd_ablate(args: argparse.Namespace, run: RunConfig) -> int:
             for label, rho in (("freezing", run.rho), ("no_freezing", 0.0)):
                 _, report = run_transfer(
                     copy.deepcopy(source), cube, labels, target_cube, target_labels,
-                    rho=rho, mmd_cfg=run.build(MmdConfig), train_cfg=train_cfg,
+                    rho=rho, mmd_cfg=mmd_cfg, train_cfg=train_cfg,
                     target_fraction=run.target_fraction, seed=seed,
                 )
                 fine = report["fine_tuned"]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -289,7 +290,8 @@ def validate_split(manifest: SplitManifest, labels: LabelMap, path="manifest") -
     """Check a manifest covers exactly the labeled pixels, one+ train/class.
 
     A SplitError names ``path`` and the lowest stray pixel index (labeled but
-    not listed, or the reverse) or the first class with no train pixel.
+    not listed, or the reverse), an empty test set, or the first class with
+    no train pixel.
     """
     labeled = labels.labeled_indices()
     stray = np.setxor1d(np.concatenate([manifest.train, manifest.pool, manifest.test]), labeled)
@@ -297,6 +299,8 @@ def validate_split(manifest: SplitManifest, labels: LabelMap, path="manifest") -
         kind = "labeled but not listed" if stray[0] in labeled else "listed but not labeled"
         raise SplitError(f"{path}: manifest does not partition the labeled pixels: "
                          f"pixel {stray[0]} is {kind}")
+    if manifest.test.size == 0:
+        raise SplitError(f"{path}: the manifest lists no test pixel")
     classes = np.arange(1, labels.n_classes + 1)
     untrained = np.setdiff1d(classes, labels.labels.ravel()[manifest.train])
     if untrained.size:
@@ -315,18 +319,43 @@ def save_manifest(manifest: SplitManifest, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
+# the manifest's fields and the JSON type of each (see ``type_mismatch``)
+_MANIFEST_FIELDS = {"seed": int, "ratios": tuple[float, float, float],
+                    "train": list[int], "pool": list[int], "test": list[int]}
+
+
 def load_manifest(path: str | Path) -> SplitManifest:
     try:
         doc = json.loads(Path(path).read_text())
-        return SplitManifest(
-            seed=int(doc["seed"]),
-            ratios=tuple(doc["ratios"]),
-            train=np.asarray(doc["train"], dtype=np.int64),
-            pool=np.asarray(doc["pool"], dtype=np.int64),
-            test=np.asarray(doc["test"], dtype=np.int64),
-        )
-    except (ValueError, KeyError, TypeError) as exc:  # includes JSONDecodeError
+        for key, hint in _MANIFEST_FIELDS.items():
+            expected = type_mismatch(hint, doc[key])
+            if expected is not None:
+                raise FormatError(f"{path}: manifest field {key!r} must be {expected}")
+        return SplitManifest(**{key: doc[key] for key in _MANIFEST_FIELDS})
+    # ValueError includes JSONDecodeError; OverflowError is an index past int64
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"{path}: not a valid split manifest: {exc}") from exc
+
+
+def type_mismatch(hint, value) -> str | None:
+    """What a field annotated ``hint`` expects, as text, when the JSON value
+    ``value`` does not fit it, else None: a bool is not an int, an int fits
+    a float, null fits only an optional field, a fixed-length tuple is a
+    list of as many fitting values, and a list is a list of fitting values."""
+    kinds = typing.get_args(hint) or (hint,)
+    if typing.get_origin(hint) is list:
+        # one check per distinct element type, not per element
+        fits = isinstance(value, list) and not any(
+            type_mismatch(kinds[0], v) for v in {type(v): v for v in value}.values())
+        return None if fits else f"[{kinds[0].__name__}, ...]"
+    if typing.get_origin(hint) is tuple:
+        fits = isinstance(value, list) and len(value) == len(kinds)
+        fits = fits and not any(map(type_mismatch, kinds, value))
+        return None if fits else "[" + ", ".join(k.__name__ for k in kinds) + "]"
+    numbers = kinds + (int,) if float in kinds else kinds
+    if isinstance(value, bool) == (bool in kinds) and isinstance(value, numbers):
+        return None
+    return " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
 
 
 def class_prototypes(n_classes: int, bands: int, shift: float = 0.0) -> np.ndarray:

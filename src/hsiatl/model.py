@@ -565,11 +565,13 @@ def cross_attention_pool(z: Tensor, model: SstModel) -> Tensor:
 
 
 def classify(pooled: Tensor, model: SstModel) -> Tensor:
-    """Two-layer softmax head: [B, d_model] -> probabilities [B, C]."""
+    """Two-layer softmax head: [B, d_model] -> probabilities [B, C]. Its products
+    run on [B, 1, d], one per row, so a row's bits do not depend on B."""
     p = model.params
-    hidden = ad.relu(ad.add(ad.matmul(pooled, p["head.w1"]), p["head.b1"]))
+    rows = ad.reshape(pooled, (pooled.shape[0], 1, -1))
+    hidden = ad.relu(ad.add(ad.matmul(rows, p["head.w1"]), p["head.b1"]))
     logits = ad.add(ad.matmul(hidden, p["head.w2"]), p["head.b2"])
-    return ad.softmax(logits, axis=-1)
+    return ad.softmax(ad.reshape(logits, (pooled.shape[0], logits.shape[-1])), axis=-1)
 
 
 def encode(
@@ -732,12 +734,9 @@ def predict_probs(
     prefix = _prefix(group[0], from_block) if from_block else None
 
     def write(rows: slice, batch: np.ndarray) -> None:
-        # the head's one-row matrix products take other BLAS kernels, whose
-        # last bits differ: a lone row runs as a duplicated pair
-        runs = np.repeat(batch, 2, axis=0) if len(batch) == 1 else batch
-        tokens = runs if prefix is None else encode(prefix, runs)
+        tokens = batch if prefix is None else encode(prefix, batch)
         for model, out in zip(group, outs):
-            out[rows] = forward_batch(model, tokens, from_block=from_block).data[: len(batch)]
+            out[rows] = forward_batch(model, tokens, from_block=from_block).data
 
     with np.errstate(all="ignore"):
         map_batches(write, features, batch_size)

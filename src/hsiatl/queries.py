@@ -87,6 +87,15 @@ def margin_scores(probs: np.ndarray) -> np.ndarray:
     return -(part[:, -1] - part[:, -2])
 
 
+def check_neighborhood(cube: HsiCube, n: int) -> None:
+    """Reject a neighbourhood width that is even, below 1 or wider than the
+    cube's smaller side."""
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"n_neighborhood must be odd and >= 1, got {n}")
+    if n > min(cube.rows, cube.cols):
+        raise ValueError(f"n_neighborhood {n} exceeds cube extent {(cube.rows, cube.cols)}")
+
+
 def neighborhood_diversity_batch(cube: HsiCube, pixels: np.ndarray, n: int) -> np.ndarray:
     """Mean pairwise Euclidean distance among the n*n spectra around each
     flattened pixel index, mirror-padded at the borders (``HsiCube.padded``).
@@ -95,8 +104,7 @@ def neighborhood_diversity_batch(cube: HsiCube, pixels: np.ndarray, n: int) -> n
     divides by m * (m - 1). n = 1 gives 0 by definition; so does any window
     of identical spectra.
     """
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"n must be odd and >= 1, got {n}")
+    check_neighborhood(cube, n)
     rows, cols, bands = cube.data.shape
     pixels = np.asarray(pixels, dtype=np.int64)
     if pixels.size and not 0 <= pixels.min() <= pixels.max() < rows * cols:

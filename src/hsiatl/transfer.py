@@ -45,10 +45,19 @@ class MmdConfig:
     def __post_init__(self):
         if self.kernel not in ("rbf", "linear"):
             raise ValueError(f"kernel must be rbf or linear, got {self.kernel!r}")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        bandwidth = self.bandwidth
+        if bandwidth is not None and not (bandwidth > 0 and math.isfinite(_rbf_scale(bandwidth))):
+            raise ValueError(f"bandwidth must be positive with a finite kernel scale "
+                             f"-1/(2 bandwidth^2), got {bandwidth!r}")
         if self.sample_count < 2:
             raise ValueError("sample_count must be >= 2")
+
+
+def _rbf_scale(sigma: float) -> float:
+    """The RBF kernel's exponent scale -1 / (2 sigma^2); -inf where 2 sigma^2
+    rounds to 0."""
+    var = 2.0 * sigma * sigma
+    return -1.0 / var if var else -math.inf
 
 
 @dataclass
@@ -87,8 +96,8 @@ def _row_ranges(n: int) -> list[tuple[int, int]]:
     """[start, end) ranges of at most _RANGE_ROWS rows that cover 0..n.
 
     A trailing lone row joins the range before it: a one-row product takes
-    a different BLAS kernel (see ``model.predict_probs``), whose last
-    bits differ from the multi-row one the whole block uses.
+    a different BLAS kernel, whose last bits differ from the multi-row one
+    the whole block uses.
     """
     starts = list(range(0, n, _RANGE_ROWS))
     if len(starts) > 1 and n - starts[-1] == 1:
@@ -204,7 +213,7 @@ def mmd(x: np.ndarray, y: np.ndarray, cfg: MmdConfig | None = None) -> float:
         raise ValueError("unbiased estimator needs at least 2 rows per sample")
     if cfg.kernel == "rbf":
         sigma = cfg.bandwidth if cfg.bandwidth is not None else median_bandwidth(x, y)
-        scale = -1.0 / (2.0 * sigma * sigma)
+        scale = _rbf_scale(sigma)
 
     def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if cfg.kernel == "linear":

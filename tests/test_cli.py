@@ -245,14 +245,16 @@ class TestConfigResolution:
         assert not manifest.exists()
 
     def test_setting_a_subcommand_ignores_is_left_alone(self, workdir, tmp_path):
-        # transfer takes the model's settings from its source checkpoint
+        # transfer takes the model's settings from its source checkpoint, and
+        # queries no pixel
         cfg = json.loads((workdir / "cfg.json").read_text())
-        (tmp_path / "cfg.json").write_text(json.dumps({**cfg, "window": 7}))
-        code = run(["transfer", "--config", tmp_path / "cfg.json",
-                    "--cube", workdir / "a.hsic", "--labels", workdir / "a.hsil",
-                    "--source-ckpt", workdir / "a.sstc", "--target-cube", workdir / "a.hsic",
-                    "--target-labels", workdir / "a.hsil"])
-        assert code == 0
+        for key, value in (("window", 7), ("n_neighborhood", 1000001)):
+            (tmp_path / "cfg.json").write_text(json.dumps({**cfg, key: value}))
+            code = run(["transfer", "--config", tmp_path / "cfg.json",
+                        "--cube", workdir / "a.hsic", "--labels", workdir / "a.hsil",
+                        "--source-ckpt", workdir / "a.sstc", "--target-cube", workdir / "a.hsic",
+                        "--target-labels", workdir / "a.hsil"])
+            assert code == 0, key
 
     @pytest.mark.parametrize("source", ["file", "flag"])
     @pytest.mark.parametrize("command", ["synth", "train", "al", "transfer"])
@@ -863,6 +865,89 @@ class TestIncompatibleData:
         err = capsys.readouterr().err
         assert code == 2, err
         assert "checkpoint window 65536 exceeds cube extent (48, 48)" in err
+
+    def test_manifest_with_no_test_pixel_in_eval(self, workdir, tmp_path):
+        # scored nothing and ended in "error: confusion matrix is empty", exit 1
+        def move_test_to_pool(doc):
+            doc["pool"] += doc.pop("test")
+            doc["test"] = []
+
+        err = self.eval_manifest(workdir, tmp_path, move_test_to_pool)
+        assert "edited.json: the manifest lists no test pixel" in err
+
+    def test_manifest_with_no_test_pixel_in_train(self, workdir, tmp_path):
+        # trained, then ended in "error: confusion matrix is empty", exit 1
+        doc = json.loads((workdir / "a.split.json").read_text())
+        doc["pool"] += doc.pop("test")
+        (tmp_path / "notest.json").write_text(json.dumps({**doc, "test": []}))
+        done = run_process(["train", "--config", workdir / "cfg.json",
+                            "--cube", workdir / "a.hsic", "--labels", workdir / "a.hsil",
+                            "--manifest", tmp_path / "notest.json",
+                            "--checkpoint", tmp_path / "model.sstc"])
+        assert_one_line(done, 2, "data error: ")
+        assert "notest.json: the manifest lists no test pixel" in done.stderr
+        assert not (tmp_path / "model.sstc").exists()
+
+    @pytest.mark.parametrize("field, value, expected", [
+        ("seed", 1.5, "'seed' must be int"),
+        ("seed", True, "'seed' must be int"),
+        ("ratios", [0.5, 0.5], "'ratios' must be [float, float, float]"),
+        ("train", lambda pixels: [pixels[0] + 0.5, *pixels[1:]], "'train' must be [int, ...]"),
+        ("pool", lambda pixels: [float(pixels[0]), *pixels[1:]], "'pool' must be [int, ...]"),
+        ("test", lambda pixels: [str(pixels[0]), *pixels[1:]], "'test' must be [int, ...]"),
+    ], ids=["seed-float", "seed-bool", "ratios-two", "train-fraction", "pool-float",
+            "test-string"])
+    def test_manifest_field_of_wrong_json_type(self, workdir, tmp_path, capsys,
+                                               field, value, expected):
+        # each was read as another value, and eval scored with it (exit 0)
+        doc = json.loads((workdir / "a.split.json").read_text())
+        doc[field] = value(doc[field]) if callable(value) else value
+        (tmp_path / "typed.json").write_text(json.dumps(doc))
+        err = self.eval_data(workdir, capsys, manifest=tmp_path / "typed.json")
+        assert f"typed.json: manifest field {expected}" in err
+
+
+class TestCheckedBeforeAnyFile:
+    """A split with nothing to test on, or a setting that used to reach numpy
+    unchecked, ends in one line and exit 1 before any file is written or any
+    model is trained, in a fresh process."""
+
+    def run_with(self, workdir, tmp_path, command, **fields):
+        config = json.loads((workdir / "cfg.json").read_text())
+        (tmp_path / "cfg.json").write_text(json.dumps({**config, **fields}))
+        argv = [command, "--config", tmp_path / "cfg.json",
+                "--cube", workdir / "a.hsic", "--labels", workdir / "a.hsil",
+                "--out", tmp_path / "out"]
+        if command == "ablate":
+            argv += ["--seeds", "0"]
+        elif command == "transfer":
+            argv += ["--source-ckpt", workdir / "a.sstc", "--target-cube", workdir / "a.hsic",
+                     "--target-labels", workdir / "a.hsil", "--checkpoint", tmp_path / "t.sstc"]
+        else:
+            argv += ["--manifest", tmp_path / "split.json", "--checkpoint", tmp_path / "m.sstc"]
+        done = run_process(argv)
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+        return done
+
+    @pytest.mark.parametrize("command", ["train", "al", "ablate"])
+    def test_ratios_that_leave_no_test_pixel(self, workdir, tmp_path, command):
+        # trained every model, then ended in "error: confusion matrix is empty"
+        done = self.run_with(workdir, tmp_path, command, ratios=[1, 0, 0])
+        assert_one_line(done, 1, "error: ratios [1, 0, 0] leave no test pixel")
+
+    @pytest.mark.parametrize("command", ["al", "ablate"])
+    @pytest.mark.parametrize("width", [1000001, 1000000000001])
+    def test_neighborhood_wider_than_the_cube(self, workdir, tmp_path, command, width):
+        # numpy's _ArrayMemoryError traceback, or "array is too big", after training
+        done = self.run_with(workdir, tmp_path, command, n_neighborhood=width)
+        assert_one_line(done, 1, f"error: n_neighborhood {width} exceeds cube extent (20, 20)")
+
+    @pytest.mark.parametrize("bandwidth", [1e-300, 1e-160])
+    def test_bandwidth_without_a_finite_kernel_scale(self, workdir, tmp_path, bandwidth):
+        # a ZeroDivisionError traceback, or exit 0 with a per-layer MMD of NaN
+        done = self.run_with(workdir, tmp_path, "transfer", bandwidth=bandwidth)
+        assert_one_line(done, 1, "error: bandwidth must be positive with a finite kernel scale")
+        assert f"got {bandwidth!r}" in done.stderr
 
 
 class TestAllocatorThresholds:

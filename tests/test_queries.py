@@ -144,18 +144,27 @@ class TestNeighborhoodDiversity:
             neighborhood_diversity_batch(cube, np.array([3, 20]), 3)
 
     def test_batch_byte_equal_to_per_pixel_oracle(self):
-        # every pixel of cubes down to 1x1, neighborhoods wider than the cube
+        # every pixel of cubes down to 1x1, neighborhoods up to the cube's smaller side
         rng = np.random.default_rng(12)
         for rows in range(1, 8):
             for cols in range(1, 8):
                 cube = HsiCube(rng.normal(size=(rows, cols, 3)))
                 pixels = np.arange(rows * cols)
                 for n in (1, 3, 5, 7):
+                    if n > min(rows, cols):
+                        continue
                     got = neighborhood_diversity_batch(cube, pixels, n)
                     expected = np.array(
                         [diversity_oracle(cube, divmod(int(p), cols), n) for p in pixels]
                     )
                     assert got.tobytes() == expected.tobytes(), (rows, cols, n)
+
+    @pytest.mark.parametrize("n", [5, 1000001])
+    def test_neighborhood_wider_than_the_cube_rejected(self, n):
+        # 1000001 asked numpy for a 43.7 TiB difference array
+        cube = HsiCube(np.ones((4, 6, 2)))
+        with pytest.raises(ValueError, match=rf"n_neighborhood {n} exceeds cube extent \(4, 6\)"):
+            neighborhood_diversity_batch(cube, np.array([0, 5]), n)
 
     def test_batch_of_no_pixels(self):
         cube = HsiCube(np.ones((4, 4, 2)))
