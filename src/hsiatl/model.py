@@ -116,6 +116,16 @@ class SstConfig:
         block = 4 * d * d + 2 * d * f + f + 5 * d
         return (self.token_dim + 3 * d + 2 + c) * d + c + self.n_layers * block
 
+    def tail_start(self, from_block: int) -> int:
+        """Where the parameters that train from block ``from_block`` on begin
+        in ``param_spec`` order: after the embedding and blocks 0..from_block-1,
+        or at 0 for block 0, since the embedding trains with it."""
+        if from_block == 0:
+            return 0
+        head = ("embed.", *(f"enc{i}." for i in range(from_block)))
+        return sum(math.prod(shape) for name, shape in param_spec(self).items()
+                   if name.startswith(head))
+
 
 class NumericalError(RuntimeError):
     """A training loss or the model's probabilities became non-finite."""
@@ -165,8 +175,8 @@ class SstModel:
         spec = param_spec(self.config)
         self.params = {name: Tensor._result(data) for name, data in _views(self.vector, spec)}
         if self.grad is not None:
-            for tensor, (_, grad) in zip(self.params.values(), _views(self.grad, spec)):
-                tensor.grad = grad
+            for name, grad in _views(self.grad, spec, self.vector.size - self.grad.size):
+                self.params[name].grad = grad
         self.apply_freeze()
 
     def __deepcopy__(self, memo) -> "SstModel":
@@ -180,10 +190,12 @@ class SstModel:
         """Encoder block i's tensors by short name (see ``BLOCK_PARAMS``)."""
         return {name: self.params[f"enc{i}.{name}"] for name in BLOCK_PARAMS}
 
-    def replica(self) -> "SstModel":
+    def replica(self, start: int = 0) -> "SstModel":
         """The same model over the same vector, with new tensors whose
-        gradients accumulate apart, into a zeroed ``grad`` vector of its own."""
-        return dataclasses.replace(self, grad=np.zeros_like(self.vector))
+        gradients accumulate apart, into a zeroed ``grad`` vector of its own
+        over ``vector[start:]`` (see ``SstConfig.tail_start``); the tensors
+        before ``start`` have no gradient."""
+        return dataclasses.replace(self, grad=np.zeros(self.vector.size - start))
 
     def group_of(self, param_name: str) -> str:
         prefix = param_name.split(".", 1)[0]
@@ -194,14 +206,20 @@ class SstModel:
             tensor.requires_grad = not self.freeze[self.group_of(name)]
 
 
-def _views(vector: np.ndarray, spec: dict[str, tuple[int, ...]]) -> list:
+def _views(vector: np.ndarray, spec: dict[str, tuple[int, ...]], start: int = 0) -> list:
     """(name, view) for consecutive stretches of ``vector`` with the shapes
-    of ``spec``, in its order; raises ValueError unless they cover it."""
+    of ``spec``, in its order, leaving out the tensors in the first ``start``
+    entries of ``spec``; raises ValueError unless they cover ``vector`` and
+    ``start`` falls between two tensors."""
     sizes = [math.prod(shape) for shape in spec.values()]
-    if vector.shape != (sum(sizes),):
-        raise ValueError(f"{sum(sizes)} parameters cannot view an array of shape {vector.shape}")
-    return [(name, vector[end - size : end].reshape(shape))
-            for (name, shape), size, end in zip(spec.items(), sizes, itertools.accumulate(sizes))]
+    ends = list(itertools.accumulate(sizes))
+    if start not in (0, *ends):
+        raise ValueError(f"entry {start} does not begin a parameter tensor")
+    if vector.shape != (sum(sizes) - start,):
+        raise ValueError(
+            f"{sum(sizes) - start} parameters cannot view an array of shape {vector.shape}")
+    return [(name, vector[end - size - start : end - start].reshape(shape))
+            for (name, shape), size, end in zip(spec.items(), sizes, ends) if end > start]
 
 
 def positional_encoding(n_positions: int, d_model: int) -> np.ndarray:

@@ -96,13 +96,20 @@ def check_neighborhood(cube: HsiCube, n: int) -> None:
         raise ValueError(f"n_neighborhood {n} exceeds cube extent {(cube.rows, cube.cols)}")
 
 
+# the most values one block of a pixel's pairwise spectral differences holds
+DIVERSITY_BLOCK = 65_536
+
+
 def neighborhood_diversity_batch(cube: HsiCube, pixels: np.ndarray, n: int) -> np.ndarray:
     """Mean pairwise Euclidean distance among the n*n spectra around each
     flattened pixel index, mirror-padded at the borders (``HsiCube.padded``).
 
     Averages over all ordered pairs j != k, so a window of m = n*n spectra
     divides by m * (m - 1). n = 1 gives 0 by definition; so does any window
-    of identical spectra.
+    of identical spectra. Each pixel's [m, m] distance matrix is filled a
+    block of rows at a time, from a difference array of at most
+    ``DIVERSITY_BLOCK`` values (or one row of m * bands, where that is
+    more), so no pass holds all m * m * bands differences at once.
     """
     check_neighborhood(cube, n)
     rows, cols, bands = cube.data.shape
@@ -114,11 +121,15 @@ def neighborhood_diversity_batch(cube: HsiCube, pixels: np.ndarray, n: int) -> n
         return out
     padded = cube.padded(n // 2)
     m = n * n
+    step = max(1, DIVERSITY_BLOCK // (m * bands))
+    distances = np.empty((m, m))
     for i, flat in enumerate(pixels):
         r, c = divmod(int(flat), cols)
         spectra = padded[r : r + n, c : c + n].reshape(m, bands)
-        diff = spectra[:, None, :] - spectra[None, :, :]
-        out[i] = np.sqrt((diff * diff).sum(axis=-1)).sum() / (m * (m - 1))
+        for j in range(0, m, step):
+            diff = spectra[j : j + step, None, :] - spectra[None, :, :]
+            np.sqrt((diff * diff).sum(axis=-1), out=distances[j : j + step])
+        out[i] = distances.sum() / (m * (m - 1))
     return out
 
 

@@ -101,17 +101,23 @@ def train_model(
     ``map_batches``: each half does forward and backward on its own
     parameter replica and tape, with those rows of the batch's dropout
     masks, and the second half's gradient vector is added to the first's
-    before one optimizer step of the whole parameter vector. The split
-    never depends on the CPU count, so neither does the result. With
-    ``from_block`` above 0, ``features`` are the tokens ``encode_prefix``
-    gives for that many blocks; only the blocks from ``from_block`` on, the
-    pool and the head run, so the earlier blocks and the embedding get no
-    gradient and step by exactly 0. Raises NumericalError on a non-finite
-    loss (numpy's floating-point warnings are off).
+    before one optimizer step. The split never depends on the CPU count, so
+    neither does the result. With ``from_block`` above 0, ``features`` are
+    the tokens ``encode_prefix`` gives for that many blocks; only the blocks
+    from ``from_block`` on, the pool and the head run, so the embedding and
+    the earlier blocks (the vector's head up to
+    ``SstConfig.tail_start(from_block)``) keep their values, and no
+    gradient, moment or scratch vector has entries for them. The two
+    replicas are made once per call, on the calling thread, and their
+    gradient vectors are zeroed in place before each step. Raises
+    NumericalError on a non-finite loss (numpy's floating-point warnings
+    are off).
     """
     rng = np.random.default_rng(cfg.seed)
     model.apply_freeze()
-    optimizer = Adam(model.vector, lr=cfg.lr, decay=cfg.decay)
+    tail = model.config.tail_start(from_block)
+    optimizer = Adam(model.vector[tail:], lr=cfg.lr, decay=cfg.decay)
+    replicas = model.replica(tail), model.replica(tail)
     n = len(features)
 
     def step(batch: np.ndarray, epoch: int) -> float:
@@ -120,9 +126,9 @@ def train_model(
         draws = dropout_draws(model.config, batch.size, rng, from_block)
         windows, labels = features[batch], targets[batch]
 
-        def half_step(half: slice, x: np.ndarray) -> tuple[float, np.ndarray]:
+        def half_step(half: slice, x: np.ndarray) -> float:
             # each half is one contiguous range, so its windows and masks are views
-            replica = model.replica()
+            replica = replicas[half.start > 0]
             with Tape() as tape:
                 probs = forward_batch(replica, x, True, (m[half] for m in draws), from_block)
                 # weighted by row share: the halves sum to the batch mean
@@ -131,15 +137,17 @@ def train_model(
             if not np.isfinite(value):
                 raise NumericalError(f"loss became {value} at epoch {epoch}")
             ad.backward(tape, loss)
-            return value, replica.grad
+            return value
 
         optimizer.zero_grad()
-        halves = map_batches(half_step, windows, (batch.size + 1) // 2)
-        optimizer.grad = halves[0][1]
-        for _, grad in halves[1:]:
-            optimizer.grad += grad
+        for replica in replicas:
+            replica.grad.fill(0.0)
+        values = map_batches(half_step, windows, (batch.size + 1) // 2)
+        # a one-row batch leaves the second gradient zero, and adding it keeps every bit
+        optimizer.grad = replicas[0].grad
+        optimizer.grad += replicas[1].grad
         optimizer.step()
-        return sum(value for value, _ in halves) * batch.size
+        return sum(values) * batch.size
 
     history = []
     # a non-finite loss raises NumericalError, so numpy need not warn first

@@ -104,6 +104,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"give {count} parameters, more than {count - 1}"):
             SstConfig(**fields)
 
+    @pytest.mark.parametrize("fields", [
+        dict(bands=7, n_classes=5, window=4, d_model=12, n_layers=3, n_heads=3, d_ff=10),
+        dict(bands=16, n_classes=4),
+        dict(bands=1, n_classes=2, window=2, subpatch=1, d_model=1, n_layers=1, n_heads=1),
+    ])
+    def test_tail_start_sums_the_sizes_before_the_block(self, fields):
+        cfg = SstConfig(**fields)
+        sizes = [int(np.prod(shape)) for shape in param_spec(cfg).values()]
+        names = list(param_spec(cfg))
+        assert cfg.tail_start(0) == 0  # the embedding trains with block 0
+        for j in range(1, cfg.n_layers + 1):
+            end = names.index(f"enc{j}.attn_q" if j < cfg.n_layers else "pool.class_query")
+            assert cfg.tail_start(j) == sum(sizes[:end]), j
+
     def test_subpatch_must_divide_window(self):
         with pytest.raises(ValueError):
             SstConfig(bands=8, n_classes=2, window=8, subpatch=3)
@@ -880,6 +894,28 @@ class TestParameterVector:
         reset_head(model, 5, seed=1)
         self.assert_views(model)
         assert not np.shares_memory(model.vector, before)
+
+    def test_a_tail_replica_has_gradients_for_the_tail_only(self):
+        model = init_model(tiny_config(n_layers=2), seed=3)
+        start = model.config.tail_start(1)
+        replica = model.replica(start)
+        assert replica.vector is model.vector
+        assert replica.grad.shape == (model.config.n_parameters - start,)
+        assert not replica.grad.any()
+        for name, tensor in replica.params.items():
+            if model.group_of(name) in ("embed", "enc0"):
+                assert tensor.grad is None, name
+            else:
+                assert np.shares_memory(tensor.grad, replica.grad), name
+        tail = [t.grad.ravel() for t in replica.params.values() if t.grad is not None]
+        assert sum(g.size for g in tail) == replica.grad.size
+        replica.grad[:] = np.arange(replica.grad.size)
+        assert np.concatenate(tail).tobytes() == replica.grad.tobytes()
+
+    def test_a_start_inside_a_tensor_is_rejected(self):
+        model = init_model(tiny_config(), seed=3)
+        with pytest.raises(ValueError, match="entry 1 does not begin a parameter tensor"):
+            model.replica(1)
 
     def test_a_vector_of_another_size_is_rejected(self):
         cfg = tiny_config()

@@ -1,6 +1,8 @@
 """Acquisition scoring against closed forms and brute force, ranking
 tie-breaks, hybrid degeneracies, and pool bookkeeping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import diversity_oracle, neighborhood_spectra
@@ -169,6 +171,21 @@ class TestNeighborhoodDiversity:
     def test_batch_of_no_pixels(self):
         cube = HsiCube(np.ones((4, 4, 2)))
         assert neighborhood_diversity_batch(cube, np.zeros(0, dtype=np.int64), 3).shape == (0,)
+
+    def test_wide_neighbourhood_holds_no_whole_difference_array(self):
+        # n = 21 makes [441, 441, 16] differences: 49 MiB if held at once
+        cube = HsiCube(np.random.default_rng(3).normal(size=(24, 24, 16)))
+        pixels = np.array([0, 100, 300, 575])
+        cube.padded(10)  # the padded copy is kept by the cube, not the pass
+        tracemalloc.start()
+        try:
+            got = neighborhood_diversity_batch(cube, pixels, 21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+        expected = [diversity_oracle(cube, divmod(int(p), 24), 21) for p in pixels]
+        assert got.tobytes() == np.array(expected).tobytes()
 
 
 class TestSelectTop:

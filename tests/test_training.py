@@ -19,6 +19,7 @@ from hsiatl.autodiff import Tape
 from hsiatl.data import DimensionError, LabelMap, extract_windows_batch, make_split, synth_cube
 from hsiatl.model import (
     SstConfig,
+    SstModel,
     _views,
     dropout_draws,
     encode_prefix,
@@ -258,6 +259,42 @@ class TestTwoHalfStep:
             moved = not np.array_equal(p.data, before[name])
             assert moved == (model.group_of(name) not in ("embed", "enc0")), name
         assert run()[0] == history
+
+    def test_from_block_holds_state_for_the_trainable_tail_only(self, monkeypatch):
+        _, _, cfg, _, bank = small_problem()
+        cfg = dataclasses.replace(cfg, n_layers=3)
+        feats, targets = bank.take(bank.pixels[:20])
+        model = init_model(cfg, seed=4)
+        model.freeze.update(embed=True, enc0=True, enc1=True)
+        tokens = encode_prefix(model, feats, 2)
+        optimizers, replicas, threads = [], [], set()
+
+        class SpyAdam(Adam):
+            def __post_init__(self):
+                super().__post_init__()
+                optimizers.append(self)
+
+        make_replica = SstModel.replica
+
+        def spy_replica(self, *args):
+            threads.add(threading.get_ident())
+            replicas.append(make_replica(self, *args))
+            return replicas[-1]
+
+        monkeypatch.setattr(training_module, "Adam", SpyAdam)
+        monkeypatch.setattr(SstModel, "replica", spy_replica)
+        train_model(model, tokens, targets, TrainConfig(epochs=2, batch_size=8, seed=1),
+                    from_block=2)
+        start = cfg.tail_start(2)
+        tail = (cfg.n_parameters - start,)
+        [optimizer] = optimizers
+        assert optimizer.t == 6  # 3 steps an epoch
+        assert optimizer.params.shape == optimizer.m.shape == optimizer.v.shape == tail
+        assert np.shares_memory(optimizer.params, model.vector[start:])
+        assert not np.shares_memory(optimizer.params, model.vector[:start])
+        # two replicas for the whole call, made on the calling thread
+        assert len(replicas) == 2 and threads == {threading.get_ident()}
+        assert [r.grad.shape for r in replicas] == [tail, tail]
 
     def test_from_block_keeps_the_bytes_of_trainable_earlier_entries(self):
         # the embedding and block 0 stay trainable but no loss reaches them:
