@@ -119,11 +119,13 @@ class Tape:
         backward(tape, loss)
 
     A record's backward closure keeps its inputs, not the large
-    intermediates of its forward (``layer_norm`` and the model's sublayer
-    nodes add per-row statistics). It rebuilds those intermediates from the
-    inputs' ``data`` with the forward's own ops, so they are bitwise the
-    forward's. Nothing may therefore write into a recorded tensor's
-    ``data``, or an input's, between the forward and ``backward``.
+    intermediates of its forward (``layer_norm`` adds per-row statistics,
+    the model's sublayer nodes their dropout masks). It rebuilds those
+    intermediates from the inputs' ``data`` with the forward's own ops, so
+    they are bitwise the forward's; the model's feed-forward node rebuilds
+    even its LayerNorm's row statistics. Nothing may therefore write into a
+    recorded tensor's ``data``, or an input's, between the forward and
+    ``backward``.
     """
 
     def __init__(self):
@@ -267,6 +269,12 @@ def scale(a, s: float) -> Tensor:
     return _record(out, (a,), bwd)
 
 
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of the 2-D weight of ``x @ w`` for the output gradient ``g``:
+    one GEMM over every stacked row of ``x``, not one per matrix plus a sum."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product with numpy stacking semantics on leading axes."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -282,9 +290,7 @@ def matmul(a, b) -> Tensor:
             a.accumulate(_unbroadcast(ga, a.data.shape))
         if b.requires_grad:
             if b.ndim == 2 and a.ndim > 2:
-                # one GEMM over every stacked row, not one per matrix plus a sum
-                k, n = b.data.shape
-                b.accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, n))
+                b.accumulate(_weight_grad(a.data, g))
             else:
                 gb = np.swapaxes(a.data, -1, -2) @ g
                 b.accumulate(_unbroadcast(gb, b.data.shape))
@@ -400,6 +406,33 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _record(out, (a,), bwd)
 
 
+def _normalize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LayerNorm's normalized input x-hat and each row's mean and 1/sigma."""
+    # in place where the op-by-op expression would allocate; same bits
+    mean = x.mean(axis=-1, keepdims=True)
+    xhat = x - mean
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    var += eps
+    inv = 1.0 / np.sqrt(var)
+    xhat *= inv
+    return xhat, mean, inv
+
+
+def _layer_norm_back(g, x: Tensor, xhat, inv, gain: Tensor, bias: Tensor) -> None:
+    """LayerNorm's backward for the output gradient ``g``, given x-hat and
+    1/sigma as ``_normalize`` makes them."""
+    d = xhat.shape[-1]
+    if gain.requires_grad:
+        gain.accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+    if bias.requires_grad:
+        bias.accumulate(g.reshape(-1, d).sum(axis=0))
+    if x.requires_grad:
+        gx_hat = g * gain.data
+        m1 = gx_hat.mean(axis=-1, keepdims=True)
+        m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+        x.accumulate(inv * (gx_hat - m1 - xhat * m2))
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
@@ -412,13 +445,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
         raise ShapeError(
             f"gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}"
         )
-    # in place where the op-by-op expression would allocate; same bits
-    mean = x.data.mean(axis=-1, keepdims=True)
-    out = x.data - mean
-    var = (out * out).mean(axis=-1, keepdims=True)
-    var += eps
-    inv = 1.0 / np.sqrt(var)
-    out *= inv
+    out, mean, inv = _normalize(x.data, eps)
     out *= gain.data
     out += bias.data
 
@@ -426,15 +453,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
         # x-hat, rebuilt by the forward's own two ops from the row statistics
         xhat = x.data - mean
         xhat *= inv
-        if gain.requires_grad:
-            gain.accumulate((g * xhat).reshape(-1, d).sum(axis=0))
-        if bias.requires_grad:
-            bias.accumulate(g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            gx_hat = g * gain.data
-            m1 = gx_hat.mean(axis=-1, keepdims=True)
-            m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate(inv * (gx_hat - m1 - xhat * m2))
+        _layer_norm_back(g, x, xhat, inv, gain, bias)
 
     return _record(Tensor._result(out), (x, gain, bias), bwd)
 

@@ -61,7 +61,7 @@ from hsiatl.training import (
     run_active_learning,
     train_model,
 )
-from hsiatl.transfer import FineTuneError, MmdConfig, run_transfer
+from hsiatl.transfer import FineTuneError, MmdConfig, check_fractions, run_transfer
 
 
 class UsageError(Exception):
@@ -331,10 +331,10 @@ def cmd_synth(args: argparse.Namespace, run: RunConfig) -> int:
 
 
 def cmd_train(args: argparse.Namespace, run: RunConfig) -> int:
+    train_cfg = run.build(TrainConfig)  # before any file is read
     cube, labels = _load_dataset(args)
-    # the settings, and the window against the cube, are checked before a manifest is written
+    # the model's settings and the window are checked before a manifest is written
     model_cfg = run.build(SstConfig, bands=cube.bands, n_classes=labels.n_classes)
-    train_cfg = run.build(TrainConfig)
     bank = WindowBank(cube, labels, run.window, run.subpatch)
     manifest = _resolve_manifest(args, run, labels)
     model = init_model(model_cfg, seed=run.seed)
@@ -352,13 +352,18 @@ def cmd_train(args: argparse.Namespace, run: RunConfig) -> int:
     return 0
 
 
-def cmd_al(args: argparse.Namespace, run: RunConfig) -> int:
-    cube, labels = _load_dataset(args)
-    # the settings, and the window against the cube, are checked before a manifest is written
-    model_cfg = run.build(SstConfig, bands=cube.bands, n_classes=labels.n_classes)
-    query_cfg, train_cfg = run.build(QueryConfig), run.build(TrainConfig)
+def _check_rounds(run: RunConfig) -> None:
     if run.rounds < 0:
         raise UsageError(f"rounds must be >= 0, got {run.rounds}")
+
+
+def cmd_al(args: argparse.Namespace, run: RunConfig) -> int:
+    # the settings that need no data are checked before any file is read
+    query_cfg, train_cfg = run.build(QueryConfig), run.build(TrainConfig)
+    _check_rounds(run)
+    cube, labels = _load_dataset(args)
+    # the model's settings and the window are checked before a manifest is written
+    model_cfg = run.build(SstConfig, bands=cube.bands, n_classes=labels.n_classes)
     bank = WindowBank(cube, labels, run.window, run.subpatch)
     check_neighborhood(cube, run.n_neighborhood)
     manifest = _resolve_manifest(args, run, labels)
@@ -381,6 +386,9 @@ def cmd_al(args: argparse.Namespace, run: RunConfig) -> int:
 
 def cmd_transfer(args: argparse.Namespace, run: RunConfig) -> int:
     _require(args, "source_ckpt", "target_cube", "target_labels")
+    # the settings are checked before any file is read
+    mmd_cfg, train_cfg = run.build(MmdConfig), run.build(TrainConfig)
+    check_fractions(run.rho, run.target_fraction)
     cube, labels = _load_dataset(args)
     model = load_model(args.source_ckpt)
     target_cube, target_labels = _load_pair(args.target_cube, args.target_labels)
@@ -391,8 +399,8 @@ def cmd_transfer(args: argparse.Namespace, run: RunConfig) -> int:
         model, report = run_transfer(
             model, cube, labels, target_cube, target_labels,
             rho=run.rho,
-            mmd_cfg=run.build(MmdConfig),
-            train_cfg=run.build(TrainConfig),
+            mmd_cfg=mmd_cfg,
+            train_cfg=train_cfg,
             target_fraction=run.target_fraction,
             seed=run.seed,
         )
@@ -451,20 +459,26 @@ ABLATION_ARMS = (
 
 
 def cmd_ablate(args: argparse.Namespace, run: RunConfig) -> int:
-    cube, labels = _load_dataset(args)
-    bank = WindowBank(cube, labels, run.window, run.subpatch)
-    check_neighborhood(cube, run.n_neighborhood)
+    # the settings that need no data are checked before any file is read
+    train_cfgs = [run.build(TrainConfig, seed=seed) for seed in args.seeds]
+    query_cfgs = {strategy: run.build(QueryConfig, strategy=strategy)
+                  for _, strategy in ABLATION_ARMS}
+    _check_rounds(run)
     want_transfer = bool(args.target_cube or args.target_labels)
     if want_transfer:
         _require(args, "target_cube", "target_labels")
-        target_cube, target_labels = _load_pair(args.target_cube, args.target_labels)
         mmd_cfg = run.build(MmdConfig)
+        check_fractions(run.rho, run.target_fraction)
+    cube, labels = _load_dataset(args)
+    bank = WindowBank(cube, labels, run.window, run.subpatch)
+    check_neighborhood(cube, run.n_neighborhood)
+    if want_transfer:
+        target_cube, target_labels = _load_pair(args.target_cube, args.target_labels)
     rows_out: list[dict] = []
     budget = run.rounds * run.query_size
     model_cfg = run.build(SstConfig, bands=cube.bands, n_classes=labels.n_classes)
     manifests = [_split(labels, run.ratios, seed) for seed in args.seeds]
-    for seed, manifest in zip(args.seeds, manifests):
-        train_cfg = run.build(TrainConfig, seed=seed)
+    for seed, manifest, train_cfg in zip(args.seeds, manifests, train_cfgs):
         for label, strategy in ABLATION_ARMS:
             calibration = 0.0 if label == "lambda0" else run.calibration
             cfg = dataclasses.replace(model_cfg, calibration=calibration)
@@ -475,7 +489,7 @@ def cmd_ablate(args: argparse.Namespace, run: RunConfig) -> int:
                 rounds, sizes = run.rounds, None
             records = run_active_learning(
                 model, cube, labels, manifest,
-                run.build(QueryConfig, strategy=strategy), rounds,
+                query_cfgs[strategy], rounds,
                 train_cfg, bank=bank, round_query_sizes=sizes,
             )
             last = records[-1]

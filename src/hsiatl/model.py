@@ -421,12 +421,6 @@ def calibrated_attention(
     return ad._record(Tensor._result(out), (q, k, v), bwd)
 
 
-def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient of the 2-D weight of ``x @ w`` as ``ad.matmul`` takes it: one
-    GEMM over every stacked row of ``x``."""
-    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-
-
 def _keep_mask(shape: tuple[int, ...], cfg: SstConfig, training: bool, masks) -> np.ndarray | None:
     """One sublayer's dropout keep mask: the next of the iterator ``masks``
     (``dropout_draws`` masks, or their rows), or None when none runs."""
@@ -448,13 +442,18 @@ def _dropout_residual(out: np.ndarray, z: Tensor, keep, rate: float) -> np.ndarr
     return out
 
 
-def _dropout_residual_back(g: np.ndarray, z: Tensor, keep, rate: float) -> np.ndarray:
-    """Backward of ``_dropout_residual``: ``z`` takes the residual's
-    gradient first, as in the op graph, and the sublayer's own chain gets
-    the returned share."""
-    if z.requires_grad:
-        z.accumulate(g)
-    return g if keep is None else g * (keep / (1.0 - rate))
+def _dropout_back(g: np.ndarray, keep, rate: float) -> np.ndarray:
+    """The sublayer's share of the gradient ``g`` of ``_dropout_residual``'s
+    output, scaled in place on ``g``. The residual's share is ``g`` as it
+    was, so the caller passes that on first, as the op graph does."""
+    if keep is not None:
+        g *= keep / (1.0 - rate)
+    return g
+
+
+# windows per tile of the attention backward: its score-sized arrays grow
+# with the tile, not with the batch
+ATTEND_BACK_TILE = 8
 
 
 def _self_attention(z: Tensor, layer: dict[str, Tensor], cfg: SstConfig, keep=None) -> Tensor:
@@ -463,76 +462,101 @@ def _self_attention(z: Tensor, layer: dict[str, Tensor], cfg: SstConfig, keep=No
     then ``_dropout_residual`` with the keep mask ``keep`` (None: no
     dropout).
 
-    Its backward keeps only ``z`` and the mask: it reruns the three
-    projections, and ``_attend_back`` rebuilds the scores and the heads and
-    takes the gradients through them in closed form. ``z`` receives the
-    residual's, then the v, k and q contributions in that order, as in the
-    op graph.
+    Its backward keeps only ``z`` and the mask. It runs ``_attend_back``
+    on ``ATTEND_BACK_TILE`` windows at a time, rerunning the three
+    projections for those windows; ``_attend_back`` rebuilds the scores and
+    the heads and takes the gradients through them in closed form. Rows do
+    not interact, so each tile's values are bitwise the whole batch's; the
+    weight gradients are one product over every row, as in the op graph.
+    ``z`` receives the residual's, then the v, k and q contributions in
+    that order.
     """
     b, n, d = z.shape
-    split = (b, n, cfg.n_heads, d // cfg.n_heads)
     projections = (layer["attn_q"], layer["attn_k"], layer["attn_v"])
     w_out = layer["attn_out"]
 
-    def project(i: int) -> np.ndarray:
-        return (z.data @ projections[i].data).reshape(split).transpose(0, 2, 1, 3)
+    def split(x: np.ndarray) -> np.ndarray:
+        return x.reshape(x.shape[0], n, cfg.n_heads, d // cfg.n_heads).transpose(0, 2, 1, 3)
 
-    def merge(heads: np.ndarray) -> np.ndarray:
-        return heads.transpose(0, 2, 1, 3).reshape(b, n, d)
+    def project(i: int, rows=slice(None)) -> np.ndarray:
+        return split(z.data[rows] @ projections[i].data)
 
     def bwd(g):
-        g = _dropout_residual_back(g, z, keep, cfg.dropout)
-        g_heads = (g @ w_out.data.T).reshape(split).transpose(0, 2, 1, 3)
-        *grads, heads = _attend_back(
-            g_heads, *map(project, range(3)), cfg.calibration, cfg.renormalize
-        )
+        if z.requires_grad:
+            z.accumulate(g)
+        g = _dropout_back(g, keep, cfg.dropout)
+        g_heads = split(g @ w_out.data.T)
+        # the merged heads and the q, k and v gradients, filled a tile at a time
+        merged = np.empty((4, b, n, d))
+        for start in range(0, b, ATTEND_BACK_TILE):
+            rows = slice(start, start + ATTEND_BACK_TILE)
+            tile = _attend_back(g_heads[rows], *(project(i, rows) for i in range(3)),
+                                cfg.calibration, cfg.renormalize)
+            for whole, part in zip(merged, tile):
+                split(whole)[rows] = part
+        *grads, heads = merged
         if w_out.requires_grad:
-            w_out.accumulate(_weight_grad(merge(heads), g))
+            w_out.accumulate(ad._weight_grad(heads, g))
         for w, g_x in reversed(list(zip(projections, grads))):
-            g_x = g_x.transpose(0, 2, 1, 3).reshape(b, n, d)
             if z.requires_grad:
                 z.accumulate(g_x @ w.data.T)
             if w.requires_grad:
-                w.accumulate(_weight_grad(z.data, g_x))
+                w.accumulate(ad._weight_grad(z.data, g_x))
 
     heads = _attend(project, cfg.calibration, cfg.renormalize)
-    out = _dropout_residual(merge(heads) @ w_out.data, z, keep, cfg.dropout)
+    merged = heads.transpose(0, 2, 1, 3).reshape(b, n, d)
+    out = _dropout_residual(merged @ w_out.data, z, keep, cfg.dropout)
     return ad._record(Tensor._result(out), (z, *projections, w_out), bwd)
 
 
-def _feed_forward(z: Tensor, layer: dict[str, Tensor], cfg: SstConfig, keep=None) -> Tensor:
-    """z + dropout(relu(z W1 + b1) W2 + b2) as one tape node that keeps only
-    ``z`` and the keep mask ``keep`` (None: no dropout); its backward
-    reruns the ReLU output's three ops, then the chain rule of the seven ops
-    the node replaces, in their order, so values and gradients are bitwise
-    the op graph's."""
+def _feed_forward(x: Tensor, layer: dict[str, Tensor], cfg: SstConfig, keep=None) -> Tensor:
+    """z + dropout(relu(z W1 + b1) W2 + b2) with z = LN1(x), as one tape
+    node that keeps only ``x`` and the keep mask ``keep`` (None: no
+    dropout). ``ad.layer_norm`` makes z off the tape; the backward rebuilds
+    z and x-hat with the norm's own ops, then the ReLU output, then runs
+    the chain rule of the LayerNorm and the seven ops the node replaces, in
+    the op graph's order, so values and gradients are bitwise the graph's."""
+    gain, bias = layer["ln1_gain"], layer["ln1_bias"]
     w1, b1, w2, b2 = (layer[name] for name in ("ff_w1", "ff_b1", "ff_w2", "ff_b2"))
 
-    def relu_hidden() -> np.ndarray:
-        hidden = z.data @ w1.data
+    def relu_hidden(z: np.ndarray) -> np.ndarray:
+        hidden = z @ w1.data
         hidden += b1.data
         return np.maximum(hidden, 0.0, out=hidden)
 
     def bwd(g):
-        g = _dropout_residual_back(g, z, keep, cfg.dropout)
+        xhat, _, inv = ad._normalize(x.data, cfg.ln_eps)
+        z = xhat * gain.data
+        z += bias.data
+        normed = x.requires_grad or gain.requires_grad or bias.requires_grad
+        # z's gradient starts as the residual's share, as in the op graph
+        g_z = g.copy() if normed else None
+        g = _dropout_back(g, keep, cfg.dropout)
         if b2.requires_grad:
             b2.accumulate(ad._unbroadcast(g, b2.shape))
-        hidden = relu_hidden()
+        hidden = relu_hidden(z)
         if w2.requires_grad:
-            w2.accumulate(_weight_grad(hidden, g))
+            w2.accumulate(ad._weight_grad(hidden, g))
         # relu's mask: the output is positive exactly where its input was
-        g_pre = (g @ w2.data.T) * (hidden > 0.0)
+        positive = hidden > 0.0
+        del hidden
+        g_pre = g @ w2.data.T
+        g_pre *= positive
         if b1.requires_grad:
             b1.accumulate(ad._unbroadcast(g_pre, b1.shape))
-        if z.requires_grad:
-            z.accumulate(g_pre @ w1.data.T)
+        if normed:
+            g_z += g_pre @ w1.data.T
         if w1.requires_grad:
-            w1.accumulate(_weight_grad(z.data, g_pre))
+            w1.accumulate(ad._weight_grad(z, g_pre))
+        if normed:
+            ad._layer_norm_back(g_z, x, xhat, inv, gain, bias)
 
-    out = relu_hidden() @ w2.data
+    with ad.no_tape():
+        z = ad.layer_norm(x, gain, bias, cfg.ln_eps)
+    out = relu_hidden(z.data) @ w2.data
     out += b2.data
     out = _dropout_residual(out, z, keep, cfg.dropout)
-    return ad._record(Tensor._result(out), (z, w1, b1, w2, b2), bwd)
+    return ad._record(Tensor._result(out), (x, gain, bias, w1, b1, w2, b2), bwd)
 
 
 def encoder_block(
@@ -544,11 +568,12 @@ def encoder_block(
 ) -> Tensor:
     """The attention and feed-forward sublayers, each with its dropout and
     residual add as one tape node (see ``_dropout_residual``), each closed
-    by LayerNorm. Training takes the attention sublayer's keep mask from the
-    iterator ``masks``, then the feed-forward one's."""
-    z = _self_attention(z, layer, cfg, _keep_mask(z.shape, cfg, training, masks))
-    z = ad.layer_norm(z, layer["ln1_gain"], layer["ln1_bias"], cfg.ln_eps)
-    z = _feed_forward(z, layer, cfg, _keep_mask(z.shape, cfg, training, masks))
+    by LayerNorm: LN1 opens the feed-forward node, and LN2 is an op of its
+    own, so training records three entries. Training takes the attention
+    sublayer's keep mask from the iterator ``masks``, then the feed-forward
+    one's."""
+    x = _self_attention(z, layer, cfg, _keep_mask(z.shape, cfg, training, masks))
+    z = _feed_forward(x, layer, cfg, _keep_mask(x.shape, cfg, training, masks))
     return ad.layer_norm(z, layer["ln2_gain"], layer["ln2_bias"], cfg.ln_eps)
 
 

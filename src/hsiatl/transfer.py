@@ -357,6 +357,15 @@ class FineTuneError(NumericalError):
     the source model's own passes stayed finite."""
 
 
+def check_fractions(rho: float, target_fraction: float) -> None:
+    """Raise ValueError unless rho is in [0, 1] and target_fraction in
+    (0, 1): the settings of ``run_transfer`` that need no data."""
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must be in [0, 1], got {rho}")
+    if not 0.0 < target_fraction < 1.0:
+        raise ValueError(f"target_fraction must be in (0, 1), got {target_fraction}")
+
+
 def run_transfer(
     model: SstModel,
     source_cube: HsiCube,
@@ -383,8 +392,7 @@ def run_transfer(
 
     Returns the adapted model and a JSON-ready report.
     """
-    if not 0.0 < target_fraction < 1.0:
-        raise ValueError("target_fraction must be in (0, 1)")
+    check_fractions(rho, target_fraction)
     check_extent(source_cube, source_labels)
     check_extent(target_cube, target_labels)
     if source_cube.bands != target_cube.bands:

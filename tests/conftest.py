@@ -225,9 +225,11 @@ def self_attention_ops(z: Tensor, layer, cfg, training: bool = False, rng=None) 
     return ad.add(z, attn)
 
 
-def feed_forward_ops(z: Tensor, layer, cfg, training: bool = False, rng=None) -> Tensor:
-    """``model._feed_forward`` with its dropout and residual add as a graph
-    of autodiff ops: z + dropout(relu(z W1 + b1) W2 + b2)."""
+def feed_forward_ops(x: Tensor, layer, cfg, training: bool = False, rng=None) -> Tensor:
+    """``model._feed_forward`` with its LayerNorm, dropout and residual add
+    as a graph of autodiff ops: z + dropout(relu(z W1 + b1) W2 + b2) with
+    z = LN1(x)."""
+    z = ad.layer_norm(x, layer["ln1_gain"], layer["ln1_bias"], cfg.ln_eps)
     hidden = ad.relu(ad.add(ad.matmul(z, layer["ff_w1"]), layer["ff_b1"]))
     ff = ad.add(ad.matmul(hidden, layer["ff_w2"]), layer["ff_b2"])
     return ad.add(z, ad.dropout(ff, cfg.dropout, training, rng))
@@ -235,9 +237,8 @@ def feed_forward_ops(z: Tensor, layer, cfg, training: bool = False, rng=None) ->
 
 def encoder_block_ops(z: Tensor, layer, cfg, training: bool = False, rng=None) -> Tensor:
     """``encoder_block`` with both sublayers as graphs of autodiff ops."""
-    z = self_attention_ops(z, layer, cfg, training, rng)
-    z = ad.layer_norm(z, layer["ln1_gain"], layer["ln1_bias"], cfg.ln_eps)
-    z = feed_forward_ops(z, layer, cfg, training, rng)
+    x = self_attention_ops(z, layer, cfg, training, rng)
+    z = feed_forward_ops(x, layer, cfg, training, rng)
     return ad.layer_norm(z, layer["ln2_gain"], layer["ln2_bias"], cfg.ln_eps)
 
 

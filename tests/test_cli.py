@@ -244,6 +244,31 @@ class TestConfigResolution:
         assert "manifest" not in done.stdout
         assert not manifest.exists()
 
+    @pytest.mark.parametrize("command, fields, expected", [
+        ("train", '"lr": 0', "lr must be > 0, got 0"),
+        ("al", '"lr": 0', "lr must be > 0, got 0"),
+        ("al", '"rounds": -1', "rounds must be >= 0, got -1"),
+        ("transfer", '"lr": 0', "lr must be > 0, got 0"),
+        ("transfer", '"sample_count": 1', "sample_count must be >= 2"),
+        ("transfer", '"target_fraction": 1', "target_fraction must be in (0, 1), got 1"),
+        ("ablate", '"lr": 0', "lr must be > 0, got 0"),
+        ("ablate", '"query_size": 0', "query_size must be >= 1"),
+        ("ablate", '"rho": 2', "rho must be in [0, 1], got 2"),
+    ])
+    def test_bad_setting_is_named_before_any_file_is_read(self, tmp_path, command, fields,
+                                                          expected):
+        # every data file is missing, which alone would exit 2
+        (tmp_path / "bad.json").write_text("{" + fields + "}")
+        missing = [tmp_path / name for name in ("a.hsic", "a.hsil", "b.hsic", "b.hsil", "m.sstc")]
+        data = ["--cube", missing[0], "--labels", missing[1]]
+        if command in ("transfer", "ablate"):
+            data += ["--target-cube", missing[2], "--target-labels", missing[3]]
+        if command == "transfer":
+            data += ["--source-ckpt", missing[4]]
+        done = run_process([command, "--config", tmp_path / "bad.json", *data])
+        assert_one_line(done, 1, "error: ")
+        assert expected in done.stderr
+
     def test_setting_a_subcommand_ignores_is_left_alone(self, workdir, tmp_path):
         # transfer takes the model's settings from its source checkpoint, and
         # queries no pixel

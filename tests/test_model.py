@@ -533,7 +533,7 @@ class TestSublayerNodes:
             block = lambda z, *_: fn(z, layer, cfg, True, draw())
             results.append(weighted_sum_grads(block, tensors, weight))
         (out, grads, n_records), (out_ops, grads_ops, _) = results
-        assert n_records == 4  # two sublayer nodes, two LayerNorms
+        assert n_records == 3  # two sublayer nodes (LN1 opens the second), then LN2
         assert_close_to_oracle(out, out_ops)
         for name, g, g_ops in zip(names, grads, grads_ops):
             assert (g is None) == (name in frozen), name
@@ -565,11 +565,12 @@ class TestSublayerNodes:
         return results
 
     @pytest.mark.parametrize("training", [True, False])
-    @pytest.mark.parametrize("frozen", [(), ("z",), ("ff_w1", "ff_b1"), ("z", "ff_w2")])
+    @pytest.mark.parametrize("frozen", [(), ("z",), ("ff_w1", "ff_b1"), ("z", "ff_w2"),
+                                        ("ln1_gain",), ("z", "ln1_gain", "ln1_bias")])
     def test_feed_forward_node_bitwise_equals_op_graph(self, training, frozen):
-        # dropout and the residual add included: the node rebuilds the op
-        # graph's float keep factor, so even signed zeros keep their bits
-        names = ["z", "ff_w1", "ff_b1", "ff_w2", "ff_b2"]
+        # LN1, dropout and the residual add included: the node rebuilds z and
+        # the op graph's float keep factor, so even signed zeros keep their bits
+        names = ["z", "ln1_gain", "ln1_bias", "ff_w1", "ff_b1", "ff_w2", "ff_b2"]
         results = self.sublayer_results(
             model_module._feed_forward, feed_forward_ops, names, frozen, training
         )
@@ -625,6 +626,62 @@ class TestSublayerNodes:
             tracemalloc.stop()
         assert peak <= 3 << 20, peak
 
+    def test_training_half_step_peaks_below_six_mib(self):
+        # one default-size half step of 28 windows, tape and backward: LN1
+        # inside the feed-forward node and the attention backward a tile of
+        # windows at a time peak near 5.6 MiB; a fourth record per block and
+        # the whole batch's scores at once peaked at 7.7 MiB
+        cfg = SstConfig(bands=16, n_classes=4)
+        model = init_model(cfg, seed=0).replica()
+        rng = np.random.default_rng(0)
+        features = rng.normal(size=(28, cfg.n_tokens, cfg.token_dim))
+        targets = rng.integers(0, cfg.n_classes, size=28)
+        masks = dropout_draws(cfg, 28, rng)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                probs = forward_batch(model, features, True, iter(masks))
+                loss = ad.cross_entropy(probs, targets)
+            ad.backward(tape, loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.0 * 2**20, peak
+
+    def test_training_records_three_entries_per_block(self):
+        # the attention node, the feed-forward node that LN1 opens, and LN2
+        lengths = []
+        for n_layers in (1, 2, 3):
+            cfg = tiny_config(n_layers=n_layers)
+            model = init_model(cfg, seed=40)
+            features = np.random.default_rng(41).normal(size=(2, cfg.n_tokens, cfg.token_dim))
+            with Tape() as tape:
+                masks = dropout_draws(cfg, 2, np.random.default_rng(42))
+                forward_batch(model, features, True, iter(masks))
+            lengths.append(len(tape))
+        assert np.diff(lengths).tolist() == [3, 3]
+
+    @pytest.mark.parametrize("tile", [1, 3, 7])
+    def test_attention_backward_tiles_keep_every_bit(self, monkeypatch, tile):
+        # rows do not interact, so any tile gives the whole batch's gradients
+        cfg = tiny_config(dropout=0.2)
+        layer = init_model(cfg, seed=42).block(0)
+        rng = np.random.default_rng(43)
+        z_val = rng.normal(size=(7, cfg.n_tokens, cfg.d_model))
+        weight = rng.normal(size=z_val.shape)
+        keep = rng.random(z_val.shape) >= cfg.dropout
+        names = ["attn_q", "attn_k", "attn_v", "attn_out"]
+        results = []
+        for size in (7, tile):
+            monkeypatch.setattr(model_module, "ATTEND_BACK_TILE", size)
+            tensors = [Tensor(z_val.copy(), requires_grad=True)] + [layer[n] for n in names]
+            node = lambda z, *_: model_module._self_attention(z, layer, cfg, keep)
+            out, grads, _ = weighted_sum_grads(node, tensors, weight)
+            results.append([out, *grads])
+        for whole, tiled in zip(*results):
+            assert tiled.tobytes() == whole.tobytes()
+
     @pytest.mark.parametrize("node", [model_module._self_attention, model_module._feed_forward])
     def test_nodes_hold_their_input_and_bool_mask_only(self, node):
         # every float array the backward needs is rebuilt from z
@@ -654,6 +711,7 @@ class TestSublayerNodes:
         # negative, so the op graph hands the sublayer -0.0 there. numpy's
         # sums and BLAS products start from +0.0, so no parameter gradient of
         # a node can show that sign: the share is compared before any sum.
+        # It is scaled in place on the upstream gradient.
         cfg = tiny_config(dropout=0.2)
         rng = np.random.default_rng(35)
         upstream = rng.normal(size=(3, cfg.n_tokens, cfg.d_model))
@@ -669,11 +727,10 @@ class TestSublayerNodes:
         _, (expected,), _ = weighted_sum_grads(
             lambda x: ad.dropout(x, cfg.dropout, True, KeepDraws()), [x], upstream
         )
-        z = Tensor(np.zeros(upstream.shape), requires_grad=True)
-        share = model_module._dropout_residual_back(upstream, z, keep, cfg.dropout)
+        g = upstream.copy()
+        share = model_module._dropout_back(g, keep, cfg.dropout)
         assert np.signbit(expected[..., 0]).all() and not expected[..., 0].any()
-        assert share.tobytes() == expected.tobytes()
-        assert z.grad.tobytes() == upstream.tobytes()
+        assert share is g and share.tobytes() == expected.tobytes()
 
     def test_keep_masks_are_row_views_taken_in_order(self):
         cfg = tiny_config(dropout=0.2)

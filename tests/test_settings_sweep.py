@@ -4,10 +4,11 @@ subcommand that takes settings, in process through ``cli.main``.
 The cases come from ``RunConfig``'s type hints: each int key with 0, -1,
 10**12, 10**12 + 1 and 0.5 (some settings must be even, some odd, so a huge
 value of each kind gets past that check), each float key with 0, -1, 1e300
-and 1e-300. Whatever a
-subcommand makes of a value, it ends in a documented exit code, prints no
-traceback, writes no file unless it succeeds (or fails numerically once
-training began) and finishes within a bound.
+and 1e-300. ``ablate`` runs once more with a target, on the keys its
+transfer arms read. Whatever a subcommand makes of a value, it ends in a
+documented exit code, prints no traceback, writes no file unless it
+succeeds (or fails numerically once training began) and finishes within a
+bound.
 """
 
 import json
@@ -23,6 +24,8 @@ EDGES = {int: (0, -1, 10**12, 10**12 + 1, 0.5), float: (0, -1, 1e300, 1e-300)}
 # 10**12 epochs asks for a long run, and gets one
 LONG_RUNS = {("epochs", 10**12), ("epochs", 10**12 + 1)}
 COMMANDS = ("train", "al", "transfer", "eval", "ablate")
+# the keys that ablate's transfer arms read, swept again with a target given
+TRANSFER_ARM_KEYS = ("rho", "target_fraction", "sample_count", "bandwidth")
 TINY = {"epochs": 1, "rounds": 1, "window": 4, "d_model": 8, "n_heads": 2, "n_layers": 1}
 BOUND_S = 10.0
 
@@ -66,6 +69,7 @@ def argv(command, inputs, out):
                      "--checkpoint", out / "t.sstc", "--out", out / "transfer.json"],
         "eval": [*data, "--checkpoint", inputs / "a.sstc", "--out", out / "eval.json"],
         "ablate": [*data, "--seeds", "0", "--out", out / "ablate.csv"],
+        "ablate-target": [*data, *target, "--seeds", "0", "--out", out / "ablate.csv"],
     }[command]]
 
 
@@ -86,6 +90,15 @@ def test_every_setting_type_has_cases():
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("key, value", CASES)
 def test_edge_value(inputs, tmp_path, capsys, command, key, value):
+    check_edge_value(inputs, tmp_path, capsys, command, key, value)
+
+
+@pytest.mark.parametrize("key, value", [case for case in CASES if case[0] in TRANSFER_ARM_KEYS])
+def test_ablate_with_target_edge_value(inputs, tmp_path, capsys, key, value):
+    check_edge_value(inputs, tmp_path, capsys, "ablate-target", key, value)
+
+
+def check_edge_value(inputs, tmp_path, capsys, command, key, value):
     (tmp_path / "cfg.json").write_text(json.dumps({**TINY, key: value}))
     out = tmp_path / "out"
     out.mkdir()
@@ -94,7 +107,7 @@ def test_edge_value(inputs, tmp_path, capsys, command, key, value):
     signal.setitimer(signal.ITIMER_REAL, BOUND_S)
     start = time.perf_counter()
     try:
-        code = cli.main([command, "--config", str(tmp_path / "cfg.json"),
+        code = cli.main([command.split("-")[0], "--config", str(tmp_path / "cfg.json"),
                          *argv(command, inputs, out)])
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
