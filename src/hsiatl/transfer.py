@@ -71,51 +71,74 @@ class FreezePlan:
     variance_target: list[float]
 
 
+# float64 values (512 KiB) in one piece of the MMD passes: a kernel sum's
+# leaf, a range of the median pass's pooled distances. A fixed size, not a
+# setting: it bounds what the passes hold, not what they compute.
+_PIECE_VALUES = 1 << 16
+
+
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """|a_i|^2 for every row of ``a``."""
+    return (a * a).sum(axis=1)
+
+
+def _to_sq_dists(products: np.ndarray, aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
+    """Products a_i.b_j [r, m] turned in place into squared distances
+    (|a_i|^2 + |b_j|^2) - 2 a_i.b_j, clamped at 0, from the squared row
+    norms ``aa`` [r] and ``bb`` [m]."""
+    products *= 2.0
+    np.subtract(aa[:, None] + bb, products, out=products)
+    return np.maximum(products, 0.0, out=products)
+
+
 def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances [n, m] of the rows of ``a`` and ``b``, clamped at 0.
-
-    Each is (|a_i|^2 + |b_j|^2) - 2 a_i.b_j: one product into the output,
-    doubled in place, then taken from the norm sums a row range at a time,
-    so besides the output only one range's sums are held.
-    """
-    aa = (a * a).sum(axis=1)[:, None]
-    bb = (b * b).sum(axis=1)[None, :]
-    out = a @ b.T
-    out *= 2.0
-    for s, e in _row_ranges(a.shape[0]):
-        rows = out[s:e]
-        np.subtract(aa[s:e] + bb, rows, out=rows)
-    return np.maximum(out, 0.0, out=out)
+    """Squared distances [n, m] of the rows of ``a`` and ``b``, clamped at 0:
+    one product, turned into distances in place."""
+    return _to_sq_dists(a @ b.T, _sq_norms(a), _sq_norms(b))
 
 
-# rows per range of the distance passes (see ``_row_ranges``)
-_RANGE_ROWS = 256
-
-
-def _row_ranges(n: int) -> list[tuple[int, int]]:
-    """[start, end) ranges of at most _RANGE_ROWS rows that cover 0..n.
+def _row_ranges(n: int, width: int) -> list[tuple[int, int]]:
+    """[start, end) ranges that cover 0..n, each a multiple of 8 rows (the
+    last one excepted) with at most ``_PIECE_VALUES`` values of ``width``
+    per row, or 8 rows where one row is wider than that.
 
     A trailing lone row joins the range before it: a one-row product takes
     a different BLAS kernel, whose last bits differ from the multi-row one
     the whole block uses.
     """
-    starts = list(range(0, n, _RANGE_ROWS))
+    step = max(8, _PIECE_VALUES // max(width, 1) // 8 * 8)
+    starts = list(range(0, n, step))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _pooled_pieces(x: np.ndarray, y: np.ndarray):
-    """Squared distances of every pooled pair, one row range at a time: the
-    strict upper triangles of the within-sample blocks (rows s:e against
-    columns s: of a sample), then every cross pair (rows s:e of ``x``
-    against all of ``y``). No whole distance block is ever held."""
-    for a in (x, y):
-        for s, e in _row_ranges(a.shape[0]):
-            block = _pairwise_sq_dists(a[s:e], a[s:])
-            yield block[np.arange(e - s)[:, None] < np.arange(block.shape[1])]
-    for s, e in _row_ranges(x.shape[0]):
-        yield _pairwise_sq_dists(x[s:e], y).ravel()
+def _pooled_pieces(x: np.ndarray, y: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, bool]]:
+    """The pooled pairs of ``x`` and ``y`` as pieces ``(rows, columns,
+    upper)`` of at most ``_PIECE_VALUES`` distances (see ``_row_ranges``):
+    the strict upper triangles of the within-sample blocks (rows s:e of a
+    sample against its rows s:, ``upper`` set), then every cross pair (rows
+    s:e of ``x`` against all of ``y``). ``_piece_values`` computes one; no
+    whole distance block is ever held."""
+    pieces = [(a[s:e], a[s:], True) for a in (x, y) for s, e in _row_ranges(len(a), len(a))]
+    pieces += [(x[s:e], y, False) for s, e in _row_ranges(len(x), len(y))]
+    return pieces
+
+
+def _piece_values(piece: tuple[np.ndarray, np.ndarray, bool]) -> np.ndarray:
+    """The squared distances of one of ``_pooled_pieces``, row by row."""
+    rows, columns, upper = piece
+    block = _pairwise_sq_dists(rows, columns)
+    if upper:
+        return block[np.arange(len(rows))[:, None] < np.arange(block.shape[1])]
+    return block.ravel()
+
+
+def _map_pieces(fn, pieces: list) -> list:
+    """``fn(piece)`` for every piece, one piece per ``map_batches`` slice:
+    the calling thread works beside the pool, and the results come back in
+    piece order whatever the CPU count."""
+    return map_batches(lambda _, batch: fn(batch[0]), pieces, batch_size=1)
 
 
 # the bracket pass samples every _SAMPLE_STRIDE-th row of each domain
@@ -125,15 +148,17 @@ _SAMPLE_STRIDE = 8
 def _ranks_in_bracket(x: np.ndarray, y: np.ndarray, lo: float, hi: float):
     """One pass over ``_pooled_pieces``: how many pooled values are below
     ``lo``, and the values in [lo, hi] (NaN is in neither)."""
-    below, inside = 0, []
-    for piece in _pooled_pieces(x, y):
-        low = piece < lo
-        below += np.count_nonzero(low)
-        keep = piece <= hi
+
+    def bracket(piece) -> tuple[int, np.ndarray]:
+        values = _piece_values(piece)
+        low = values < lo
+        keep = values <= hi
         keep ^= low  # lo <= hi, so every value below lo is also at most hi
         # np.compress takes half the time of boolean indexing here
-        inside.append(np.compress(keep, piece))
-    return below, np.concatenate(inside)
+        return np.count_nonzero(low), np.compress(keep, values)
+
+    counts = _map_pieces(bracket, _pooled_pieces(x, y))
+    return sum(below for below, _ in counts), np.concatenate([inside for _, inside in counts])
 
 
 def median_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
@@ -146,7 +171,9 @@ def median_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
     a bracket around the middle ranks, one pass over ``_pooled_pieces``
     counts the values below it and keeps those inside it, and a partition
     of those picks the middle ones. Should the ranks fall outside, the
-    bracket widens and the pass runs again. Only the middle values are
+    bracket widens and the pass runs again. Both passes compute their
+    pieces through ``map_batches`` and combine them in piece order, so the
+    result does not depend on the CPU count. Only the middle values are
     square-rooted: the root is monotone, so this is the median of the
     distances.
     """
@@ -157,7 +184,7 @@ def median_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
     mid = (count - 1) // 2
     top = mid + 1 - count % 2  # the upper middle rank
     xs, ys = x[::_SAMPLE_STRIDE], y[::_SAMPLE_STRIDE]
-    sample = np.concatenate(list(_pooled_pieces(xs, ys)))
+    sample = np.concatenate(_map_pieces(_piece_values, _pooled_pieces(xs, ys)))
     sample = np.sort(sample[~np.isnan(sample)])
     # The middle ranks' place in the sample, and a margin on either side. A
     # sampled row enters many pairs, so the sample's rank error shrinks with
@@ -190,13 +217,49 @@ def median_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
     return med if med > 0 else 1.0
 
 
+def _split(size: int) -> int:
+    """Where numpy's pairwise summation splits ``size`` values that do not
+    fit one leaf: half of them, less the remainder modulo its 8-way unroll."""
+    half = size // 2
+    return half - half % 8
+
+
+def _sum_leaves(size: int, start: int = 0) -> list[tuple[int, int]]:
+    """[lo, hi) leaves of ``size`` values in the order numpy's pairwise
+    summation visits them, each split (see ``_split``) until it holds at
+    most ``_PIECE_VALUES`` values."""
+    if size <= _PIECE_VALUES:
+        return [(start, start + size)]
+    half = _split(size)
+    return _sum_leaves(half, start) + _sum_leaves(size - half, start + half)
+
+
+def _sum_tree(leaf_sums, size: int):
+    """The total of ``size`` values from their ``_sum_leaves`` sums (an
+    iterator, consumed in leaf order), added up the same tree: bitwise the
+    ``np.add.reduce`` of the whole contiguous array, and so its ``.sum()``."""
+    if size <= _PIECE_VALUES:
+        return next(leaf_sums)
+    half = _split(size)
+    return _sum_tree(leaf_sums, half) + _sum_tree(leaf_sums, size - half)
+
+
 def mmd(x: np.ndarray, y: np.ndarray, cfg: MmdConfig | None = None) -> float:
     """Squared maximum mean discrepancy between two samples, clamped at 0.
 
     The unbiased U-statistic estimator: within-sample kernel means leave out
-    the diagonal. The three kernel blocks are built one at a time and each
-    is dropped before the next, so at most one block is held, besides the
-    median heuristic's values inside its bracket (see ``median_bandwidth``).
+    the diagonal. No kernel block is held whole. Each of the three (x with
+    x, y with y, x with y) is summed in ``_sum_leaves`` leaves of its
+    row-major values, each leaf computed from the whole kernel rows it
+    touches and added with ``np.add.reduce``; the leaf sums add up numpy's
+    own pairwise tree (``_sum_tree``), so each total, and the within
+    blocks' diagonals, are bitwise the whole block's ``.sum()`` and
+    ``np.trace`` when its values are. The leaves run through
+    ``map_batches``, one per slice. A leaf's product starts and ends on a
+    multiple of 8 rows (or the last row), never one row alone, as the whole
+    block's BLAS tiles do; besides its leaves in flight, a call holds the
+    median heuristic's values inside its bracket (see
+    ``median_bandwidth``).
 
     Args:
         x, y: [n, d] and [m, d] feature rows; both need >= 2 rows.
@@ -211,25 +274,42 @@ def mmd(x: np.ndarray, y: np.ndarray, cfg: MmdConfig | None = None) -> float:
     n, m = x.shape[0], y.shape[0]
     if n < 2 or m < 2:
         raise ValueError("unbiased estimator needs at least 2 rows per sample")
-    if cfg.kernel == "rbf":
+    rbf = cfg.kernel == "rbf"
+    if rbf:
         sigma = cfg.bandwidth if cfg.bandwidth is not None else median_bandwidth(x, y)
         scale = _rbf_scale(sigma)
+    xx, yy = (_sq_norms(a) if rbf else None for a in (x, y))
+    # each block's rows, columns and their squared norms
+    blocks = ((x, x, xx, xx), (y, y, yy, yy), (x, y, xx, yy))
+    diagonals = (np.empty(n), np.empty(m))  # the within blocks' k(a_i, a_i)
 
-    def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if cfg.kernel == "linear":
-            return a @ b.T
-        # the distance block becomes the kernel block in place
-        block = _pairwise_sq_dists(a, b)
-        block *= scale
-        return np.exp(block, out=block)
+    def leaf_sum(leaf: tuple[int, int, int]):
+        block, lo, hi = leaf
+        a, b, aa, bb = blocks[block]
+        width = len(b)
+        first, last = lo // width, -(-hi // width)  # the kernel rows it touches
+        start, end = first - first % 8, min(len(a), last + -last % 8)
+        if end - start == 1:
+            start -= 8
+        k = (a[start:end] @ b.T)[first - start : last - start]
+        if rbf:
+            _to_sq_dists(k, aa[first:last], bb)
+            k *= scale
+            np.exp(k, out=k)
+        if block < 2:
+            # the diagonal entries among this leaf's values
+            rows = np.arange(-(-lo // (width + 1)), (hi - 1) // (width + 1) + 1)
+            diagonals[block][rows] = k[rows - first, rows]
+        return np.add.reduce(k.ravel()[lo - first * width : hi - first * width])
 
-    def within_mean(a: np.ndarray, rows: int) -> float:
-        k = kernel(a, a)
-        return (k.sum() - np.trace(k)) / (rows * (rows - 1))
-
-    # each block is dropped as soon as its mean is taken
-    value = float(within_mean(x, n) + within_mean(y, m) - 2.0 * kernel(x, y).mean())
-    return max(value, 0.0)
+    sizes = [len(a) * len(b) for a, b, _, _ in blocks]
+    leaves = [(block, lo, hi) for block, size in enumerate(sizes) for lo, hi in _sum_leaves(size)]
+    leaf_sums = iter(_map_pieces(leaf_sum, leaves))
+    sum_xx, sum_yy, sum_xy = [_sum_tree(leaf_sums, size) for size in sizes]
+    # as (k.sum() - np.trace(k)) / (n (n - 1)) and k.mean() of whole blocks
+    within_x = (sum_xx - np.add.reduce(diagonals[0])) / (n * (n - 1))
+    within_y = (sum_yy - np.add.reduce(diagonals[1])) / (m * (m - 1))
+    return max(float(within_x + within_y - 2.0 * (sum_xy / (n * m))), 0.0)
 
 
 def _token_means(model: SstModel, features: np.ndarray | PixelWindows) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from hsiatl import autodiff as ad
 from hsiatl.autodiff import Tensor
 from hsiatl.model import encode, forward_batch, unfold
-from hsiatl.transfer import _pairwise_sq_dists, _pooled_pieces
+from hsiatl.transfer import _pairwise_sq_dists, _piece_values, _pooled_pieces
 
 
 def numeric_gradient(fn, arrays: list[np.ndarray], step: float = 1e-5):
@@ -259,7 +259,7 @@ def pooled_sq_dists_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def pooled_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Every pooled pair's squared distance in one array, from the row
     ranges ``median_bandwidth`` passes over (``_pooled_pieces``)."""
-    return np.concatenate(list(_pooled_pieces(x, y)))
+    return np.concatenate([_piece_values(piece) for piece in _pooled_pieces(x, y)])
 
 
 def median_partition_oracle(x: np.ndarray, y: np.ndarray) -> float:

@@ -167,22 +167,24 @@ class TestMmdAgainstPooledOracle:
         assert mmd(x, y, cfg) == mmd_oracle(x, y, cfg)
 
 
-RANGE = transfer_module._RANGE_ROWS
+PIECE = transfer_module._PIECE_VALUES
 
 
 class TestMmdRowRanges:
     """The pooled distances are built a row range at a time and the kernel
-    blocks one at a time; the statistic stays the pooled oracle's."""
+    blocks a leaf at a time; the statistic stays the pooled oracle's."""
 
     @pytest.mark.parametrize(
         "n, m",
         [
-            (RANGE + 1, 300),  # a lone row would be left after each full range
-            (2 * RANGE + 1, RANGE + 1),
-            (3 * RANGE + 1, 40),
-            (40, 2 * RANGE + 1),
-            (RANGE - 1, 100),  # both samples inside one range
-            (3, RANGE - 1),
+            # odd counts: each last range is short, and the triangles' and
+            # the cross pairs' ranges differ
+            (257, 300),
+            (513, 257),
+            (769, 40),
+            (40, 513),
+            (255, 100),
+            (3, 255),
         ],
     )
     def test_median_heuristic_equals_pooled_oracle(self, n, m):
@@ -192,30 +194,85 @@ class TestMmdRowRanges:
         assert median_bandwidth(x, y) == median_bandwidth_oracle(x, y)
         assert mmd(x, y) == mmd_oracle(x, y, MmdConfig())
 
-    @pytest.mark.parametrize("n", [1, 2, RANGE - 1, RANGE, RANGE + 1, 2 * RANGE + 1, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513, 1024])
     def test_ranges_cover_the_rows_without_a_lone_row(self, n):
-        ranges = transfer_module._row_ranges(n)
-        assert ranges[0][0] == 0 and ranges[-1][1] == n
-        assert all(e == s for (_, e), (s, _) in zip(ranges, ranges[1:]))
-        sizes = [e - s for s, e in ranges]
-        assert max(sizes) <= RANGE + 1
-        assert n == 1 or min(sizes) >= 2
+        for width in (1, 7, n, 1001, PIECE // 8, PIECE // 8 + 1, PIECE, 4 * PIECE):
+            ranges = transfer_module._row_ranges(n, width)
+            assert ranges[0][0] == 0 and ranges[-1][1] == n
+            assert all(e == s for (_, e), (s, _) in zip(ranges, ranges[1:]))
+            assert all(s % 8 == 0 for s, _ in ranges)
+            sizes = [e - s for s, e in ranges]
+            step = max(8, PIECE // width)
+            assert all(size <= step for size in sizes[:-1]) and sizes[-1] <= step + 1
+            assert n == 1 or min(sizes) >= 2
 
-    def test_one_call_holds_one_block_and_the_bracketed_values(self):
-        # 1024 rows per sample: one 8 MiB kernel block at a time, one row
-        # range's norm sums beside it, and the median's bracket keeps about
-        # a tenth of the 16 MiB of pooled squared distances; holding those
-        # whole peaked near 23 MiB, and all three blocks at once near 40 MiB
+    @pytest.mark.parametrize("rows, limit_mib", [
+        # 4.2-4.4 MiB: the bracket's values (about 2 MiB) and two pieces in
+        # flight; one whole 8 MiB kernel block at a time peaked at 10.1 MiB
+        (1024, 6),
+        # 35.6 MiB, nearly all of it the bracket's values; one whole 128 MiB
+        # kernel block at a time peaked at 136 MiB
+        (4096, 44),
+    ])
+    def test_one_call_holds_bounded_pieces_and_the_bracketed_values(
+        self, monkeypatch, rows, limit_mib
+    ):
+        # two pieces in flight, as on a 2-CPU host, whatever this host has
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 2)
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(1024, 56))
-        y = rng.normal(size=(1024, 56)) + 0.2
+        x = rng.normal(size=(rows, 56))
+        y = rng.normal(size=(rows, 56)) + 0.2
         tracemalloc.start()
         try:
             mmd(x, y)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 12 << 20, peak
+        assert peak < limit_mib << 20, peak
+
+
+class TestSumTree:
+    """Leaf sums added up numpy's pairwise tree are bitwise ``.sum()``."""
+
+    @pytest.mark.parametrize("size", [
+        1, 7, 8, 129, PIECE - 1, PIECE, PIECE + 1, 3 * PIECE + 5, 1000 * 1001, 1024 * 1024,
+    ])
+    def test_leaf_sums_equal_whole_sum(self, size):
+        rng = np.random.default_rng(size)
+        # magnitudes over 16 decades, so any other order of the adds rounds
+        # differently
+        values = rng.random(size) * 10.0 ** rng.uniform(-8, 8, size)
+        leaves = transfer_module._sum_leaves(size)
+        assert leaves[0][0] == 0 and leaves[-1][1] == size
+        assert all(e == s for (_, e), (s, _) in zip(leaves, leaves[1:]))
+        assert all(0 < e - s <= PIECE for s, e in leaves)
+        sums = iter([np.add.reduce(values[s:e]) for s, e in leaves])
+        total = transfer_module._sum_tree(sums, size)
+        assert next(sums, None) is None  # every leaf was used
+        assert total == values.sum()
+        # and a 2-D block's, as a kernel block of rows of that width
+        for width in (7, 8, 1001, 1024):
+            if size % width == 0:
+                assert total == values.reshape(-1, width).sum()
+
+
+class TestMmdLeaves:
+    """``mmd`` and ``median_bandwidth`` from pieces run on any number of
+    threads are bitwise the whole-block oracles at odd shapes."""
+
+    @pytest.mark.parametrize("width", [56, 57])
+    @pytest.mark.parametrize("n, m", [(257, 511), (1000, 1001), (1023, 1025)])
+    def test_bitwise_equal_to_oracles_on_any_cpu_count(self, monkeypatch, n, m, width):
+        rng = np.random.default_rng(n * 7919 + m + width)
+        x = rng.normal(size=(n, width))
+        y = rng.normal(size=(m, width)) + 0.3
+        bandwidth = median_bandwidth_oracle(x, y)
+        configs = (MmdConfig(), MmdConfig(kernel="linear"))
+        expected = [mmd_oracle(x, y, cfg) for cfg in configs]
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(model_module, "_cpu_count", lambda: cpus)
+            assert median_bandwidth(x, y) == bandwidth
+            assert [mmd(x, y, cfg) for cfg in configs] == expected
 
 
 def whole_block_sq_dists(a, b):
