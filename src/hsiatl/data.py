@@ -26,6 +26,11 @@ import numpy as np
 CUBE_MAGIC = b"HSIC"
 LABEL_MAGIC = b"HSIL"
 MAX_ELEMENTS = 2**31
+# float64 values (512 KiB) in one piece of a pass that works through more
+# than it holds: a block of neighbourhood differences, a range of the MMD's
+# pooled pairs. A fixed size, not a setting: it bounds what a pass holds,
+# not what it computes.
+PIECE_VALUES = 1 << 16
 
 
 class FormatError(Exception):

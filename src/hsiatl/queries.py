@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hsiatl.data import HsiCube, LabelMap
+from hsiatl.data import PIECE_VALUES, HsiCube, LabelMap
 from hsiatl.model import PixelWindows, SstModel, predict_probs
 
 STRATEGIES = ("hybrid", "random", "uncertainty", "entropy", "margin", "diversity_only")
@@ -96,10 +96,6 @@ def check_neighborhood(cube: HsiCube, n: int) -> None:
         raise ValueError(f"n_neighborhood {n} exceeds cube extent {(cube.rows, cube.cols)}")
 
 
-# the most values one block of a pixel's pairwise spectral differences holds
-DIVERSITY_BLOCK = 65_536
-
-
 def neighborhood_diversity_batch(cube: HsiCube, pixels: np.ndarray, n: int) -> np.ndarray:
     """Mean pairwise Euclidean distance among the n*n spectra around each
     flattened pixel index, mirror-padded at the borders (``HsiCube.padded``).
@@ -108,7 +104,7 @@ def neighborhood_diversity_batch(cube: HsiCube, pixels: np.ndarray, n: int) -> n
     divides by m * (m - 1). n = 1 gives 0 by definition; so does any window
     of identical spectra. Each pixel's [m, m] distance matrix is filled a
     block of rows at a time, from a difference array of at most
-    ``DIVERSITY_BLOCK`` values (or one row of m * bands, where that is
+    ``PIECE_VALUES`` values (or one row of m * bands, where that is
     more), so no pass holds all m * m * bands differences at once.
     """
     check_neighborhood(cube, n)
@@ -121,7 +117,7 @@ def neighborhood_diversity_batch(cube: HsiCube, pixels: np.ndarray, n: int) -> n
         return out
     padded = cube.padded(n // 2)
     m = n * n
-    step = max(1, DIVERSITY_BLOCK // (m * bands))
+    step = max(1, PIECE_VALUES // (m * bands))
     distances = np.empty((m, m))
     for i, flat in enumerate(pixels):
         r, c = divmod(int(flat), cols)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hsiatl.data import DimensionError, HsiCube, LabelMap, check_extent, make_split
+from hsiatl.data import PIECE_VALUES, DimensionError, HsiCube, LabelMap, check_extent, make_split
 from hsiatl.model import (
     NumericalError,
     PixelWindows,
@@ -71,42 +71,26 @@ class FreezePlan:
     variance_target: list[float]
 
 
-# float64 values (512 KiB) in one piece of the MMD passes: a kernel sum's
-# leaf, a range of the median pass's pooled distances. A fixed size, not a
-# setting: it bounds what the passes hold, not what they compute.
-_PIECE_VALUES = 1 << 16
-
-
-def _sq_norms(a: np.ndarray) -> np.ndarray:
-    """|a_i|^2 for every row of ``a``."""
-    return (a * a).sum(axis=1)
-
-
-def _to_sq_dists(products: np.ndarray, aa: np.ndarray, bb: np.ndarray) -> np.ndarray:
-    """Products a_i.b_j [r, m] turned in place into squared distances
-    (|a_i|^2 + |b_j|^2) - 2 a_i.b_j, clamped at 0, from the squared row
-    norms ``aa`` [r] and ``bb`` [m]."""
-    products *= 2.0
-    np.subtract(aa[:, None] + bb, products, out=products)
-    return np.maximum(products, 0.0, out=products)
-
-
 def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances [n, m] of the rows of ``a`` and ``b``, clamped at 0:
-    one product, turned into distances in place."""
-    return _to_sq_dists(a @ b.T, _sq_norms(a), _sq_norms(b))
+    (|a_i|^2 + |b_j|^2) - 2 a_i.b_j, from one product turned into distances
+    in place."""
+    out = a @ b.T
+    out *= 2.0
+    np.subtract((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1), out, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _row_ranges(n: int, width: int) -> list[tuple[int, int]]:
     """[start, end) ranges that cover 0..n, each a multiple of 8 rows (the
-    last one excepted) with at most ``_PIECE_VALUES`` values of ``width``
+    last one excepted) with at most ``PIECE_VALUES`` values of ``width``
     per row, or 8 rows where one row is wider than that.
 
     A trailing lone row joins the range before it: a one-row product takes
     a different BLAS kernel, whose last bits differ from the multi-row one
     the whole block uses.
     """
-    step = max(8, _PIECE_VALUES // max(width, 1) // 8 * 8)
+    step = max(8, PIECE_VALUES // max(width, 1) // 8 * 8)
     starts = list(range(0, n, step))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
@@ -115,7 +99,7 @@ def _row_ranges(n: int, width: int) -> list[tuple[int, int]]:
 
 def _pooled_pieces(x: np.ndarray, y: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, bool]]:
     """The pooled pairs of ``x`` and ``y`` as pieces ``(rows, columns,
-    upper)`` of at most ``_PIECE_VALUES`` distances (see ``_row_ranges``):
+    upper)`` of at most ``PIECE_VALUES`` distances (see ``_row_ranges``):
     the strict upper triangles of the within-sample blocks (rows s:e of a
     sample against its rows s:, ``upper`` set), then every cross pair (rows
     s:e of ``x`` against all of ``y``). ``_piece_values`` computes one; no
@@ -125,10 +109,11 @@ def _pooled_pieces(x: np.ndarray, y: np.ndarray) -> list[tuple[np.ndarray, np.nd
     return pieces
 
 
-def _piece_values(piece: tuple[np.ndarray, np.ndarray, bool]) -> np.ndarray:
-    """The squared distances of one of ``_pooled_pieces``, row by row."""
+def _piece_values(piece: tuple[np.ndarray, np.ndarray, bool], pair=_pairwise_sq_dists):
+    """``pair(rows, columns)`` over one of ``_pooled_pieces``, row by row:
+    by default the squared distances."""
     rows, columns, upper = piece
-    block = _pairwise_sq_dists(rows, columns)
+    block = pair(rows, columns)
     if upper:
         return block[np.arange(len(rows))[:, None] < np.arange(block.shape[1])]
     return block.ravel()
@@ -217,48 +202,19 @@ def median_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
     return med if med > 0 else 1.0
 
 
-def _split(size: int) -> int:
-    """Where numpy's pairwise summation splits ``size`` values that do not
-    fit one leaf: half of them, less the remainder modulo its 8-way unroll."""
-    half = size // 2
-    return half - half % 8
-
-
-def _sum_leaves(size: int, start: int = 0) -> list[tuple[int, int]]:
-    """[lo, hi) leaves of ``size`` values in the order numpy's pairwise
-    summation visits them, each split (see ``_split``) until it holds at
-    most ``_PIECE_VALUES`` values."""
-    if size <= _PIECE_VALUES:
-        return [(start, start + size)]
-    half = _split(size)
-    return _sum_leaves(half, start) + _sum_leaves(size - half, start + half)
-
-
-def _sum_tree(leaf_sums, size: int):
-    """The total of ``size`` values from their ``_sum_leaves`` sums (an
-    iterator, consumed in leaf order), added up the same tree: bitwise the
-    ``np.add.reduce`` of the whole contiguous array, and so its ``.sum()``."""
-    if size <= _PIECE_VALUES:
-        return next(leaf_sums)
-    half = _split(size)
-    return _sum_tree(leaf_sums, half) + _sum_tree(leaf_sums, size - half)
-
-
 def mmd(x: np.ndarray, y: np.ndarray, cfg: MmdConfig | None = None) -> float:
     """Squared maximum mean discrepancy between two samples, clamped at 0.
 
     The unbiased U-statistic estimator: within-sample kernel means leave out
-    the diagonal. No kernel block is held whole. Each of the three (x with
-    x, y with y, x with y) is summed in ``_sum_leaves`` leaves of its
-    row-major values, each leaf computed from the whole kernel rows it
-    touches and added with ``np.add.reduce``; the leaf sums add up numpy's
-    own pairwise tree (``_sum_tree``), so each total, and the within
-    blocks' diagonals, are bitwise the whole block's ``.sum()`` and
-    ``np.trace`` when its values are. The leaves run through
-    ``map_batches``, one per slice. A leaf's product starts and ends on a
-    multiple of 8 rows (or the last row), never one row alone, as the whole
-    block's BLAS tiles do; besides its leaves in flight, a call holds the
-    median heuristic's values inside its bracket (see
+    the diagonal. The kernel is symmetric, so a within-sample mean is twice
+    its strict upper triangle's sum over n (n - 1). No kernel block is held
+    whole: the kernel is summed over ``_pooled_pieces``, the pieces the
+    median heuristic walks (x's upper triangle, y's, then every x-y pair),
+    each piece with one ``np.add.reduce``, and the piece sums are added in
+    piece order. The pieces run through ``map_batches``, so the result is
+    the same for any CPU count; it is not bitwise a whole block's
+    ``.sum()``, which adds in another order. Besides its pieces in flight,
+    a call holds the median heuristic's values inside its bracket (see
     ``median_bandwidth``).
 
     Args:
@@ -278,38 +234,21 @@ def mmd(x: np.ndarray, y: np.ndarray, cfg: MmdConfig | None = None) -> float:
     if rbf:
         sigma = cfg.bandwidth if cfg.bandwidth is not None else median_bandwidth(x, y)
         scale = _rbf_scale(sigma)
-    xx, yy = (_sq_norms(a) if rbf else None for a in (x, y))
-    # each block's rows, columns and their squared norms
-    blocks = ((x, x, xx, xx), (y, y, yy, yy), (x, y, xx, yy))
-    diagonals = (np.empty(n), np.empty(m))  # the within blocks' k(a_i, a_i)
 
-    def leaf_sum(leaf: tuple[int, int, int]):
-        block, lo, hi = leaf
-        a, b, aa, bb = blocks[block]
-        width = len(b)
-        first, last = lo // width, -(-hi // width)  # the kernel rows it touches
-        start, end = first - first % 8, min(len(a), last + -last % 8)
-        if end - start == 1:
-            start -= 8
-        k = (a[start:end] @ b.T)[first - start : last - start]
-        if rbf:
-            _to_sq_dists(k, aa[first:last], bb)
-            k *= scale
-            np.exp(k, out=k)
-        if block < 2:
-            # the diagonal entries among this leaf's values
-            rows = np.arange(-(-lo // (width + 1)), (hi - 1) // (width + 1) + 1)
-            diagonals[block][rows] = k[rows - first, rows]
-        return np.add.reduce(k.ravel()[lo - first * width : hi - first * width])
+    def piece_sum(piece):
+        if not rbf:
+            return np.add.reduce(_piece_values(piece, lambda a, b: a @ b.T))
+        k = _piece_values(piece)
+        k *= scale
+        return np.add.reduce(np.exp(k, out=k))
 
-    sizes = [len(a) * len(b) for a, b, _, _ in blocks]
-    leaves = [(block, lo, hi) for block, size in enumerate(sizes) for lo, hi in _sum_leaves(size)]
-    leaf_sums = iter(_map_pieces(leaf_sum, leaves))
-    sum_xx, sum_yy, sum_xy = [_sum_tree(leaf_sums, size) for size in sizes]
-    # as (k.sum() - np.trace(k)) / (n (n - 1)) and k.mean() of whole blocks
-    within_x = (sum_xx - np.add.reduce(diagonals[0])) / (n * (n - 1))
-    within_y = (sum_yy - np.add.reduce(diagonals[1])) / (m * (m - 1))
-    return max(float(within_x + within_y - 2.0 * (sum_xy / (n * m))), 0.0)
+    sums = _map_pieces(piece_sum, _pooled_pieces(x, y))
+    # x's upper-triangle pieces come first, then y's, then the cross pairs
+    i = len(_row_ranges(n, n))
+    j = i + len(_row_ranges(m, m))
+    within_x = 2.0 * sum(sums[:i]) / (n * (n - 1))
+    within_y = 2.0 * sum(sums[i:j]) / (m * (m - 1))
+    return max(float(within_x + within_y - 2.0 * (sum(sums[j:]) / (n * m))), 0.0)
 
 
 def _token_means(model: SstModel, features: np.ndarray | PixelWindows) -> np.ndarray:

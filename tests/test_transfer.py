@@ -18,7 +18,7 @@ from conftest import (
 
 from hsiatl import model as model_module
 from hsiatl import transfer as transfer_module
-from hsiatl.data import DimensionError, make_split, synth_cube
+from hsiatl.data import PIECE_VALUES, DimensionError, make_split, synth_cube
 from hsiatl.model import NumericalError, SstConfig, encode_prefix, init_model, unfold
 from hsiatl.training import TrainConfig, WindowBank, evaluate, train_model
 from hsiatl.transfer import (
@@ -44,6 +44,17 @@ def permutation_null(x, y, cfg, n_perm, seed):
         perm = rng.permutation(pooled.shape[0])
         stats.append(mmd(pooled[perm[: len(x)]], pooled[perm[len(x) :]], cfg))
     return np.array(stats)
+
+
+# ``mmd`` adds its piece sums in piece order, the oracle each whole block
+# along numpy's pairwise tree, so the two differ in the last digits: by at
+# most 3.6e-12 relative in 69 shape and kernel cases whose MMD was above
+# 1e-10. The absolute floor covers an MMD that cancels to near 0.
+MMD_RTOL, MMD_ATOL = 1e-10, 1e-13
+
+
+def assert_close_to_oracle(got, expected):
+    assert got == pytest.approx(expected, rel=MMD_RTOL, abs=MMD_ATOL)
 
 
 class TestMmd:
@@ -151,28 +162,29 @@ class TestMmdAgainstPooledOracle:
         x = rng.normal(size=(n, 12))
         y = rng.normal(size=(m, 12)) + 0.4
         assert median_bandwidth(x, y) == median_bandwidth_oracle(x, y)
-        assert mmd(x, y) == mmd_oracle(x, y, MmdConfig())
+        assert_close_to_oracle(mmd(x, y), mmd_oracle(x, y, MmdConfig()))
 
     def test_identical_rows_fall_back_to_unit_bandwidth(self):
         x = np.full((6, 4), 2.5)
         y = np.full((3, 4), 2.5)
         assert median_bandwidth(x, y) == median_bandwidth_oracle(x, y) == 1.0
-        assert mmd(x, y) == mmd_oracle(x, y, MmdConfig())
+        assert_close_to_oracle(mmd(x, y), mmd_oracle(x, y, MmdConfig()))
 
     @pytest.mark.parametrize("cfg", [MmdConfig(bandwidth=0.7), MmdConfig(kernel="linear")])
     def test_fixed_bandwidth_and_linear_kernel_unchanged(self, cfg):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(40, 5))
         y = rng.normal(size=(33, 5)) + 0.3
-        assert mmd(x, y, cfg) == mmd_oracle(x, y, cfg)
+        assert_close_to_oracle(mmd(x, y, cfg), mmd_oracle(x, y, cfg))
 
 
-PIECE = transfer_module._PIECE_VALUES
+PIECE = PIECE_VALUES
 
 
 class TestMmdRowRanges:
-    """The pooled distances are built a row range at a time and the kernel
-    blocks a leaf at a time; the statistic stays the pooled oracle's."""
+    """The pooled distances and the kernel sums are built a row range at a
+    time; the bandwidth stays the pooled oracle's, and the statistic
+    within the stated tolerance of it."""
 
     @pytest.mark.parametrize(
         "n, m",
@@ -192,7 +204,7 @@ class TestMmdRowRanges:
         x = rng.normal(size=(n, 12))
         y = rng.normal(size=(m, 12)) + 0.4
         assert median_bandwidth(x, y) == median_bandwidth_oracle(x, y)
-        assert mmd(x, y) == mmd_oracle(x, y, MmdConfig())
+        assert_close_to_oracle(mmd(x, y), mmd_oracle(x, y, MmdConfig()))
 
     @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513, 1024])
     def test_ranges_cover_the_rows_without_a_lone_row(self, n):
@@ -231,34 +243,11 @@ class TestMmdRowRanges:
         assert peak < limit_mib << 20, peak
 
 
-class TestSumTree:
-    """Leaf sums added up numpy's pairwise tree are bitwise ``.sum()``."""
-
-    @pytest.mark.parametrize("size", [
-        1, 7, 8, 129, PIECE - 1, PIECE, PIECE + 1, 3 * PIECE + 5, 1000 * 1001, 1024 * 1024,
-    ])
-    def test_leaf_sums_equal_whole_sum(self, size):
-        rng = np.random.default_rng(size)
-        # magnitudes over 16 decades, so any other order of the adds rounds
-        # differently
-        values = rng.random(size) * 10.0 ** rng.uniform(-8, 8, size)
-        leaves = transfer_module._sum_leaves(size)
-        assert leaves[0][0] == 0 and leaves[-1][1] == size
-        assert all(e == s for (_, e), (s, _) in zip(leaves, leaves[1:]))
-        assert all(0 < e - s <= PIECE for s, e in leaves)
-        sums = iter([np.add.reduce(values[s:e]) for s, e in leaves])
-        total = transfer_module._sum_tree(sums, size)
-        assert next(sums, None) is None  # every leaf was used
-        assert total == values.sum()
-        # and a 2-D block's, as a kernel block of rows of that width
-        for width in (7, 8, 1001, 1024):
-            if size % width == 0:
-                assert total == values.reshape(-1, width).sum()
-
-
 class TestMmdLeaves:
-    """``mmd`` and ``median_bandwidth`` from pieces run on any number of
-    threads are bitwise the whole-block oracles at odd shapes."""
+    """``median_bandwidth`` from pieces run on any number of threads is
+    bitwise its whole-block oracle at odd shapes; ``mmd`` is bitwise the
+    same on every CPU count and call, and within the stated tolerance of
+    its oracle."""
 
     @pytest.mark.parametrize("width", [56, 57])
     @pytest.mark.parametrize("n, m", [(257, 511), (1000, 1001), (1023, 1025)])
@@ -268,11 +257,42 @@ class TestMmdLeaves:
         y = rng.normal(size=(m, width)) + 0.3
         bandwidth = median_bandwidth_oracle(x, y)
         configs = (MmdConfig(), MmdConfig(kernel="linear"))
-        expected = [mmd_oracle(x, y, cfg) for cfg in configs]
+        results = []
         for cpus in (1, 2, 4):
             monkeypatch.setattr(model_module, "_cpu_count", lambda: cpus)
             assert median_bandwidth(x, y) == bandwidth
-            assert [mmd(x, y, cfg) for cfg in configs] == expected
+            for _ in range(2):  # the same on a repeated call
+                results.append([mmd(x, y, cfg) for cfg in configs])
+            assert [mmd(x, x, cfg) for cfg in configs] == [0.0, 0.0]
+        assert all(got == results[0] for got in results)
+        for value, cfg in zip(results[0], configs):
+            assert_close_to_oracle(value, mmd_oracle(x, y, cfg))
+
+    def test_every_pass_walks_the_pooled_pieces(self, monkeypatch):
+        # one RBF call: the bracket's sample, one bracket pass (the sample
+        # does not mislead on these rows) and the kernel pass
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(300, 56))
+        y = rng.normal(size=(257, 56)) + 0.3
+        handed = []
+        map_pieces = transfer_module._map_pieces
+
+        def spy(fn, pieces):
+            handed.append(pieces)
+            return map_pieces(fn, pieces)
+
+        monkeypatch.setattr(transfer_module, "_map_pieces", spy)
+        mmd(x, y)
+
+        def layout(pieces):
+            return [(np.shape(r), np.asarray(r).tobytes(), np.shape(c),
+                     np.asarray(c).tobytes(), upper) for r, c, upper in pieces]
+
+        sample = transfer_module._pooled_pieces(x[::8], y[::8])
+        pooled = transfer_module._pooled_pieces(x, y)
+        assert [layout(pieces) for pieces in handed] == [
+            layout(sample), layout(pooled), layout(pooled)
+        ]
 
 
 def whole_block_sq_dists(a, b):
