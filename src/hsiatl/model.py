@@ -301,12 +301,12 @@ def _shifted_scores(q: np.ndarray, k: np.ndarray, lead: tuple[int, ...]) -> np.n
     return shifted
 
 
-def _row_stats(shifted, e, calibration: float, renormalize: bool, scratch: np.ndarray):
-    """Z = sum(e), the row factor b / Z and, when the boost is on, A/Z and
-    calibration / ln N_k (else None), with e = exp(s'); ``scratch`` (which
-    may be ``shifted`` itself) receives e s'."""
+def _row_stats(shifted, e, calibration: float, scratch: np.ndarray):
+    """Z = sum(e), the row factor b / Z and, when the calibration is above
+    0, A/Z and calibration / ln N_k (else None), with e = exp(s');
+    ``scratch`` (which may be ``shifted`` itself) receives e s'."""
     z = np.add.reduce(e, axis=0)
-    if renormalize or calibration == 0:
+    if calibration == 0:
         return z, 1.0 / z, None
     n_k = shifted.shape[0]
     slope = float(calibration) / (math.log(n_k) if n_k > 1 else 1.0)
@@ -320,7 +320,7 @@ def _row_stats(shifted, e, calibration: float, renormalize: bool, scratch: np.nd
     return z, boost / z, (mean, slope)
 
 
-def _attend(project, calibration: float, renormalize: bool):
+def _attend(project, calibration: float):
     """Self-calibrated attention on arrays [..., N, d_k], with the scores
     held keys first; ``project(i)`` gives q, k and v for i = 0, 1 and 2.
 
@@ -329,7 +329,7 @@ def _attend(project, calibration: float, renormalize: bool):
     With e = exp(s'), Z = sum(e) and A = sum(e s') over the keys, a row's
     entropy is H = log Z - A/Z (no log of any weight), its boost is
     b = 1 + calibration * H / ln N_k, and the output is (e^T v) * b / Z.
-    Renormalized rows lose their boost, so they take b = 1. Each input is
+    Renormalized rows come as calibration 0, so they take b = 1. Each input is
     asked for when it is used and dropped after: q and k once s' exists, s'
     (whose buffer takes e s') before v is made, so no more than e and one
     other score-sized array are alive at once. Nothing is kept for the
@@ -340,14 +340,14 @@ def _attend(project, calibration: float, renormalize: bool):
     shifted = _shifted_scores(q, k, np.broadcast_shapes(q.shape[:-2], k.shape[:-2]))
     del q, k
     e = np.exp(shifted)
-    _, scale, _ = _row_stats(shifted, e, calibration, renormalize, shifted)
+    _, scale, _ = _row_stats(shifted, e, calibration, shifted)
     del shifted
     out = np.matmul(np.moveaxis(e, 0, -1), project(2))
     out *= scale[..., None]
     return out
 
 
-def _attend_back(g, q, k, v, calibration: float, renormalize: bool):
+def _attend_back(g, q, k, v, calibration: float):
     """Gradients (g_q, g_k, g_v) of ``_attend`` for its output gradient ``g``,
     in closed form on the same keys-first layout, and the output itself.
 
@@ -363,7 +363,7 @@ def _attend_back(g, q, k, v, calibration: float, renormalize: bool):
     shifted = _shifted_scores(q, k, lead)
     e = np.exp(shifted)
     product = np.empty_like(shifted)
-    z, scale, entropy = _row_stats(shifted, e, calibration, renormalize, product)
+    z, scale, entropy = _row_stats(shifted, e, calibration, product)
     out = np.matmul(np.moveaxis(e, 0, -1), v)
     out *= scale[..., None]
     g_v = np.matmul(np.moveaxis(e, 0, -2), g * scale[..., None])
@@ -404,15 +404,17 @@ def calibrated_attention(
     U_i its normalized entropy. calibration = 0 skips the scaling, making the
     outputs bitwise those of ``attention``. Re-dividing the scaled rows by
     their sums (``renormalize``) cancels the scaling, so those outputs are
-    bitwise those of ``attention`` too. One tape node (see ``_attend``).
+    bitwise those of ``attention`` too, and the kernel runs it as
+    calibration 0. One tape node (see ``_attend``).
     """
     if calibration < 0:
         raise ValueError(f"calibration must be >= 0, got {calibration}")
+    calibration = 0.0 if renormalize else calibration
     q, k, v = (ad._as_tensor(t) for t in (q, k, v))
-    out = _attend((q.data, k.data, v.data).__getitem__, calibration, renormalize)
+    out = _attend((q.data, k.data, v.data).__getitem__, calibration)
 
     def bwd(g):
-        *grads, _ = _attend_back(g, q.data, k.data, v.data, calibration, renormalize)
+        *grads, _ = _attend_back(g, q.data, k.data, v.data, calibration)
         # the order the op graph reaches them in: v, then q, then k
         for t, g_t in ((v, grads[2]), (q, grads[0]), (k, grads[1])):
             if t.requires_grad:
@@ -472,6 +474,8 @@ def _self_attention(z: Tensor, layer: dict[str, Tensor], cfg: SstConfig, keep=No
     that order.
     """
     b, n, d = z.shape
+    # renormalized rows lose their boost: the kernel runs them as calibration 0
+    calibration = 0.0 if cfg.renormalize else cfg.calibration
     projections = (layer["attn_q"], layer["attn_k"], layer["attn_v"])
     w_out = layer["attn_out"]
 
@@ -490,8 +494,7 @@ def _self_attention(z: Tensor, layer: dict[str, Tensor], cfg: SstConfig, keep=No
         merged = np.empty((4, b, n, d))
         for start in range(0, b, ATTEND_BACK_TILE):
             rows = slice(start, start + ATTEND_BACK_TILE)
-            tile = _attend_back(g_heads[rows], *(project(i, rows) for i in range(3)),
-                                cfg.calibration, cfg.renormalize)
+            tile = _attend_back(g_heads[rows], *(project(i, rows) for i in range(3)), calibration)
             for whole, part in zip(merged, tile):
                 split(whole)[rows] = part
         *grads, heads = merged
@@ -503,7 +506,7 @@ def _self_attention(z: Tensor, layer: dict[str, Tensor], cfg: SstConfig, keep=No
             if w.requires_grad:
                 w.accumulate(ad._weight_grad(z.data, g_x))
 
-    heads = _attend(project, cfg.calibration, cfg.renormalize)
+    heads = _attend(project, calibration)
     merged = heads.transpose(0, 2, 1, 3).reshape(b, n, d)
     out = _dropout_residual(merged @ w_out.data, z, keep, cfg.dropout)
     return ad._record(Tensor._result(out), (z, *projections, w_out), bwd)
@@ -624,8 +627,10 @@ def encode(
     masks=None,
     capture: bool = False,
     from_block: int = 0,
+    to_block: int | None = None,
 ):
-    """Run embedding + positional code + encoder stack on unfolded tokens.
+    """Run embedding + positional code + encoder blocks ``from_block`` up to
+    ``to_block`` on unfolded tokens.
 
     Args:
         features: [B, N_p, p*p*bands] unfolded windows (see ``unfold``), or
@@ -637,6 +642,8 @@ def encode(
             arrays.
         from_block: the first encoder block to run; the embedding and the
             blocks before it are skipped.
+        to_block: the block to stop before (None: every block runs), so
+            ``to_block=j`` gives the tokens that enter block j.
 
     Returns:
         Final [B, N_p, d_model] tensor, or (tensor, list of block outputs).
@@ -662,7 +669,7 @@ def encode(
     else:
         z = x
     captured = []
-    for i in range(from_block, cfg.n_layers):
+    for i in range(from_block, cfg.n_layers if to_block is None else to_block):
         z = encoder_block(z, model.block(i), cfg, training, masks)
         if capture:
             captured.append(z.data)
@@ -743,13 +750,6 @@ def map_batches(fn, items: np.ndarray | PixelWindows, batch_size: int = 64) -> l
         ]
 
 
-def _prefix(model: SstModel, n_blocks: int) -> SstModel:
-    """The model cut after its embedding and first ``n_blocks`` blocks (a copy)."""
-    config = dataclasses.replace(model.config, n_layers=n_blocks)
-    return SstModel(config, np.concatenate([model.params[name].data.ravel()
-                                            for name in param_spec(config)]))
-
-
 def predict_probs(
     models: SstModel | tuple[SstModel, ...],
     features: np.ndarray | PixelWindows,
@@ -766,18 +766,18 @@ def predict_probs(
     ``models`` is one model or a tuple of models whose embedding and first
     ``from_block`` encoder blocks are bitwise the same, as a model's are
     before and after fine-tuning under a plan that freezes them. Each batch
-    runs those once, from the first model, then every model's later blocks
-    and head; a row's tokens do not depend on where a pass stops, so each
-    model's result is bitwise the one a pass of its own gives. A tuple
-    gives a tuple of arrays, one per model. Raises NumericalError when
-    probabilities are not finite (numpy's floating-point warnings are off).
+    runs those once, as ``encode(models[0], batch, to_block=from_block)``,
+    then every model's later blocks and head; a row's tokens do not depend
+    on where a pass stops, so each model's result is bitwise the one a pass
+    of its own gives. A tuple gives a tuple of arrays, one per model. Raises
+    NumericalError when probabilities are not finite (numpy's floating-point
+    warnings are off).
     """
     group = (models,) if isinstance(models, SstModel) else tuple(models)
     outs = tuple(np.empty((len(features), model.config.n_classes)) for model in group)
-    prefix = _prefix(group[0], from_block) if from_block else None
 
     def write(rows: slice, batch: np.ndarray) -> None:
-        tokens = batch if prefix is None else encode(prefix, batch)
+        tokens = encode(group[0], batch, to_block=from_block) if from_block else batch
         for model, out in zip(group, outs):
             out[rows] = forward_batch(model, tokens, from_block=from_block).data
 
@@ -792,7 +792,8 @@ def encode_prefix(
     model: SstModel, features: np.ndarray | PixelWindows, n_blocks: int
 ) -> np.ndarray:
     """Evaluation-mode tokens [n, N_p, d_model] after the embedding and the
-    first ``n_blocks`` encoder blocks.
+    first ``n_blocks`` encoder blocks: ``encode(model, batch,
+    to_block=n_blocks)`` a batch at a time.
 
     ``encode``, ``forward_batch`` and ``train_model`` continue from them
     with ``from_block=n_blocks``. Batches run as in ``predict_probs``; a
@@ -800,11 +801,10 @@ def encode_prefix(
     the ones a full pass computes. They take N_p * d_model * 8 bytes per
     window, written into one array as each batch finishes.
     """
-    prefix = _prefix(model, n_blocks)
     out = np.empty((len(features), model.config.n_tokens, model.config.d_model))
 
     def write(rows: slice, batch: np.ndarray) -> None:
-        out[rows] = encode(prefix, batch).data
+        out[rows] = encode(model, batch, to_block=n_blocks).data
 
     map_batches(write, features)
     return out

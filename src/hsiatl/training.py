@@ -88,7 +88,6 @@ def train_model(
     features: np.ndarray | PixelWindows,
     targets: np.ndarray,
     cfg: TrainConfig,
-    log=None,
     from_block: int = 0,
 ) -> list[float]:
     """Train in place; returns the mean loss per epoch.
@@ -158,8 +157,6 @@ def train_model(
             for start in range(0, n, cfg.batch_size):
                 total += step(order[start : start + cfg.batch_size], epoch)
             history.append(total / n)
-            if log is not None:
-                log(epoch, history[-1])
     return history
 
 

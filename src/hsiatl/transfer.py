@@ -341,7 +341,6 @@ def fine_tune(
     cfg: TrainConfig,
     n_classes: int | None = None,
     head_seed: int = 0,
-    log=None,
 ) -> SstModel:
     """Adapt a source model to target data under a freeze plan, in place.
 
@@ -363,9 +362,7 @@ def fine_tune(
         blocks = _frozen_prefix(plan)
         if blocks:
             features = encode_prefix(model, features, blocks)
-        history = train_model(
-            model, features, target_classes - 1, cfg, log=log, from_block=blocks
-        )
+        history = train_model(model, features, target_classes - 1, cfg, from_block=blocks)
         for epoch, value in enumerate(history):
             logger.debug("fine-tune epoch %d: loss=%.6f", epoch, value)
     return model

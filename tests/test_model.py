@@ -604,10 +604,12 @@ class TestSublayerNodes:
         # contiguous arrays, and head-split views as _self_attention passes
         split = [(z @ rng.normal(size=(56, 56))).reshape(5, 16, 8, 7).transpose(0, 2, 1, 3)
                  for _ in range(3)]
+        # callers hand renormalized rows to the kernel as calibration 0
+        calibration = 0.0 if renormalize else calibration
         for q, k, v in ([rng.normal(size=(3, 6, 4)) for _ in range(3)], split):
-            heads = model_module._attend((q, k, v).__getitem__, calibration, renormalize)
+            heads = model_module._attend((q, k, v).__getitem__, calibration)
             g = rng.normal(size=heads.shape)
-            *_, rebuilt = model_module._attend_back(g, q, k, v, calibration, renormalize)
+            *_, rebuilt = model_module._attend_back(g, q, k, v, calibration)
             assert rebuilt.tobytes() == heads.tobytes()
 
     def test_eval_attention_holds_two_score_arrays_at_most(self):
@@ -933,7 +935,6 @@ class TestParameterVector:
         self.assert_views(model)
         save_model(model, tmp_path / "model.sstc")
         self.assert_views(load_model(tmp_path / "model.sstc"))
-        self.assert_views(model_module._prefix(model, 1))
 
         replica = model.replica()
         self.assert_views(replica)
@@ -1253,6 +1254,31 @@ class TestEncodeFromBlock:
                     assert [p.tobytes() for p in shared] == [reference, alone[j]], (
                         cpus, j, batch_size)
 
+    def test_a_block_range_continues_to_the_full_pass(self):
+        model = init_model(tiny_config(n_layers=3), seed=8)
+        feats = unfold(np.random.default_rng(8).normal(size=(5, 4, 4, 3)), 2)
+        _, captured = encode(model, feats, capture=True)
+        probs = forward_batch(model, feats).data.tobytes()
+        for j in range(1, 4):
+            tokens = encode(model, feats, to_block=j)
+            assert tokens.data.tobytes() == captured[j - 1].tobytes(), j
+            assert forward_batch(model, tokens, from_block=j).data.tobytes() == probs, j
+
+    def test_shared_prefix_passes_build_no_second_model(self, monkeypatch):
+        model, feats = TestParallelEvaluation.problem(n=70)
+        tuned = self.tuned_copy(model, 1)
+        built = []
+        post_init = SstModel.__post_init__
+
+        def spy(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(SstModel, "__post_init__", spy)
+        predict_probs((model, tuned), feats, from_block=1)
+        encode_prefix(model, feats, 1)
+        assert built == []
+
     def test_lazy_windows_give_the_same_tokens(self):
         model = init_model(SstConfig(bands=3, n_classes=3, window=4, d_model=8, n_heads=2), seed=2)
         cube = HsiCube(np.random.default_rng(6).normal(size=(9, 9, 3)))
@@ -1282,10 +1308,9 @@ class TestEncodeFromBlock:
     def test_tokens_fill_one_array_without_a_second_copy(self, monkeypatch, cpus):
         model, feats = TestParallelEvaluation.problem(n=2048)
         TestParallelEvaluation.force_cpus(monkeypatch, cpus)
-        prefix = model_module._prefix(model, 1)
         tracemalloc.start()
         try:
-            encode(prefix, feats[:64])
+            encode(model, feats[:64], to_block=1)
             _, batch_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             out_bytes = encode_prefix(model, feats, 1).nbytes
