@@ -218,19 +218,6 @@ def add(a, b) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor._result(a.data - b.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(-g, b.data.shape))
-
-    return _record(out, (a, b), bwd)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor._result(a.data * b.data)
@@ -258,15 +245,14 @@ def div(a, b) -> Tensor:
 
 
 def scale(a, s: float) -> Tensor:
-    a = _as_tensor(a)
-    s = float(s)
-    out = Tensor._result(a.data * s)
+    """``a`` times the constant ``s``, which must be finite."""
+    return mul(a, float(s))
 
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g * s)
 
-    return _record(out, (a,), bwd)
+def sub(a, b) -> Tensor:
+    """a + (-b): negation is exact, so the value is bitwise a - b and b's
+    gradient, the negated sum, bitwise the sum of -g."""
+    return add(a, scale(b, -1.0))
 
 
 def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -470,14 +456,7 @@ def dropout(x, rate: float = 0.1, training: bool = False, rng=None) -> Tensor:
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs an rng for determinism")
-    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    out = Tensor._result(x.data * keep)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate(g * keep)
-
-    return _record(out, (x,), bwd)
+    return mul(x, (rng.random(x.data.shape) >= rate) / (1.0 - rate))
 
 
 def cross_entropy(probs: Tensor, targets: np.ndarray) -> Tensor:

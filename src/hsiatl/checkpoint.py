@@ -124,7 +124,7 @@ def _header(path, blob: bytes) -> tuple[SstConfig, dict, dict[str, tuple[int, ..
     missing = [name for name in spec if name not in listed]
     if missing:
         raise FormatError(f"{path}: checkpoint missing parameter {missing[0]}")
-    groups = {name.split(".")[0] for name in spec} - {"pool"}
+    groups = set(map(SstModel.group_of, spec))
     if set(freeze) != groups:
         raise FormatError(
             f"{path}: header field 'freeze' must name the groups {sorted(groups)}, "

@@ -61,7 +61,8 @@ from hsiatl.training import (
     run_active_learning,
     train_model,
 )
-from hsiatl.transfer import FineTuneError, MmdConfig, check_fractions, run_transfer
+from hsiatl.transfer import (FineTuneError, MmdConfig, check_fractions, run_transfer,
+                             tune_split)
 
 
 class UsageError(Exception):
@@ -509,10 +510,7 @@ def cmd_ablate(args: argparse.Namespace, run: RunConfig) -> int:
                     target_fraction=run.target_fraction, seed=seed,
                 )
                 fine = report["fine_tuned"]
-                # the pixels run_transfer tuned on: make_split rounds per class
-                # and keeps at least one pixel of each
-                f = run.target_fraction
-                n_tune = make_split(target_labels, (f, 0.0, 1.0 - f), seed).train.size
+                n_tune = tune_split(target_labels, run.target_fraction, seed).train.size
                 rows_out.append({
                     "strategy": label, "budget": n_tune, "seed": seed,
                     "oa": fine["oa"], "aa": fine["aa"], "kappa": fine["kappa"],

@@ -169,10 +169,9 @@ class SstModel:
     params: dict[str, Tensor] = field(init=False)
 
     def __post_init__(self):
-        if not self.freeze:
-            self.freeze = {"embed": False, "head": False}
-            self.freeze.update({f"enc{i}": False for i in range(self.config.n_layers)})
         spec = param_spec(self.config)
+        if not self.freeze:
+            self.freeze = dict.fromkeys(map(self.group_of, spec), False)
         self.params = {name: Tensor._result(data) for name, data in _views(self.vector, spec)}
         if self.grad is not None:
             for name, grad in _views(self.grad, spec, self.vector.size - self.grad.size):
@@ -197,7 +196,8 @@ class SstModel:
         before ``start`` have no gradient."""
         return dataclasses.replace(self, grad=np.zeros(self.vector.size - start))
 
-    def group_of(self, param_name: str) -> str:
+    @staticmethod
+    def group_of(param_name: str) -> str:
         prefix = param_name.split(".", 1)[0]
         return "head" if prefix == "pool" else prefix
 
@@ -434,23 +434,23 @@ def _keep_mask(shape: tuple[int, ...], cfg: SstConfig, training: bool, masks) ->
     return mask
 
 
+def _inverted_dropout(x: np.ndarray, keep, rate: float) -> np.ndarray:
+    """``x`` times keep / (1 - rate) in place, the factor built from the keep
+    mask as ``ad.dropout`` builds it (``keep`` None: no dropout). A sublayer
+    node runs it on its output, and in its backward on the output gradient
+    for the sublayer's share, once the residual's share (that gradient as it
+    was) is passed on, as the op graph does."""
+    if keep is not None:
+        x *= keep / (1.0 - rate)
+    return x
+
+
 def _dropout_residual(out: np.ndarray, z: Tensor, keep, rate: float) -> np.ndarray:
     """z + dropout(out), in place on ``out``: the op graph's dropout and
-    residual add, bitwise (the float keep factor is rebuilt from the mask as
-    ``ad.dropout`` builds it, and the add commutes)."""
-    if keep is not None:
-        out *= keep / (1.0 - rate)
+    residual add, bitwise (the add commutes)."""
+    out = _inverted_dropout(out, keep, rate)
     out += z.data
     return out
-
-
-def _dropout_back(g: np.ndarray, keep, rate: float) -> np.ndarray:
-    """The sublayer's share of the gradient ``g`` of ``_dropout_residual``'s
-    output, scaled in place on ``g``. The residual's share is ``g`` as it
-    was, so the caller passes that on first, as the op graph does."""
-    if keep is not None:
-        g *= keep / (1.0 - rate)
-    return g
 
 
 # windows per tile of the attention backward: its score-sized arrays grow
@@ -488,7 +488,7 @@ def _self_attention(z: Tensor, layer: dict[str, Tensor], cfg: SstConfig, keep=No
     def bwd(g):
         if z.requires_grad:
             z.accumulate(g)
-        g = _dropout_back(g, keep, cfg.dropout)
+        g = _inverted_dropout(g, keep, cfg.dropout)
         g_heads = split(g @ w_out.data.T)
         # the merged heads and the q, k and v gradients, filled a tile at a time
         merged = np.empty((4, b, n, d))
@@ -534,7 +534,7 @@ def _feed_forward(x: Tensor, layer: dict[str, Tensor], cfg: SstConfig, keep=None
         normed = x.requires_grad or gain.requires_grad or bias.requires_grad
         # z's gradient starts as the residual's share, as in the op graph
         g_z = g.copy() if normed else None
-        g = _dropout_back(g, keep, cfg.dropout)
+        g = _inverted_dropout(g, keep, cfg.dropout)
         if b2.requires_grad:
             b2.accumulate(ad._unbroadcast(g, b2.shape))
         hidden = relu_hidden(z)

@@ -109,15 +109,20 @@ def train_model(
     gradient, moment or scratch vector has entries for them. The two
     replicas are made once per call, on the calling thread, and their
     gradient vectors are zeroed in place before each step. Raises
-    NumericalError on a non-finite loss (numpy's floating-point warnings
-    are off).
+    ValueError, before any step, on no windows or not one target per
+    window, and NumericalError on a non-finite loss (numpy's floating-point
+    warnings are off).
     """
+    n = len(features)
+    if len(targets) != n:
+        raise ValueError(f"{len(targets)} targets for {n} windows")
+    if n == 0:
+        raise ValueError("no windows to train on")
     rng = np.random.default_rng(cfg.seed)
     model.apply_freeze()
     tail = model.config.tail_start(from_block)
     optimizer = Adam(model.vector[tail:], lr=cfg.lr, decay=cfg.decay)
     replicas = model.replica(tail), model.replica(tail)
-    n = len(features)
 
     def step(batch: np.ndarray, epoch: int) -> float:
         """One optimizer step on the rows ``batch``; returns their loss sum."""
@@ -138,6 +143,8 @@ def train_model(
             ad.backward(tape, loss)
             return value
 
+        # optimizer.grad is replaced below; zero_grad stays as the mark that
+        # opens a step for perfbench's step timer, which ends at step()
         optimizer.zero_grad()
         for replica in replicas:
             replica.grad.fill(0.0)

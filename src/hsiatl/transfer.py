@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hsiatl.data import PIECE_VALUES, DimensionError, HsiCube, LabelMap, check_extent, make_split
+from hsiatl.data import (PIECE_VALUES, DimensionError, HsiCube, LabelMap, SplitManifest,
+                         check_extent, make_split)
 from hsiatl.model import (
     NumericalError,
     PixelWindows,
@@ -382,6 +383,13 @@ def check_fractions(rho: float, target_fraction: float) -> None:
         raise ValueError(f"target_fraction must be in (0, 1), got {target_fraction}")
 
 
+def tune_split(labels: LabelMap, target_fraction: float, seed: int) -> SplitManifest:
+    """The target split (target_fraction, 0, rest) into fine-tuning and test
+    pixels; ``make_split`` rounds per class and keeps at least one pixel of
+    each for tuning."""
+    return make_split(labels, (target_fraction, 0.0, 1.0 - target_fraction), seed=seed)
+
+
 def run_transfer(
     model: SstModel,
     source_cube: HsiCube,
@@ -396,8 +404,8 @@ def run_transfer(
 ) -> tuple[SstModel, dict]:
     """Freeze-plan, fine-tune, then score the target zero-shot and tuned.
 
-    The target labels are split (target_fraction, 0, rest) into fine-tuning
-    and test pixels. Discrepancies are estimated on up to
+    The target labels are split by ``tune_split`` into fine-tuning and test
+    pixels. Discrepancies are estimated on up to
     mmd_cfg.sample_count labeled windows per domain, drawn with ``seed``.
     When the class counts match, the source parameters are copied before
     fine-tuning, and both models are scored in one pass over the test
@@ -432,9 +440,7 @@ def run_transfer(
         rho,
         mmd_cfg,
     )
-    split = make_split(
-        target_labels, (target_fraction, 0.0, 1.0 - target_fraction), seed=seed
-    )
+    split = tune_split(target_labels, target_fraction, seed)
     bank = WindowBank(target_cube, target_labels, window, subpatch)
     test_windows, test_targets = bank.windows(split.test)
     tune_features, tune_targets = bank.windows(split.train)

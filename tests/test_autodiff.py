@@ -325,6 +325,68 @@ class TestElementwiseOps:
             Tensor([np.nan, 1.0])
 
 
+def upstream_grads(fn, tensors, g):
+    """fn(*tensors) under a tape, the gradients of sum(output * g) (the
+    output's gradient is g bitwise) and the number of records fn made."""
+    for t in tensors:
+        t.grad = None
+    with Tape() as tape:
+        out = fn(*tensors)
+        n_records = len(tape)
+        loss = ad.reduce_sum(ad.mul(out, Tensor(g)))
+    ad.backward(tape, loss)
+    return out.data, [t.grad for t in tensors], n_records
+
+
+class TestCompositionsBitwise:
+    """sub, scale and dropout are products and sums of other ops; their
+    values and gradients are bitwise the plain numpy expressions, sub's
+    negation is a record of its own, and scale's constant is checked as
+    any operand is."""
+
+    def test_sub_with_a_broadcast_operand(self):
+        rng = np.random.default_rng(70)
+        a_val, b_val = rng.normal(size=(3, 5, 4)), rng.normal(size=(5, 1))
+        a_val[0, 0, 0], b_val[0, 0] = -0.0, 0.0
+        g = rng.normal(size=(3, 5, 4))
+        g[0] = 0.0
+        a, b = Tensor(a_val, requires_grad=True), Tensor(b_val, requires_grad=True)
+        out, (ga, gb), _ = upstream_grads(ad.sub, [a, b], g)
+        assert out.tobytes() == (a_val - b_val).tobytes()
+        assert ga.tobytes() == g.tobytes()
+        # _unbroadcast's order: the added leading axis, then the stretched one
+        assert gb.tobytes() == (-g).sum(axis=0).sum(axis=1, keepdims=True).tobytes()
+
+    def test_sub_records_the_negation_and_the_add(self):
+        a, b = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+        assert upstream_grads(ad.sub, [a, b], np.ones(3))[2] == 2
+        assert upstream_grads(ad.sub, [a, Tensor(np.ones(3))], np.ones(3))[2] == 1
+
+    @pytest.mark.parametrize("s", [1.0 / 3.0, -2.5])
+    def test_scale(self, s):
+        rng = np.random.default_rng(71)
+        x_val, g = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
+        x = Tensor(x_val, requires_grad=True)
+        out, (gx,), _ = upstream_grads(lambda x: ad.scale(x, s), [x], g)
+        assert out.tobytes() == (x_val * s).tobytes()
+        assert gx.tobytes() == (g * s).tobytes()
+
+    def test_scale_by_a_non_finite_constant_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            ad.scale(Tensor(np.ones(3)), np.inf)
+
+    def test_dropout(self):
+        rng = np.random.default_rng(72)
+        x_val, g = rng.normal(size=(3, 7, 5)), rng.normal(size=(3, 7, 5))
+        rate = 0.3
+        x = Tensor(x_val, requires_grad=True)
+        out, (gx,), _ = upstream_grads(
+            lambda x: ad.dropout(x, rate, True, np.random.default_rng(9)), [x], g)
+        keep = (np.random.default_rng(9).random(x_val.shape) >= rate) / (1.0 - rate)
+        assert out.tobytes() == (x_val * keep).tobytes()
+        assert gx.tobytes() == (g * keep).tobytes()
+
+
 class TestDropout:
     def test_eval_mode_is_identity(self):
         x = Tensor(np.arange(5.0))

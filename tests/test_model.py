@@ -730,7 +730,7 @@ class TestSublayerNodes:
             lambda x: ad.dropout(x, cfg.dropout, True, KeepDraws()), [x], upstream
         )
         g = upstream.copy()
-        share = model_module._dropout_back(g, keep, cfg.dropout)
+        share = model_module._inverted_dropout(g, keep, cfg.dropout)
         assert np.signbit(expected[..., 0]).all() and not expected[..., 0].any()
         assert share is g and share.tobytes() == expected.tobytes()
 

@@ -158,6 +158,22 @@ class TestTrainModel:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("n_windows, n_targets, message", [
+        (0, 0, "no windows to train on"),
+        (10, 12, "12 targets for 10 windows"),
+        (10, 5, "5 targets for 10 windows"),
+    ])
+    def test_inputs_it_cannot_train_on_rejected_before_any_step(
+        self, n_windows, n_targets, message
+    ):
+        _, _, _, model, bank = small_problem()
+        feats, targets = bank.take(bank.pixels[:12])
+        before = model.vector.tobytes()
+        with pytest.raises(ValueError, match=message):
+            train_model(model, feats[:n_windows], targets[:n_targets],
+                        TrainConfig(epochs=1, batch_size=4, seed=0))
+        assert model.vector.tobytes() == before
+
     def test_nonfinite_loss_raises_numerical_error(self):
         # overflow the embedding products so LayerNorm sees inf - inf
         _, _, _, model, bank = small_problem()
