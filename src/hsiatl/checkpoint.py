@@ -1,6 +1,6 @@
 """Binary model checkpoints.
 
-Byte layout, little-endian throughout:
+Byte layout, little-endian throughout, framed by ``data`` as cube and label files are:
 
 - 4 bytes magic ``SSTC``
 - uint32 header length in bytes
@@ -18,14 +18,12 @@ import dataclasses
 import itertools
 import json
 import math
-import os
-import struct
 import typing
 from pathlib import Path
 
 import numpy as np
 
-from hsiatl.data import BadMagicError, FormatError, TruncatedPayloadError, type_mismatch
+from hsiatl.data import FormatError, read_header, read_payload, type_mismatch, write_file
 from hsiatl.model import SstConfig, SstModel, _views, param_spec
 
 CHECKPOINT_MAGIC = b"SSTC"
@@ -43,40 +41,18 @@ def save_model(model: SstModel, path: str | Path) -> None:
         ],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(model.vector.astype("<f8", copy=False))
+    write_file(path, CHECKPOINT_MAGIC, [len(blob)], model.vector, "<f8", blob)
 
 
 def load_model(path: str | Path) -> SstModel:
     """An SSTC file's model: its payload is read into the model's vector last."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(8)
-        if len(head) < 4:
-            raise TruncatedPayloadError(f"{path}: file shorter than magic")
-        if head[:4] != CHECKPOINT_MAGIC:
-            raise BadMagicError(f"{path}: bad magic {head[:4]!r}")
-        if len(head) < 8:
-            raise TruncatedPayloadError(f"{path}: header length missing")
-        header_len = struct.unpack("<I", head[4:])[0]
-        size -= 8 + header_len
-        if size < 0:  # checked first, so a huge length is never read
-            raise TruncatedPayloadError(f"{path}: header incomplete")
-        config, freeze, listed = _header(path, fh.read(header_len))
-        expected = 8 * config.n_parameters
-        if size < expected:
-            ends = itertools.accumulate(8 * math.prod(shape) for shape in listed.values())
-            name = next(name for name, end in zip(listed, ends) if end > size)
-            raise TruncatedPayloadError(f"{path}: payload ends inside {name}")
-        if size > expected:
-            raise FormatError(f"{path}: {size - expected} trailing bytes")
-        payload = np.empty(config.n_parameters, dtype="<f8")
-        if fh.readinto(payload) < expected:  # the file shrank while it was read
-            raise TruncatedPayloadError(f"{path}: payload ended early")
-    payload = payload.astype(np.float64, copy=False)
+        blob = read_header(fh, path, CHECKPOINT_MAGIC, 1, block=True)
+        config, freeze, listed = _header(path, blob)
+        ends = list(zip(itertools.accumulate(8 * math.prod(s) for s in listed.values()), listed))
+        payload = read_payload(  # a short payload names the parameter it ends inside
+            fh, path, (config.n_parameters,), "<f8", np.float64,
+            lambda size: "payload ends inside " + next(n for end, n in ends if end > size))
     spec = param_spec(config)
     if list(listed) != list(spec):  # listed in another order: gather checkpoint order
         by_name = dict(_views(payload, listed))

@@ -595,8 +595,10 @@ def _dispatch(argv: list[str] | None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (FormatError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        raise  # main owns a closed stdout
+    except (FormatError, OSError, MemoryError) as exc:
+        print(f"data error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

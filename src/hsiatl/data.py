@@ -1,6 +1,6 @@
 """Hyperspectral cubes, label maps, window extraction, splits, synthesis.
 
-File formats (all little-endian):
+File formats (little-endian; binary ones framed by ``read_header``/``read_payload``/``write_file``):
 
 - cube file: magic ``HSIC``, three uint32 (rows, cols, bands), then
   rows*cols*bands float32 values in row-major (row, col, band) order.
@@ -144,8 +144,7 @@ class SplitManifest:
 
 
 def save_cube(cube: HsiCube, path: str | Path) -> None:
-    header = np.array(cube.data.shape, dtype="<u4").tobytes()
-    Path(path).write_bytes(CUBE_MAGIC + header + cube.data.astype("<f4").tobytes())
+    write_file(path, CUBE_MAGIC, cube.data.shape, cube.data, "<f4")
 
 
 def load_cube(path: str | Path) -> HsiCube:
@@ -155,8 +154,7 @@ def load_cube(path: str | Path) -> HsiCube:
 def save_labels(label_map: LabelMap, path: str | Path) -> None:
     if label_map.labels.max(initial=0) > np.iinfo(np.uint16).max:
         raise ValueError("label ids exceed uint16 range")
-    header = np.array(label_map.labels.shape, dtype="<u4").tobytes()
-    Path(path).write_bytes(LABEL_MAGIC + header + label_map.labels.astype("<u2").tobytes())
+    write_file(path, LABEL_MAGIC, label_map.labels.shape, label_map.labels, "<u2")
 
 
 def load_labels(path: str | Path) -> LabelMap:
@@ -164,43 +162,69 @@ def load_labels(path: str | Path) -> LabelMap:
 
 
 def _load(path, magic: bytes, n_dims: int, dtype: str, out_dtype, build):
-    """``build`` of the values of a cube or label file: ``magic``, ``n_dims``
-    uint32 sizes, then their product of ``dtype`` values. The values are
-    converted into one ``out_dtype`` array 1 MiB of file at a time, so the
-    file's bytes are never held beside it."""
+    """``build`` of the ``dtype`` values of a cube or label file with ``n_dims`` uint32 sizes."""
     with open(path, "rb") as fh:
-        head = fh.read(4 + 4 * n_dims)
-        if len(head) < 4:
-            raise TruncatedPayloadError(f"{path}: file shorter than magic")
-        if head[:4] != magic:
-            raise BadMagicError(f"{path}: bad magic {head[:4]!r}")
-        if len(head) < 4 + 4 * n_dims:
-            raise TruncatedPayloadError(f"{path}: header incomplete")
-        dims = tuple(int(v) for v in np.frombuffer(head[4:], dtype="<u4"))
+        dims = read_header(fh, path, magic, n_dims)
         if min(dims) < 1 or math.prod(dims) > MAX_ELEMENTS:
             raise DimensionError(f"{path}: unreasonable dimensions {dims}")
-        item = np.dtype(dtype).itemsize
-        size, expected = os.fstat(fh.fileno()).st_size - len(head), math.prod(dims) * item
-        if size < expected:
-            raise TruncatedPayloadError(f"{path}: payload has {size} bytes, need {expected}")
-        if size > expected:
-            raise FormatError(f"{path}: {size - expected} trailing bytes")
-        values = np.empty(dims, dtype=out_dtype)
-        flat, step = values.reshape(-1), (1 << 20) // item
-        # a signalling NaN raises numpy's invalid-cast warning; HsiCube rejects it
-        with np.errstate(invalid="ignore"):
-            for start in range(0, flat.size, step):
-                part = flat[start : start + step]
-                chunk = fh.read(item * part.size)
-                if len(chunk) < item * part.size:  # the file shrank while it was read
-                    raise TruncatedPayloadError(
-                        f"{path}: payload has {item * start + len(chunk)} bytes, need {expected}"
-                    )
-                part[...] = np.frombuffer(chunk, dtype=dtype)
+        values = read_payload(fh, path, dims, dtype, out_dtype)
     try:
         return build(values)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def read_header(fh, path, magic: bytes, n_words: int, block: bool = False):
+    """The ``n_words`` uint32 that follow a file's ``magic``; with ``block``
+    (SSTC), the header block that follows them, as long as their last says.
+    The file's length is checked first, so a huge block length is never read."""
+    head = fh.read(4 + 4 * n_words)
+    if len(head) < 4:
+        raise TruncatedPayloadError(f"{path}: file shorter than magic")
+    if head[:4] != magic:
+        raise BadMagicError(f"{path}: bad magic {head[:4]!r}")
+    if len(head) < 4 + 4 * n_words:
+        raise TruncatedPayloadError(f"{path}: header incomplete")
+    words = tuple(int(v) for v in np.frombuffer(head[4:], dtype="<u4"))
+    if block and words[-1] > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise TruncatedPayloadError(f"{path}: header incomplete")
+    return fh.read(words[-1]) if block else words
+
+
+def read_payload(fh, path, shape, dtype: str, out_dtype, short=None) -> np.ndarray:
+    """The rest of the file, ``dtype`` values, as an ``out_dtype`` array of ``shape``, checked for
+    length before anything is allocated (``short(size)`` words a ``size``-byte payload's error)
+    and converted 1 MiB of file at a time, so the file is never held beside the array."""
+    item = np.dtype(dtype).itemsize
+    size, expected = os.fstat(fh.fileno()).st_size - fh.tell(), math.prod(shape) * item
+    short = short or (lambda got: f"payload has {got} bytes, need {expected}")
+    if size < expected:
+        raise TruncatedPayloadError(f"{path}: {short(size)}")
+    if size > expected:
+        raise FormatError(f"{path}: {size - expected} trailing bytes")
+    values = np.empty(shape, dtype=out_dtype)
+    flat, step = values.reshape(-1), (1 << 20) // item
+    # a signalling NaN raises numpy's invalid-cast warning; HsiCube rejects it
+    with np.errstate(invalid="ignore"):
+        for start in range(0, flat.size, step):
+            part = flat[start : start + step]
+            chunk = fh.read(item * part.size)
+            if len(chunk) < item * part.size:  # the file shrank while it was read
+                raise TruncatedPayloadError(f"{path}: {short(item * start + len(chunk))}")
+            part[...] = np.frombuffer(chunk, dtype=dtype)
+    return values
+
+
+def write_file(path, magic: bytes, words, values: np.ndarray, dtype: str, block=b"") -> None:
+    """Write ``magic``, ``words`` as uint32, ``block``, then ``values`` as ``dtype``
+    in C order, converted 1 MiB of file at a time from any strides."""
+    chunks = np.nditer(values, ["external_loop", "buffered", "zerosize_ok"], order="C",
+                       op_dtypes=[dtype], casting="unsafe",
+                       buffersize=(1 << 20) // np.dtype(dtype).itemsize)
+    with open(path, "wb") as fh:
+        fh.write(magic + np.array(words, dtype="<u4").tobytes() + block)
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def mirror_pad(data: np.ndarray, half: int) -> np.ndarray:
@@ -391,7 +415,7 @@ def synth_cube(
 
     Args:
         n_classes: number of classes, >= 2, at most rows*cols and <= bands.
-        rows, cols, bands: cube dimensions.
+        rows, cols, bands: cube dimensions, at most MAX_ELEMENTS values in all.
         noise: Gaussian sigma; 0 gives exact prototypes.
         shift: global phase offset in radians (domain shift knob).
         seed: generator seed.
@@ -402,6 +426,8 @@ def synth_cube(
         raise ValueError(f"bands ({bands}) must be >= n_classes ({n_classes})")
     if n_classes > rows * cols:
         raise ValueError("more classes than pixels")
+    if rows * cols * bands > MAX_ELEMENTS:  # more than load_cube accepts
+        raise ValueError(f"a {rows}x{cols}x{bands} cube has more than {MAX_ELEMENTS} values")
     if noise < 0:
         raise ValueError("noise sigma must be non-negative")
     if seed < 0:

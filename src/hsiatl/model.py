@@ -19,7 +19,6 @@ from __future__ import annotations
 import contextvars
 import copy
 import dataclasses
-import functools
 import itertools
 import math
 import os
@@ -235,15 +234,6 @@ def positional_encoding(n_positions: int, d_model: int) -> np.ndarray:
     enc[:, 0::2] = np.sin(angles[:, 0::2])
     enc[:, 1::2] = np.cos(angles[:, 1::2])
     return enc
-
-
-@functools.lru_cache(maxsize=8)
-def _positional_table(n_tokens: int, d_model: int) -> np.ndarray:
-    """``positional_encoding`` for one token count, built on first use and
-    shared read-only by every later call."""
-    table = positional_encoding(n_tokens, d_model)
-    table.flags.writeable = False
-    return table
 
 
 def unfold(windows: np.ndarray, subpatch: int) -> np.ndarray:
@@ -597,7 +587,7 @@ def dropout_draws(cfg: SstConfig, batch: int, rng, from_block: int = 0) -> list[
 
 
 def cross_attention_pool(z: Tensor, model: SstModel) -> Tensor:
-    """Collapse [B, N_p, d_model] tokens to [B, d_model] by attending a
+    """Collapse [B, N_p, d_model] tokens to [B, 1, d_model] by attending a
     learned class query."""
     p = model.params
     keys = ad.matmul(z, p["pool.k"])
@@ -606,16 +596,14 @@ def cross_attention_pool(z: Tensor, model: SstModel) -> Tensor:
         ad.matmul(p["pool.class_query"], ad.transpose(keys, (0, 2, 1))),
         1.0 / math.sqrt(model.config.d_model),
     )
-    pooled = ad.matmul(ad.softmax(scores, axis=-1), values)
-    return ad.reshape(pooled, (pooled.shape[0], pooled.shape[-1]))
+    return ad.matmul(ad.softmax(scores, axis=-1), values)
 
 
 def classify(pooled: Tensor, model: SstModel) -> Tensor:
-    """Two-layer softmax head: [B, d_model] -> probabilities [B, C]. Its products
-    run on [B, 1, d], one per row, so a row's bits do not depend on B."""
+    """Two-layer softmax head: [B, 1, d_model] -> probabilities [B, C]. Its
+    products run one per row, so a row's bits do not depend on B."""
     p = model.params
-    rows = ad.reshape(pooled, (pooled.shape[0], 1, -1))
-    hidden = ad.relu(ad.add(ad.matmul(rows, p["head.w1"]), p["head.b1"]))
+    hidden = ad.relu(ad.add(ad.matmul(pooled, p["head.w1"]), p["head.b1"]))
     logits = ad.add(ad.matmul(hidden, p["head.w2"]), p["head.b2"])
     return ad.softmax(ad.reshape(logits, (pooled.shape[0], logits.shape[-1])), axis=-1)
 
@@ -659,7 +647,7 @@ def encode(
             f"windows have {x.shape[-2]} tokens, the model expects {cfg.n_tokens}"
         )
     if from_block == 0:
-        positional = _positional_table(x.shape[-2], cfg.d_model)
+        positional = positional_encoding(x.shape[-2], cfg.d_model)
         z = ad.add(ad.matmul(x, model.params["embed.weight"]), Tensor(positional))
     elif x.shape[-1] != cfg.d_model:
         raise DimensionError(

@@ -10,7 +10,7 @@ import pytest
 from conftest import forward, rewrite_checkpoint
 
 from hsiatl.checkpoint import load_model, save_model
-from hsiatl.data import BadMagicError, FormatError, TruncatedPayloadError
+from hsiatl.data import FormatError, TruncatedPayloadError
 from hsiatl.model import SstConfig, init_model
 
 
@@ -90,12 +90,6 @@ class TestRoundTrip:
 
 
 class TestErrorPaths:
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.sstc"
-        path.write_bytes(b"XXXX" + b"\x00" * 16)
-        with pytest.raises(BadMagicError):
-            load_model(path)
-
     def test_truncated_payload(self, tmp_path):
         model = sample_model()
         path = tmp_path / "model.sstc"

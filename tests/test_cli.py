@@ -138,6 +138,40 @@ class TestSynth:
         assert done.returncode == 1
         assert done.stderr == ""
 
+    def test_size_the_loader_would_refuse(self, tmp_path):
+        # more values than load_cube accepts: refused before any allocation
+        done = run_process(["synth", "--size", "100000x100000x200",
+                            "--cube", tmp_path / "x.hsic", "--labels", tmp_path / "x.hsil"])
+        assert_one_line(done, 1, "error: a 100000x100000x200 cube has more than 2147483648")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestSystemErrors:
+    """An OSError or a MemoryError ends in one line and exit 2."""
+
+    @pytest.mark.parametrize("command, flag", [("al", "--manifest"), ("train", "--out")])
+    def test_path_under_a_regular_file(self, workdir, tmp_path, command, flag):
+        # a NotADirectoryError traceback, exit 1
+        (tmp_path / "plain").write_text("")
+        paths = {"--manifest": workdir / "a.split.json", flag: tmp_path / "plain" / "x.json"}
+        done = run_process([command, "--config", workdir / "cfg.json",
+                            "--cube", workdir / "a.hsic", "--labels", workdir / "a.hsil",
+                            *(item for pair in paths.items() for item in pair)])
+        assert_one_line(done, 2, "data error: [Errno 20] Not a directory: ")
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 1.00 TiB"), "data error: Unable to allocate 1.00 TiB\n"),
+        (MemoryError(), "data error: MemoryError\n"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error(self, monkeypatch, tmp_path, capsys, error, line):
+        def synth_cube(**kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "synth_cube", synth_cube)
+        code = run(["synth", "--cube", tmp_path / "x.hsic", "--labels", tmp_path / "x.hsil"])
+        assert code == 2
+        assert capsys.readouterr().err == line
+
 
 class TestConfigResolution:
     def test_flags_beat_config_file(self, workdir, capsys):

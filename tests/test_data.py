@@ -3,6 +3,7 @@ against a brute-force mirror oracle, split arithmetic, and the synthetic
 generator against its closed-form prototypes."""
 
 import os
+import re
 import struct
 import tracemalloc
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from conftest import extract_window, mirror_index
 
+from hsiatl.checkpoint import load_model, save_model
 from hsiatl.data import (
     BadMagicError,
     DimensionError,
@@ -32,6 +34,7 @@ from hsiatl.data import (
     validate_split,
     window_pad,
 )
+from hsiatl.model import SstConfig, init_model
 
 
 def build_cube_bytes(rows, cols, bands, values):
@@ -62,12 +65,6 @@ class TestCubeFormat:
         assert cube.data[0, 0, 1] == 1.0
         assert cube.data[0, 1, 0] == 2.0
         assert cube.data[1, 0, 0] == 6.0
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.hsic"
-        path.write_bytes(b"NOPE" + build_cube_bytes(1, 1, 1, [0.0])[4:])
-        with pytest.raises(BadMagicError):
-            load_cube(path)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.hsic"
@@ -139,16 +136,6 @@ class TestCubeFormat:
         # reading the whole 4 MiB file first would peak above 12 MiB
         assert peak < cube.data.nbytes + (5 << 19), peak
 
-    def test_short_read_mid_payload(self, tmp_path, monkeypatch):
-        # the file loses its tail after its size was taken
-        path = tmp_path / "shrinking.hsic"
-        path.write_bytes(build_cube_bytes(32, 64, 384, np.zeros(32 * 64 * 384)))
-        size = path.stat().st_size
-        path.write_bytes(path.read_bytes()[: 16 + (3 << 19)])
-        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((0,) * 6 + (size,) + (0,) * 3))
-        with pytest.raises(TruncatedPayloadError, match=f"payload has {3 << 19} bytes, need"):
-            load_cube(path)
-
     def test_roundtrip_byte_exact(self, tmp_path):
         rng = np.random.default_rng(42)
         for trial in range(25):
@@ -170,12 +157,6 @@ class TestLabelFormat:
         labels = load_labels(path)
         np.testing.assert_array_equal(labels.labels, [[0, 1], [2, 1]])
         assert labels.n_classes == 2
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.hsil"
-        path.write_bytes(b"HSIC" + build_label_bytes(1, 1, [1])[4:])
-        with pytest.raises(BadMagicError):
-            load_labels(path)
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "short.hsil"
@@ -209,6 +190,85 @@ class TestLabelFormat:
             HsiCube(np.full((2, 2, 2), np.inf))
         with pytest.raises(ValueError):
             HsiCube(np.zeros((2, 2)))
+
+
+@pytest.fixture(scope="module")
+def framed(tmp_path_factory):
+    """A valid file of each binary format: its bytes, the length of its header
+    (magic, words and, in SSTC, the JSON block), its loader and saver, and the
+    message of a payload 3 bytes short."""
+    root = tmp_path_factory.mktemp("framed")
+    cube, labels = synth_cube(3, 32, 64, 160, seed=0)  # 1.25 MiB of float32: two reads
+    cfg = SstConfig(bands=4, n_classes=3, window=4, subpatch=2, d_model=8, n_layers=1, n_heads=2)
+    files = {}
+    for fmt, value, save, load in [("hsic", cube, save_cube, load_cube),
+                                   ("hsil", labels, save_labels, load_labels),
+                                   ("sstc", init_model(cfg, seed=0), save_model, load_model)]:
+        save(value, root / f"a.{fmt}")
+        raw = (root / f"a.{fmt}").read_bytes()
+        head = {"hsic": 16, "hsil": 12, "sstc": 8 + int.from_bytes(raw[4:8], "little")}[fmt]
+        short = ("payload ends inside head.b2" if fmt == "sstc" else
+                 f"payload has {len(raw) - head - 3} bytes, need {len(raw) - head}")
+        files[fmt] = raw, head, load, save, short
+    return files
+
+
+# case: (the file's bytes, from a valid file's and its header's length; whether
+# os.fstat still gives the valid file's size, as when a file loses its tail
+# after its size was taken; the error; its message, None for the format's
+# short-payload message). With no error, loading then saving gives the bytes.
+FRAMING_CASES = {
+    "bad-magic": (lambda raw, head: b"NOPE" + raw[4:], False, BadMagicError,
+                  "bad magic b'NOPE'"),
+    "shorter-than-magic": (lambda raw, head: raw[:3], False, TruncatedPayloadError,
+                           "file shorter than magic"),
+    "header-incomplete": (lambda raw, head: raw[:6], False, TruncatedPayloadError,
+                          "header incomplete"),
+    "header-cut-short": (lambda raw, head: raw[: head - 1], False, TruncatedPayloadError,
+                         "header incomplete"),
+    "short-payload": (lambda raw, head: raw[:-3], False, TruncatedPayloadError, None),
+    "trailing-bytes": (lambda raw, head: raw + b"\0\0", False, FormatError, "2 trailing bytes"),
+    "shrinks-mid-read": (lambda raw, head: raw[:-3], True, TruncatedPayloadError, None),
+    "round-trip": (lambda raw, head: raw, False, None, None),
+}
+
+
+@pytest.mark.parametrize("case", FRAMING_CASES)
+@pytest.mark.parametrize("fmt", ["hsic", "hsil", "sstc"])
+def test_framing(framed, tmp_path, monkeypatch, fmt, case):
+    """The three binary formats share one framing, and so its errors."""
+    raw, head, load, save, short = framed[fmt]
+    cut, stale_size, error, message = FRAMING_CASES[case]
+    path = tmp_path / f"a.{fmt}"
+    path.write_bytes(cut(raw, head))
+    if stale_size:
+        size = os.stat_result((0,) * 6 + (len(raw),) + (0,) * 3)
+        monkeypatch.setattr(os, "fstat", lambda fd: size)
+    if error is None:
+        save(load(path), tmp_path / "saved")
+        assert (tmp_path / "saved").read_bytes() == raw
+    else:
+        with pytest.raises(error, match=re.escape(f"{path}: {message or short}")):
+            load(path)
+
+
+def test_a_padded_cube_is_written_from_its_view_in_pieces(tmp_path):
+    # padded() rebinds data to a strided view of the padded buffer; the
+    # writer converts it a piece at a time, with no contiguous copy
+    cube = HsiCube(np.random.default_rng(1).normal(size=(64, 64, 256)))
+    save_cube(cube, tmp_path / "plain.hsic")
+    cube.padded(4)
+    assert not cube.data.flags.c_contiguous
+    tracemalloc.start()
+    try:
+        save_cube(cube, tmp_path / "padded.hsic")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one 1 MiB piece of float32; the 4 MiB file as one bytes object would
+    # peak above 8 MiB
+    assert peak < 2 << 20, peak
+    assert (tmp_path / "padded.hsic").read_bytes() == (tmp_path / "plain.hsic").read_bytes()
 
 
 class TestMirrorIndex:

@@ -200,15 +200,11 @@ class TestPositionalEncoding:
         enc = positional_encoding(100, 16)
         assert np.abs(enc).max() <= 1.0
 
-    def test_encode_shares_one_read_only_table_per_token_count(self):
+    def test_encode_keeps_no_table_on_the_model(self):
         cfg = tiny_config()
         model = init_model(cfg, seed=1)
-        assert not hasattr(model, "positional")
         forward_batch(model, unfold(np.zeros((2, 4, 4, 3)), cfg.subpatch))
-        table = model_module._positional_table(cfg.n_tokens, cfg.d_model)
-        assert not table.flags.writeable
-        assert table.tobytes() == positional_encoding(cfg.n_tokens, cfg.d_model).tobytes()
-        assert model_module._positional_table(cfg.n_tokens, cfg.d_model) is table
+        assert not hasattr(model, "positional")
 
     def test_windows_of_another_size_are_rejected(self):
         cfg = tiny_config()
@@ -757,14 +753,14 @@ class TestPoolAndHead:
         cfg = tiny_config()
         model = init_model(cfg, seed=42)
         z_val = np.random.default_rng(3).normal(size=(1, 1, cfg.d_model))
-        pooled = cross_attention_pool(Tensor(z_val), model).data
+        pooled = cross_attention_pool(Tensor(z_val), model).data[:, 0]
         np.testing.assert_allclose(pooled, z_val[:, 0] @ model.params["pool.v"].data, atol=1e-12)
 
     def test_pool_matches_dense_recomputation(self):
         cfg = tiny_config()
         model = init_model(cfg, seed=4)
         z_val = np.random.default_rng(5).normal(size=(2, cfg.n_tokens, cfg.d_model))
-        got = cross_attention_pool(Tensor(z_val), model).data
+        got = cross_attention_pool(Tensor(z_val), model).data[:, 0]
         for b in range(2):
             keys = z_val[b] @ model.params["pool.k"].data
             values = z_val[b] @ model.params["pool.v"].data
@@ -778,13 +774,13 @@ class TestPoolAndHead:
         model = init_model(cfg, seed=0)
         for t in model.parameters().values():
             t.data[...] = 0.0
-        probs = classify(Tensor(np.zeros((4, cfg.d_model))), model).data
+        probs = classify(Tensor(np.zeros((4, 1, cfg.d_model))), model).data
         np.testing.assert_allclose(probs, 1.0 / cfg.n_classes)
 
     def test_shifting_output_bias_preserves_ranking(self):
         cfg = tiny_config()
         model = init_model(cfg, seed=6)
-        pooled = Tensor(np.random.default_rng(7).normal(size=(3, cfg.d_model)))
+        pooled = Tensor(np.random.default_rng(7).normal(size=(3, 1, cfg.d_model)))
         before = classify(pooled, model).data.argmax(axis=1)
         model.params["head.b2"].data += 5.0
         after = classify(pooled, model).data.argmax(axis=1)
