@@ -21,6 +21,7 @@ import copy
 import csv
 import ctypes
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -312,8 +313,21 @@ def _write_json(path: str | None, payload: dict) -> None:
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _check_output(path: str) -> None:
+    """Raise, creating nothing, the OSError that writing ``path`` would end
+    in when its parent is missing or not a directory, or it is a directory."""
+    parent = os.path.dirname(path) or "."
+    for failed, code in ((not os.path.exists(parent), errno.ENOENT),
+                         (not os.path.isdir(parent), errno.ENOTDIR),
+                         (os.path.isdir(path), errno.EISDIR)):
+        if failed:
+            raise OSError(code, os.strerror(code), path)
+
+
 def cmd_synth(args: argparse.Namespace, run: RunConfig) -> int:
     _require(args, "cube", "labels")
+    for path in (args.cube, args.labels):  # neither file is written if one cannot be
+        _check_output(path)
     rows, cols, bands = args.size
     cube, labels = synth_cube(
         n_classes=args.classes,

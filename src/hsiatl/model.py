@@ -127,7 +127,7 @@ class SstConfig:
 
 
 class NumericalError(RuntimeError):
-    """A training loss or the model's probabilities became non-finite."""
+    """A training loss or an evaluation pass's outputs became non-finite."""
 
 
 # the short names of one encoder block's tensors, in checkpoint order
@@ -690,7 +690,7 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def map_batches(fn, items: np.ndarray | PixelWindows, batch_size: int = 64) -> list:
+def map_batches(fn, items: np.ndarray | PixelWindows, batch_size: int) -> list:
     """``fn(rows, items[rows])`` for consecutive slices ``rows`` of
     ``batch_size`` items (the last one may be shorter).
 
@@ -738,63 +738,60 @@ def map_batches(fn, items: np.ndarray | PixelWindows, batch_size: int = 64) -> l
         ]
 
 
+# windows per batch of every evaluation pass
+EVAL_BATCH = 64
+
+
+def evaluation_pass(features: np.ndarray | PixelWindows, outs, write, what: str) -> None:
+    """The one evaluation-mode pass: ``write(rows, batch)`` fills rows ``rows``
+    of the preallocated ``outs`` from each batch of ``EVAL_BATCH`` windows,
+    run on one thread per CPU by ``map_batches``, so the outputs are bitwise
+    the same for any CPU count, array or lazy source. numpy's floating-point
+    warnings are off; raises NumericalError ("<what> are not finite") unless
+    every output is finite."""
+    with np.errstate(all="ignore"):
+        map_batches(write, features, EVAL_BATCH)
+    if not all(np.isfinite(out).all() for out in outs):
+        raise NumericalError(f"{what} are not finite")
+
+
 def predict_probs(
-    models: SstModel | tuple[SstModel, ...],
-    features: np.ndarray | PixelWindows,
-    batch_size: int = 64,
-    from_block: int = 0,
-):
-    """Evaluation-mode probabilities [n, C] for unfolded windows.
-
-    Batches of ``batch_size`` windows (gathered per batch from a
-    ``PixelWindows``) run on one thread per available CPU (see
-    ``map_batches``); there is no setting for the thread count, and the
-    result is bitwise identical for any CPU count, array or lazy source.
-
-    ``models`` is one model or a tuple of models whose embedding and first
-    ``from_block`` encoder blocks are bitwise the same, as a model's are
-    before and after fine-tuning under a plan that freezes them. Each batch
-    runs those once, as ``encode(models[0], batch, to_block=from_block)``,
-    then every model's later blocks and head; a row's tokens do not depend
-    on where a pass stops, so each model's result is bitwise the one a pass
-    of its own gives. A tuple gives a tuple of arrays, one per model. Raises
-    NumericalError when probabilities are not finite (numpy's floating-point
-    warnings are off).
-    """
-    group = (models,) if isinstance(models, SstModel) else tuple(models)
-    outs = tuple(np.empty((len(features), model.config.n_classes)) for model in group)
+    models: tuple[SstModel, ...], features: np.ndarray | PixelWindows, from_block: int = 0
+) -> tuple[np.ndarray, ...]:
+    """Evaluation-mode probabilities [n, C] of each of ``models`` in one
+    ``evaluation_pass``. The models share their embedding and first
+    ``from_block`` blocks bitwise (as fine-tuning under a plan that freezes
+    them leaves a model), so each batch runs those once, on ``models[0]``,
+    then every model's later blocks and head; each result is bitwise the
+    one a pass of its own gives."""
+    outs = tuple(np.empty((len(features), model.config.n_classes)) for model in models)
 
     def write(rows: slice, batch: np.ndarray) -> None:
-        tokens = encode(group[0], batch, to_block=from_block) if from_block else batch
-        for model, out in zip(group, outs):
+        tokens = encode(models[0], batch, to_block=from_block) if from_block else batch
+        for model, out in zip(models, outs):
             out[rows] = forward_batch(model, tokens, from_block=from_block).data
 
-    with np.errstate(all="ignore"):
-        map_batches(write, features, batch_size)
-    if not all(np.isfinite(out).all() for out in outs):
-        raise NumericalError("the model's class probabilities are not finite")
-    return outs[0] if isinstance(models, SstModel) else outs
+    evaluation_pass(features, outs, write, "the model's class probabilities")
+    return outs
 
 
 def encode_prefix(
     model: SstModel, features: np.ndarray | PixelWindows, n_blocks: int
 ) -> np.ndarray:
     """Evaluation-mode tokens [n, N_p, d_model] after the embedding and the
-    first ``n_blocks`` encoder blocks: ``encode(model, batch,
-    to_block=n_blocks)`` a batch at a time.
+    first ``n_blocks`` encoder blocks, ``encode(model, batch,
+    to_block=n_blocks)`` in one ``evaluation_pass``: bitwise the ones a full
+    pass computes, N_p * d_model * 8 bytes per window in one array.
 
     ``encode``, ``forward_batch`` and ``train_model`` continue from them
-    with ``from_block=n_blocks``. Batches run as in ``predict_probs``; a
-    row's tokens do not depend on the batch it ran in, so they are bitwise
-    the ones a full pass computes. They take N_p * d_model * 8 bytes per
-    window, written into one array as each batch finishes.
+    with ``from_block=n_blocks``.
     """
     out = np.empty((len(features), model.config.n_tokens, model.config.d_model))
 
     def write(rows: slice, batch: np.ndarray) -> None:
         out[rows] = encode(model, batch, to_block=n_blocks).data
 
-    map_batches(write, features)
+    evaluation_pass(features, (out,), write, "the frozen prefix's tokens")
     return out
 
 

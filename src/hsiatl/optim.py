@@ -20,20 +20,19 @@ class Adam:
     Args:
         params: the vector, updated in place.
         lr: base learning rate.
-        beta1, beta2, eps: standard Adam constants.
         decay: decay strength; the effective rate at step t is
             lr / (1 + decay * t).
 
     ``grad`` is the gradient vector the next ``step`` reads, set by the
     caller; ``zero_grad`` drops it. ``m`` and ``v`` are the moment vectors,
-    made by the first step, and ``t`` is the step count.
+    made by the first step, and ``t`` is the step count. ``beta1``, ``beta2``
+    and ``eps`` are the standard Adam constants.
     """
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # class constants, not fields
 
     params: np.ndarray
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     decay: float = 0.0
     grad: np.ndarray | None = field(default=None, init=False)
     m: np.ndarray | None = field(default=None, init=False)

@@ -184,7 +184,7 @@ def query_pool(
         return QueryResult(selected=pool[picked], informativeness=np.zeros(take),
                            diversity=diversity[picked])
     windows = PixelWindows(cube, pool, model.config.window, model.config.subpatch)
-    probs = predict_probs(model, windows)
+    (probs,) = predict_probs((model,), windows)
     if cfg.strategy == "hybrid":
         informativeness = uncertainty_scores(probs)
         shortlist = select_top(informativeness, min(cfg.beta * cfg.query_size, pool.size))

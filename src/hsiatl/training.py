@@ -168,32 +168,22 @@ def train_model(
 
 
 def evaluate(
-    models: SstModel | tuple[SstModel, ...],
+    models: tuple[SstModel, ...],
     features: np.ndarray | PixelWindows,
     target_classes: np.ndarray,
     from_block: int = 0,
-):
-    """Score evaluation-mode predictions; target classes are 1-based.
-
-    ``models`` and ``from_block`` are passed to ``predict_probs``: a tuple of
-    models that share their first ``from_block`` blocks is scored in one
-    pass and gives a tuple of reports, one per model.
-    """
-    probs = predict_probs(models, features, from_block=from_block)
-    if isinstance(models, SstModel):
-        return _score(models, probs, target_classes)
-    return tuple(_score(model, p, target_classes) for model, p in zip(models, probs))
-
-
-def _score(model: SstModel, probs: np.ndarray, target_classes: np.ndarray) -> MetricsReport:
-    predicted = probs.argmax(axis=1) + 1
-    matrix = confusion(predicted, np.asarray(target_classes), model.config.n_classes)
-    return report(matrix)
+) -> tuple[MetricsReport, ...]:
+    """Score evaluation-mode predictions, one report per model; target
+    classes are 1-based. ``models`` and ``from_block`` are passed to
+    ``predict_probs``, which scores models that share their first
+    ``from_block`` blocks in one pass."""
+    return tuple(report(confusion(p.argmax(axis=1) + 1, target_classes, model.config.n_classes))
+                 for model, p in zip(models, predict_probs(models, features, from_block)))
 
 
 def evaluate_pixels(model: SstModel, bank: WindowBank, pixels: np.ndarray) -> MetricsReport:
     windows, targets = bank.windows(pixels)
-    return evaluate(model, windows, targets + 1)
+    return evaluate((model,), windows, targets + 1)[0]
 
 
 def run_active_learning(

@@ -23,6 +23,7 @@ from hsiatl.model import (
     SstModel,
     encode,
     encode_prefix,
+    evaluation_pass,
     map_batches,
     reset_head,
 )
@@ -254,13 +255,7 @@ def mmd(x: np.ndarray, y: np.ndarray, cfg: MmdConfig | None = None) -> float:
 
 def _token_means(model: SstModel, features: np.ndarray | PixelWindows) -> np.ndarray:
     """Mean-over-tokens output of every encoder block, [L, n, d]: one
-    contiguous [n, d] block per layer.
-
-    Windows are encoded in parallel batches (see ``map_batches``); a row's
-    features do not depend on the batch it ran in. Raises NumericalError
-    when the means are not finite (numpy's floating-point warnings are
-    off).
-    """
+    contiguous [n, d] block per layer, in one ``evaluation_pass``."""
     cfg = model.config
     means = np.empty((cfg.n_layers, len(features), cfg.d_model))
 
@@ -269,10 +264,7 @@ def _token_means(model: SstModel, features: np.ndarray | PixelWindows) -> np.nda
         for block, z in zip(means, captured):
             block[rows] = z.mean(axis=1)
 
-    with np.errstate(all="ignore"):
-        map_batches(capture, features)
-    if not np.isfinite(means).all():
-        raise NumericalError("the encoder blocks' features are not finite")
+    evaluation_pass(features, (means,), capture, "the encoder blocks' features")
     return means
 
 
@@ -456,7 +448,7 @@ def run_transfer(
     except NumericalError as exc:
         if zero_shot:
             # a source model whose own scores fail is at fault, not fine-tuning
-            evaluate(models[0], test_windows, test_targets + 1)
+            evaluate(models[:1], test_windows, test_targets + 1)
         raise FineTuneError(str(exc)) from None
     report = {
         "per_layer_mmd": plan.layer_mmd,

@@ -159,6 +159,15 @@ class TestSystemErrors:
                             *(item for pair in paths.items() for item in pair)])
         assert_one_line(done, 2, "data error: [Errno 20] Not a directory: ")
 
+    def test_synth_writes_neither_file_when_one_path_is_bad(self, tmp_path):
+        # the cube was written before the label map's path failed
+        (tmp_path / "plain").write_text("")
+        labels = tmp_path / "plain" / "x.hsil"
+        done = run_process(["synth", "--size", "8x8x4", "--classes", 2,
+                            "--cube", tmp_path / "ok.hsic", "--labels", labels])
+        assert_one_line(done, 2, f"data error: [Errno 20] Not a directory: '{labels}'")
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "plain"]
+
     @pytest.mark.parametrize("error, line", [
         (MemoryError("Unable to allocate 1.00 TiB"), "data error: Unable to allocate 1.00 TiB\n"),
         (MemoryError(), "data error: MemoryError\n"),

@@ -214,7 +214,7 @@ class TestPositionalEncoding:
         with pytest.raises(DimensionError, match=f"model expects {cfg.n_tokens}"):
             forward_batch(model, wide)
         with pytest.raises(DimensionError):
-            predict_probs(model, wide, batch_size=1)
+            predict_probs((model,), wide)
 
 
 class TestAttention:
@@ -820,13 +820,15 @@ class TestForward:
             single = forward(model, windows[i])
             np.testing.assert_allclose(batch[i], single, atol=1e-12)
 
-    def test_predict_probs_chunks_consistently(self):
+    def test_predict_probs_chunks_consistently(self, monkeypatch):
         cfg = tiny_config()
         model = init_model(cfg, seed=10)
         rng = np.random.default_rng(3)
         feats = unfold(rng.normal(size=(7, 4, 4, 3)), cfg.subpatch)
-        whole = predict_probs(model, feats, batch_size=512)
-        chunked = predict_probs(model, feats, batch_size=2)
+        monkeypatch.setattr(model_module, "EVAL_BATCH", 512)
+        whole = predict_probs((model,), feats)[0]
+        monkeypatch.setattr(model_module, "EVAL_BATCH", 2)
+        chunked = predict_probs((model,), feats)[0]
         np.testing.assert_array_equal(whole, chunked)
 
     def test_head_permutation_covariance(self):
@@ -993,10 +995,17 @@ class TestParallelEvaluation:
     def force_cpus(monkeypatch, n):
         monkeypatch.setattr(model_module, "_cpu_count", lambda: n)
 
+    @staticmethod
+    def probs(monkeypatch, model, feats, batch_size):
+        """``model``'s probabilities from an evaluation pass in batches of
+        ``batch_size``."""
+        monkeypatch.setattr(model_module, "EVAL_BATCH", batch_size)
+        return predict_probs((model,), feats)[0]
+
     def test_bitwise_equal_across_batch_sizes_and_pool_widths(self, monkeypatch):
         model, feats = self.problem()
         self.force_cpus(monkeypatch, 1)
-        reference = predict_probs(model, feats, batch_size=len(feats))
+        reference = self.probs(monkeypatch, model, feats, len(feats))
         assert reference.shape == (len(feats), 4)
         # frequent thread switches, and more threads than cores, give any
         # state shared between workers the chance to show up in the output
@@ -1006,7 +1015,7 @@ class TestParallelEvaluation:
             for width in (1, 2, 4):
                 self.force_cpus(monkeypatch, width)
                 for batch_size in (1, 3, 64, 512):
-                    probs = predict_probs(model, feats, batch_size=batch_size)
+                    probs = self.probs(monkeypatch, model, feats, batch_size)
                     assert probs.tobytes() == reference.tobytes(), (width, batch_size)
         finally:
             sys.setswitchinterval(interval)
@@ -1030,13 +1039,13 @@ class TestParallelEvaluation:
         model, feats = self.problem(n=2)
         for width in (1, 2):
             self.force_cpus(monkeypatch, width)
-            assert predict_probs(model, feats[:0]).shape == (0, 4)
+            assert predict_probs((model,), feats[:0])[0].shape == (0, 4)
 
     @pytest.mark.parametrize("batch_size", [0, -3])
-    def test_batch_size_below_one_rejected(self, batch_size):
+    def test_batch_size_below_one_rejected(self, monkeypatch, batch_size):
         model, feats = self.problem(n=2)
         with pytest.raises(ValueError, match=f"got {batch_size}"):
-            predict_probs(model, feats, batch_size=batch_size)
+            self.probs(monkeypatch, model, feats, batch_size)
 
     def test_nonfinite_later_batch_raises_from_worker(self, monkeypatch):
         model, feats = self.problem()
@@ -1046,7 +1055,7 @@ class TestParallelEvaluation:
         for width in (1, 2):
             self.force_cpus(monkeypatch, width)
             with pytest.raises(ValueError) as err:
-                predict_probs(model, feats, batch_size=16)
+                self.probs(monkeypatch, model, feats, 16)
             messages.append(str(err.value))
         assert messages[0] == messages[1] == "tensor values must be finite"
 
@@ -1055,7 +1064,7 @@ class TestParallelEvaluation:
         model, feats = self.problem(n=n)
         self.force_cpus(monkeypatch, width)
         with Tape() as tape:
-            probs = predict_probs(model, feats)
+            (probs,) = predict_probs((model,), feats)
         assert len(tape) == 0
         assert probs.shape == (n, 4)
 
@@ -1085,14 +1094,14 @@ class TestParallelEvaluation:
         windows = PixelWindows(cube, pixels, cfg.window, cfg.subpatch)
         assert len(windows) == 130
         self.force_cpus(monkeypatch, 1)
-        reference = predict_probs(model, feats, batch_size=len(feats))
+        reference = self.probs(monkeypatch, model, feats, len(feats))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for width in (1, 2, 4):
                 self.force_cpus(monkeypatch, width)
                 for batch_size in (1, 3, 64):
-                    probs = predict_probs(model, windows, batch_size=batch_size)
+                    probs = self.probs(monkeypatch, model, windows, batch_size)
                     assert probs.tobytes() == reference.tobytes(), (width, batch_size)
         finally:
             sys.setswitchinterval(interval)
@@ -1205,7 +1214,7 @@ class TestParallelEvaluation:
         monkeypatch.setattr(PixelWindows, "__getitem__", spy)
         self.force_cpus(monkeypatch, 2)
         for run in (
-            lambda: predict_probs(model, windows),
+            lambda: predict_probs((model,), windows),
             lambda: encode_prefix(model, windows, 1),
             lambda: _token_means(model, windows),
         ):
@@ -1236,8 +1245,8 @@ class TestEncodeFromBlock:
         full, captured = encode(model, feats, capture=True)
         blocks = range(1, model.config.n_layers + 1)
         tuned = {j: self.tuned_copy(model, j) for j in blocks}
-        alone = {j: predict_probs(tuned[j], feats).tobytes() for j in blocks}
-        reference = predict_probs(model, feats).tobytes()
+        alone = {j: predict_probs((tuned[j],), feats)[0].tobytes() for j in blocks}
+        reference = predict_probs((model,), feats)[0].tobytes()
         for cpus in (1, 2, 4):
             TestParallelEvaluation.force_cpus(monkeypatch, cpus)
             for j in blocks:
@@ -1246,7 +1255,8 @@ class TestEncodeFromBlock:
                 assert encode(model, tokens, from_block=j).data.tobytes() == full.data.tobytes()
                 # models sharing the first j blocks: one pass runs those once
                 for batch_size in (3, 64):
-                    shared = predict_probs((model, tuned[j]), feats, batch_size, from_block=j)
+                    monkeypatch.setattr(model_module, "EVAL_BATCH", batch_size)
+                    shared = predict_probs((model, tuned[j]), feats, from_block=j)
                     assert [p.tobytes() for p in shared] == [reference, alone[j]], (
                         cpus, j, batch_size)
 

@@ -452,7 +452,7 @@ class TestEvaluate:
         for p in model.parameters().values():
             p.data[...] = 0.0
         feats, targets = bank.take(bank.pixels)
-        scores = evaluate(model, feats, targets + 1)
+        (scores,) = evaluate((model,), feats, targets + 1)
         share = (targets + 1 == 1).mean()
         np.testing.assert_allclose(scores.oa, share)
 

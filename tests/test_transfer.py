@@ -634,6 +634,33 @@ class TestFailureAttribution:
         assert not isinstance(err.value, FineTuneError)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflowingPrefix:
+    """A frozen prefix whose tokens overflow raises NumericalError, as the
+    scoring and capture passes do, with numpy's warnings off."""
+
+    @staticmethod
+    def problem():
+        # half the windows overflow in the embedding; the zero ones stay finite
+        _, _, model, bank = transfer_fixture()
+        feats, targets = bank.take(bank.pixels[:32])
+        feats = feats.copy()
+        feats[::2] = 0.0
+        model.params["embed.weight"].data[...] = 1e300
+        return model, feats, targets
+
+    def test_encode_prefix(self):
+        model, feats, _ = self.problem()
+        with pytest.raises(NumericalError, match="the frozen prefix's tokens are not finite"):
+            encode_prefix(model, feats, 2)
+
+    def test_fine_tune_over_the_prefix(self):
+        model, feats, targets = self.problem()
+        with pytest.raises(NumericalError, match="the frozen prefix's tokens are not finite"):
+            fine_tune(model, feats, targets + 1, plan_of([0, 1]),
+                      TrainConfig(epochs=1, batch_size=8), n_classes=3)
+
+
 def plan_of(frozen, n_layers=4):
     return FreezePlan(rho=len(frozen) / n_layers, layer_mmd=[0.0] * n_layers,
                       frozen=frozen, variance_source=[0.0] * n_layers,
@@ -717,8 +744,8 @@ class TestFrozenPrefix:
         split = make_split(target_labels, (0.2, 0.0, 0.8), seed=3)
         bank = WindowBank(target_cube, target_labels, 4, 2)
         windows, targets = bank.windows(split.test)
-        assert doc["zero_shot"] == evaluate(source, windows, targets + 1).as_dict()
-        assert doc["fine_tuned"] == evaluate(tuned, windows, targets + 1).as_dict()
+        assert doc["zero_shot"] == evaluate((source,), windows, targets + 1)[0].as_dict()
+        assert doc["fine_tuned"] == evaluate((tuned,), windows, targets + 1)[0].as_dict()
         assert doc["zero_shot"] != doc["fine_tuned"]
 
     def test_plan_leaving_layer_zero_trainable_caches_nothing(self, monkeypatch):
